@@ -7,7 +7,7 @@ loss term. Training adds a regression pull toward the shared embedding's
 per-view subspace, so the deep representations stay consistent across views.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -59,16 +59,9 @@ class AutoencoderParams:
         return self.enc_weights + self.enc_biases + self.dec_weights + self.dec_biases
 
     def replace_arrays(self, arrays):
-        ne = len(self.enc_weights)
-        nd = len(self.dec_weights)
-        return AutoencoderParams(
-            enc_weights=arrays[:ne],
-            enc_biases=arrays[ne:2 * ne],
-            dec_weights=arrays[2 * ne:2 * ne + nd],
-            dec_biases=arrays[2 * ne + nd:],
-            activation=self.activation,
-            output_activation=self.output_activation,
-        )
+        ne, nd = len(self.enc_weights), len(self.dec_weights)
+        return replace(self, enc_weights=arrays[:ne], enc_biases=arrays[ne:2 * ne],
+                       dec_weights=arrays[2 * ne:2 * ne + nd], dec_biases=arrays[2 * ne + nd:])
 
 
 def init_autoencoder(input_dim, hidden_dims=(200,), activation="tanh",
@@ -92,18 +85,18 @@ def init_autoencoder(input_dim, hidden_dims=(200,), activation="tanh",
     return AutoencoderParams(enc_w, enc_b, dec_w, dec_b, activation, output_activation)
 
 
-def _layer_acts(params, decoder):
-    act, _ = _activation(params.activation)
-    out_act, _ = _activation(params.output_activation)
+def _layers(params, decoder):
+    """(activation, derivative) pair of every layer in the encoder or decoder stack."""
+    act = _activation(params.activation)
     if not decoder:
         return [act] * len(params.enc_weights)
-    return [act] * (len(params.dec_weights) - 1) + [out_act]
+    return [act] * (len(params.dec_weights) - 1) + [_activation(params.output_activation)]
 
 
-def _forward(weights, biases, acts, X):
+def _forward(weights, biases, layers, X):
     """Returns the list of layer outputs, input first."""
     outputs = [X]
-    for W, b, act in zip(weights, biases, acts):
+    for W, b, (act, _) in zip(weights, biases, layers):
         outputs.append(act(outputs[-1] @ W + b))
     return outputs
 
@@ -113,15 +106,15 @@ def encode(params, X, mask=None):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"features have shape {X.shape}, expected (*, {params.input_dim})")
-    acts = _layer_acts(params, decoder=False)
+    layers = _layers(params, decoder=False)
     if mask is None:
-        return _forward(params.enc_weights, params.enc_biases, acts, X)[-1]
+        return _forward(params.enc_weights, params.enc_biases, layers, X)[-1]
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[0],):
         raise ValueError(f"mask length {mask.shape} does not match {X.shape[0]} rows")
     H = np.zeros((X.shape[0], params.code_dim))
     if mask.any():
-        H[mask] = _forward(params.enc_weights, params.enc_biases, acts, X[mask])[-1]
+        H[mask] = _forward(params.enc_weights, params.enc_biases, layers, X[mask])[-1]
     return H
 
 
@@ -130,8 +123,7 @@ def decode(params, H):
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != params.code_dim:
         raise ValueError(f"representations have shape {H.shape}, expected (*, {params.code_dim})")
-    acts = _layer_acts(params, decoder=True)
-    return _forward(params.dec_weights, params.dec_biases, acts, H)[-1]
+    return _forward(params.dec_weights, params.dec_biases, _layers(params, decoder=True), H)[-1]
 
 
 def reconstruction_loss(X, X_hat, mask=None):
@@ -144,6 +136,35 @@ def reconstruction_loss(X, X_hat, mask=None):
     return float(np.sum(diff * diff))
 
 
+def _view_forward(params, X, mask, Y, B, alpha, lam):
+    """Forward pass over the present rows and the per-view loss.
+
+    Returns the loss, the outputs of every encoder and then decoder layer
+    (input first, code at index ``len(params.enc_weights)``) and the
+    subspace target rows (None when ``alpha`` is 0).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    target = None
+    if alpha != 0.0:
+        if Y is None or B is None:
+            raise ValueError("alpha != 0 requires the embedding Y and basis B")
+        target = (Y @ B)[mask]
+    outputs = _forward(params.enc_weights + params.dec_weights,
+                       params.enc_biases + params.dec_biases,
+                       _layers(params, False) + _layers(params, True), X[mask])
+    loss = float(np.sum((outputs[0] - outputs[-1]) ** 2))
+    if target is not None:
+        loss += alpha * float(np.sum((outputs[len(params.enc_weights)] - target) ** 2))
+    loss += lam * params.weight_sq_norm()
+    return loss, outputs, target
+
+
+def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
+    """Per-view training objective; a forward pass only (see ``view_loss_and_grads``)."""
+    return _view_forward(params, X, mask, Y, B, alpha, lam)[0]
+
+
 def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     """Loss and exact gradients of the per-view training objective.
 
@@ -152,59 +173,20 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     subspace Y B on present rows, plus ``lam`` times the squared norm of
     all weight matrices. Gradients come back in ``all_arrays`` order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    Xp = X[mask]
-    target = None
-    if alpha != 0.0:
-        if Y is None or B is None:
-            raise ValueError("alpha != 0 requires the embedding Y and basis B")
-        target = (Y @ B)[mask]
-
-    enc_acts = _layer_acts(params, decoder=False)
-    dec_acts = _layer_acts(params, decoder=True)
-    _, enc_d = _activation(params.activation)
-    act_derivs = {params.activation: enc_d,
-                  params.output_activation: _activation(params.output_activation)[1]}
-
-    enc_out = _forward(params.enc_weights, params.enc_biases, enc_acts, Xp)
-    Hp = enc_out[-1]
-    dec_out = _forward(params.dec_weights, params.dec_biases, dec_acts, Hp)
-    Xt = dec_out[-1]
-
-    loss = float(np.sum((Xp - Xt) ** 2))
-    if target is not None:
-        loss += alpha * float(np.sum((Hp - target) ** 2))
-    loss += lam * params.weight_sq_norm()
-
-    dec_names = [params.activation] * (len(params.dec_weights) - 1) + [params.output_activation]
-    enc_names = [params.activation] * len(params.enc_weights)
-
-    grad_dec_w = [None] * len(params.dec_weights)
-    grad_dec_b = [None] * len(params.dec_biases)
-    grad_enc_w = [None] * len(params.enc_weights)
-    grad_enc_b = [None] * len(params.enc_biases)
-
-    d_out = 2.0 * (Xt - Xp)
-    for k in range(len(params.dec_weights) - 1, -1, -1):
-        dZ = d_out * act_derivs[dec_names[k]](dec_out[k + 1])
-        grad_dec_w[k] = dec_out[k].T @ dZ + 2.0 * lam * params.dec_weights[k]
-        grad_dec_b[k] = dZ.sum(axis=0)
-        d_out = dZ @ params.dec_weights[k].T
-    if target is not None:
-        d_out = d_out + 2.0 * alpha * (Hp - target)
-    for k in range(len(params.enc_weights) - 1, -1, -1):
-        dZ = d_out * act_derivs[enc_names[k]](enc_out[k + 1])
-        grad_enc_w[k] = enc_out[k].T @ dZ + 2.0 * lam * params.enc_weights[k]
-        grad_enc_b[k] = dZ.sum(axis=0)
-        d_out = dZ @ params.enc_weights[k].T
-
-    return loss, grad_enc_w + grad_enc_b + grad_dec_w + grad_dec_b
-
-
-def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
-    loss, _ = view_loss_and_grads(params, X, mask, Y, B, alpha, lam)
-    return loss
+    loss, outputs, target = _view_forward(params, X, mask, Y, B, alpha, lam)
+    ne = len(params.enc_weights)
+    weights = params.enc_weights + params.dec_weights
+    layers = _layers(params, False) + _layers(params, True)
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    d_out = 2.0 * (outputs[-1] - outputs[0])
+    for k in range(len(weights) - 1, -1, -1):
+        if k == ne - 1 and target is not None:
+            d_out = d_out + 2.0 * alpha * (outputs[ne] - target)
+        dZ = d_out * layers[k][1](outputs[k + 1])
+        grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
+        grad_b[k] = dZ.sum(axis=0)
+        d_out = dZ @ weights[k].T
+    return loss, grad_w[:ne] + grad_b[:ne] + grad_w[ne:] + grad_b[ne:]
 
 
 def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1):

@@ -3,6 +3,7 @@
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,6 +28,34 @@ def _scalar_or_list(values):
     return values[0] if len(values) == 1 else values
 
 
+def _widths(text):
+    return tuple(_ints(text))
+
+
+# flag defaults come from the library's own defaults
+_HYPER = Hyperparams()
+_PROXIMITY = ProximityConfig()
+_PROTOCOL = EvalProtocol()
+
+
+def _add_hyper_flags(p, tradeoffs=True):
+    if tradeoffs:
+        p.add_argument("--alpha", type=float, default=_HYPER.alpha)
+        p.add_argument("--beta", type=float, default=_HYPER.beta)
+        p.add_argument("--lambda", dest="lam", type=float, default=_HYPER.lam)
+    p.add_argument("--dim", type=int, default=_HYPER.dim)
+    p.add_argument("--max-iters", type=int, default=_HYPER.max_iters)
+    p.add_argument("--layers", dest="hidden_dims", metavar="LAYERS", type=_widths,
+                   default=_HYPER.hidden_dims,
+                   help="comma-separated encoder widths, last one is the code size")
+
+
+def _add_protocol_flags(p):
+    p.add_argument("--train-frac", dest="train_fraction", metavar="TRAIN_FRAC", type=float,
+                   default=_PROTOCOL.train_fraction)
+    p.add_argument("--repeats", type=int, default=_PROTOCOL.repeats)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="dpmne",
                                      description="Partial multiplex network embedding")
@@ -46,20 +75,14 @@ def _build_parser():
 
     p = sub.add_parser("train", help="learn embeddings from a dataset manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--layers", type=_ints, default=[200],
-                   help="comma-separated encoder widths, last one is the code size")
-    p.add_argument("--y-steps", type=int, default=5)
-    p.add_argument("--h-steps", type=int, default=5)
-    p.add_argument("--y-lr", type=float, default=1.0)
-    p.add_argument("--h-lr", type=float, default=0.1)
-    p.add_argument("--order", type=int, default=5, help="proximity order")
+    _add_hyper_flags(p)
+    p.add_argument("--y-steps", type=int, default=_HYPER.y_steps)
+    p.add_argument("--h-steps", type=int, default=_HYPER.h_steps)
+    p.add_argument("--y-lr", type=float, default=_HYPER.y_lr)
+    p.add_argument("--h-lr", type=float, default=_HYPER.h_lr)
+    p.add_argument("--order", type=int, default=_PROXIMITY.order, help="proximity order")
     p.add_argument("--normalize-features", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_HYPER.seed)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("binarize", help="binary codes from a checkpoint")
@@ -72,23 +95,16 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", choices=("classify", "cluster"), required=True)
-    p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_protocol_flags(p)
+    p.add_argument("--seed", type=int, default=_PROTOCOL.seed)
 
     p = sub.add_parser("sweep-pdr", help="metrics across missing-data ratios")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ratios", type=_floats, required=True)
     p.add_argument("--methods", default=",".join(SWEEP_METHODS))
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--layers", type=_ints, default=[200])
-    p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_hyper_flags(p)
+    _add_protocol_flags(p)
+    p.add_argument("--seed", type=int, default=_PROTOCOL.seed)
     p.add_argument("--out", default=None, help="directory for table + long-format files")
 
     p = sub.add_parser("tune", help="grid search by k-fold cross validation")
@@ -96,22 +112,23 @@ def _build_parser():
     p.add_argument("--grid", required=True,
                    help="semicolon-separated alpha,beta,lambda triples, e.g. '1,0.1,0.01;1,1,0.01'")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--layers", type=_ints, default=[200])
-    p.add_argument("--seed", type=int, default=0)
+    _add_hyper_flags(p, tradeoffs=False)
+    p.add_argument("--seed", type=int, default=_HYPER.seed)
     return parser
 
 
 def _hyper_from_args(args):
-    return Hyperparams(alpha=args.alpha, beta=args.beta, lam=args.lam, dim=args.dim,
-                       max_iters=args.max_iters, hidden_dims=tuple(args.layers),
-                       y_steps=getattr(args, "y_steps", 5),
-                       h_steps=getattr(args, "h_steps", 5),
-                       y_lr=getattr(args, "y_lr", 1.0),
-                       h_lr=getattr(args, "h_lr", 0.1),
-                       proximity=ProximityConfig(order=getattr(args, "order", 5)),
-                       seed=args.seed)
+    """Hyperparams from the flags a subcommand has; fields without a flag keep their default."""
+    flags = vars(args)
+    kwargs = {f.name: flags[f.name] for f in fields(Hyperparams) if f.name in flags}
+    if "order" in flags:
+        kwargs["proximity"] = ProximityConfig(order=flags["order"])
+    return Hyperparams(**kwargs)
+
+
+def _protocol_from_args(args):
+    return EvalProtocol(train_fraction=args.train_fraction, repeats=args.repeats,
+                        seed=args.seed)
 
 
 def _cmd_synth(args):
@@ -129,8 +146,6 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     hyper = _hyper_from_args(args)
-    if args.dim < 1 or args.max_iters < 0:
-        raise ValueError("--dim must be >= 1 and --max-iters >= 0")
     network = io.load_network(args.manifest)
     if args.normalize_features:
         network = normalize_features(network)
@@ -159,8 +174,7 @@ def _cmd_binarize(args):
 
 
 def _cmd_eval(args):
-    protocol = EvalProtocol(train_fraction=args.train_frac, repeats=args.repeats,
-                            seed=args.seed)
+    protocol = _protocol_from_args(args)
     network = io.load_network(args.manifest)
     if network.labels is None:
         raise ValueError("eval needs a dataset with labels")
@@ -182,16 +196,10 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     methods = tuple(tok for tok in args.methods.split(",") if tok)
-    ratios = args.ratios
-    if sorted(ratios) != ratios:
-        raise ValueError("--ratios must be sorted ascending")
-    unknown = [m for m in methods if m not in SWEEP_METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {SWEEP_METHODS}")
-    protocol = EvalProtocol(train_fraction=args.train_frac, repeats=args.repeats,
-                            seed=args.seed)
+    protocol = _protocol_from_args(args)
+    hyper = _hyper_from_args(args)
     network = io.load_network(args.manifest)
-    rows = pdr_sweep(network, ratios, methods, protocol, _hyper_from_args(args))
+    rows = pdr_sweep(network, args.ratios, methods, protocol, hyper)
     header = "ratio\tmethod\tmicro_f1\tmicro_f1_std\tmacro_f1\tmacro_f1_std"
     wide = [header] + [
         f"{r.ratio:g}\t{r.method}\t{r.report.micro_f1:.6f}\t{r.report.micro_f1_std:.6f}"
@@ -224,9 +232,8 @@ def _cmd_tune(args):
         points.append(tuple(values))
     if not points:
         raise ValueError("--grid is empty")
+    base = _hyper_from_args(args)
     network = io.load_network(args.manifest)
-    base = Hyperparams(dim=args.dim, max_iters=args.max_iters,
-                       hidden_dims=tuple(args.layers), seed=args.seed)
     protocol = EvalProtocol(seed=args.seed)
     best = cross_validate(network, points, folds=args.folds, protocol=protocol,
                           base_hyper=base)

@@ -101,6 +101,10 @@ def validate(network):
             continue
         if not view.mask.any():
             report.append(f"view {s}: mask has no present node")
+        non_finite = ~np.isfinite(view.features).all(axis=1)
+        if non_finite.any():
+            report.append(f"view {s}: node {int(np.flatnonzero(non_finite)[0])} "
+                          "has a non-finite feature")
         hidden = ~view.mask
         if hidden.any() and np.any(view.features[hidden] != 0.0):
             bad = int(np.flatnonzero(hidden & np.any(view.features != 0.0, axis=1))[0])

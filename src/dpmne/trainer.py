@@ -38,6 +38,16 @@ class Hyperparams:
     stop_patience: int = 3    # stalled iterations before stopping early
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("dim", "y_lr", "h_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
+
 
 @dataclass
 class EmbeddingState:
@@ -57,21 +67,39 @@ def _orth_penalty(Y):
     return float(np.sum(gram * gram))
 
 
+def _y_views(state):
+    """Per-view (mask, present H rows, basis): everything the Y terms read besides Y."""
+    return [(m, state.H[s][m], state.B[s]) for s, m in enumerate(state.masks)]
+
+
+def _y_value(Y, views, laplacian, hyper):
+    """Y-dependent objective terms: graph proximity, orthogonality, consistency."""
+    val = hyper.beta * float(np.sum(Y * (laplacian @ Y))) + hyper.lam * _orth_penalty(Y)
+    for m, Hp, B in views:
+        diff = Hp - Y[m] @ B
+        val += hyper.alpha * float(np.sum(diff * diff))
+    return val
+
+
+def _y_grad(Y, views, laplacian, hyper):
+    """Exact gradient of ``_y_value`` with respect to Y."""
+    G = 2.0 * hyper.beta * (laplacian @ Y)
+    G += 4.0 * hyper.lam * (Y @ (Y.T @ Y - np.eye(Y.shape[1])))
+    for m, Hp, B in views:
+        G[m] += 2.0 * hyper.alpha * (Y[m] @ B - Hp) @ B.T
+    return G
+
+
 def objective(state, network, prox, hyper):
     """Value of the full training objective at the current state."""
-    total = 0.0
-    reg = _orth_penalty(state.Y)
+    total = _y_value(state.Y, _y_views(state), prox.laplacian, hyper)
+    ridge = 0.0
     for s, view in enumerate(network.views):
         m = state.masks[s]
-        Hp = state.H[s][m]
-        Xt = ae.decode(state.autoencoders[s], Hp)
+        Xt = ae.decode(state.autoencoders[s], state.H[s][m])
         total += float(np.sum((view.features[m] - Xt) ** 2))
-        diff = Hp - state.Y[m] @ state.B[s]
-        total += hyper.alpha * float(np.sum(diff * diff))
-        reg += float(np.sum(state.B[s] ** 2))
-        reg += state.autoencoders[s].weight_sq_norm()
-    total += hyper.beta * float(np.sum(state.Y * (prox.laplacian @ state.Y)))
-    total += hyper.lam * reg
+        ridge += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
+    total += hyper.lam * ridge
     if not np.isfinite(total):
         raise FloatingPointError("objective is not finite")
     return total
@@ -88,13 +116,7 @@ def objective_from_params(network, prox, Y, B, autoencoders, hyper):
 
 def grad_Y(state, prox, hyper):
     """Exact gradient of the objective's Y-dependent terms."""
-    Y = state.Y
-    G = 2.0 * hyper.beta * (prox.laplacian @ Y)
-    G += 4.0 * hyper.lam * (Y @ (Y.T @ Y - np.eye(Y.shape[1])))
-    for s in range(len(state.B)):
-        m = state.masks[s]
-        G[m] += 2.0 * hyper.alpha * (Y[m] @ state.B[s] - state.H[s][m]) @ state.B[s].T
-    return G
+    return _y_grad(state.Y, _y_views(state), prox.laplacian, hyper)
 
 
 def grad_B(state, hyper):
@@ -110,38 +132,20 @@ def grad_B(state, hyper):
 
 def update_Y(state, prox, hyper):
     """Backtracking gradient steps on Y; the Y subproblem never increases."""
-    n, d = state.Y.shape
-    L = prox.laplacian
-    per_view = [(state.masks[s], state.H[s][state.masks[s]], state.B[s])
-                for s in range(len(state.B))]
-
-    def fun(vec):
-        Y = vec.reshape(n, d)
-        val = hyper.beta * float(np.sum(Y * (L @ Y))) + hyper.lam * _orth_penalty(Y)
-        for m, Hp, B in per_view:
-            diff = Hp - Y[m] @ B
-            val += hyper.alpha * float(np.sum(diff * diff))
-        return val
-
-    def grad(vec):
-        Y = vec.reshape(n, d)
-        G = 2.0 * hyper.beta * (L @ Y)
-        G += 4.0 * hyper.lam * (Y @ (Y.T @ Y - np.eye(d)))
-        for m, Hp, B in per_view:
-            G[m] += 2.0 * hyper.alpha * (Y[m] @ B - Hp) @ B.T
-        return G.ravel()
-
-    vec, _, _ = armijo_minimize(fun, grad, state.Y.ravel(), steps=hyper.y_steps,
-                                step0=hyper.y_lr)
-    return replace(state, Y=vec.reshape(n, d))
+    shape = state.Y.shape
+    views = _y_views(state)
+    vec, _, _ = armijo_minimize(
+        lambda v: _y_value(v.reshape(shape), views, prox.laplacian, hyper),
+        lambda v: _y_grad(v.reshape(shape), views, prox.laplacian, hyper).ravel(),
+        state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
+    return replace(state, Y=vec.reshape(shape))
 
 
 def update_B(state, network, hyper):
     """Closed-form ridge solve for every view's basis matrix."""
     d = state.Y.shape[1]
     new_B = []
-    for s, view in enumerate(network.views):
-        m = view.mask
+    for s, m in enumerate(state.masks):
         Yp = state.Y[m]
         A = hyper.alpha * (Yp.T @ Yp) + hyper.lam * np.eye(d)
         rhs = hyper.alpha * (Yp.T @ state.H[s][m])
@@ -159,11 +163,11 @@ def update_B(state, network, hyper):
 def update_H(state, network, hyper):
     """Train each view's autoencoder and refresh its cached representation."""
     def train_one(s):
-        view = network.views[s]
+        X, m = network.views[s].features, state.masks[s]
         params = ae.train_view_autoencoder(
-            state.autoencoders[s], view.features, view.mask, state.Y, state.B[s],
+            state.autoencoders[s], X, m, state.Y, state.B[s],
             hyper.alpha, hyper.lam, steps=hyper.h_steps, lr=hyper.h_lr)
-        return params, ae.encode(params, view.features, view.mask)
+        return params, ae.encode(params, X, m)
 
     results = map_views(train_one, range(len(network.views)))
     return replace(state,
@@ -200,6 +204,21 @@ def _init_state(network, hyper, rng):
     return update_B(state, network, hyper)
 
 
+def _check_resume(state, network, hyper):
+    """Refuse a resume whose state or trade-offs do not belong to this run."""
+    if state.Y.shape[0] != network.n:
+        raise ValueError(f"resume state has {state.Y.shape[0]} nodes, network has {network.n}")
+    if {len(state.B), len(state.H), len(state.masks), len(state.autoencoders)} != {network.t}:
+        raise ValueError(f"resume state has {len(state.B)} views, network has {network.t}")
+    for s, view in enumerate(network.views):
+        if not np.array_equal(state.masks[s], view.mask):
+            raise ValueError(f"view {s}: resume state masks differ from the network's")
+    for name in ("alpha", "beta", "lam", "proximity"):
+        if getattr(state.hyper, name) != getattr(hyper, name):
+            raise ValueError(f"resume with {name}={getattr(hyper, name)!r} continues a trace "
+                             f"made with {name}={getattr(state.hyper, name)!r}")
+
+
 def train(network, hyper=None, init_state=None):
     """Alternate the Y, B and autoencoder updates until stalled or exhausted.
 
@@ -208,16 +227,14 @@ def train(network, hyper=None, init_state=None):
     iteration (plus the starting value). Fixing the seed fixes the output.
     """
     hyper = hyper if hyper is not None else Hyperparams()
-    rng = np.random.default_rng(hyper.seed)
-    prox = build_stack(network, hyper.proximity)
     if init_state is None:
-        state = _init_state(network, hyper, rng)
-        trace = [objective(state, network, prox, hyper)]
-        iter_seconds = []
+        state = _init_state(network, hyper, np.random.default_rng(hyper.seed))
     else:
+        _check_resume(init_state, network, hyper)
         state = init_state
-        trace = list(init_state.objective_trace) or [objective(state, network, prox, hyper)]
-        iter_seconds = list(init_state.iter_seconds)
+    prox = build_stack(network, hyper.proximity)
+    trace = list(state.objective_trace) or [objective(state, network, prox, hyper)]
+    iter_seconds = list(state.iter_seconds)
 
     stalled = 0
     for _ in range(hyper.max_iters):

@@ -150,12 +150,13 @@ class TestTrainViewAutoencoder:
         params, X, mask, _, _ = small_problem(seed)
         templates = params.all_arrays()
         vec = flatten(templates)
-        _, grads = view_loss_and_grads(params, X, mask, alpha=0.0, lam=0.01)
+        loss, grads = view_loss_and_grads(params, X, mask, alpha=0.0, lam=0.01)
 
         def fun(v):
             return view_loss(params.replace_arrays(unflatten(v, templates)),
                              X, mask, alpha=0.0, lam=0.01)
 
+        assert view_loss(params, X, mask, alpha=0.0, lam=0.01) == loss
         assert rel_error(flatten(grads), central_difference(fun, vec)) < 1e-5
 
     @pytest.mark.parametrize("seed", range(3))
@@ -163,12 +164,13 @@ class TestTrainViewAutoencoder:
         params, X, mask, Y, B = small_problem(seed + 10)
         templates = params.all_arrays()
         vec = flatten(templates)
-        _, grads = view_loss_and_grads(params, X, mask, Y, B, alpha=0.7, lam=0.05)
+        loss, grads = view_loss_and_grads(params, X, mask, Y, B, alpha=0.7, lam=0.05)
 
         def fun(v):
             return view_loss(params.replace_arrays(unflatten(v, templates)),
                              X, mask, Y, B, alpha=0.7, lam=0.05)
 
+        assert view_loss(params, X, mask, Y, B, alpha=0.7, lam=0.05) == loss
         assert rel_error(flatten(grads), central_difference(fun, vec)) < 1e-5
 
     def test_zero_steps_leaves_params_unchanged(self):

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from dpmne.cli import main
+from dpmne.cli import _build_parser, _hyper_from_args, _protocol_from_args, main
+from dpmne.evaluation import EvalProtocol
+from dpmne.trainer import Hyperparams
 
 
 def run(capsys, *argv):
@@ -68,6 +70,22 @@ class TestTrain:
                            "--out", str(out))
         assert code == 1
         assert not os.path.exists(out)
+
+    def test_empty_layers_fail_with_one_value_error_line(self, dataset, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--manifest", dataset, "--layers", "",
+                           "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        for argv in (["train", "--manifest", "m", "--out", "o"],
+                     ["sweep-pdr", "--manifest", "m", "--ratios", "0.3"],
+                     ["tune", "--manifest", "m", "--grid", "1,1,1"]):
+            assert _hyper_from_args(parser.parse_args(argv)) == Hyperparams()
+        for argv in (["eval", "--manifest", "m", "--checkpoint", "c", "--task", "cluster"],
+                     ["sweep-pdr", "--manifest", "m", "--ratios", "0.3"]):
+            assert _protocol_from_args(parser.parse_args(argv)) == EvalProtocol()
 
 
 class TestBinarize:

@@ -24,6 +24,11 @@ class TestValidate:
         report = validate(tiny_network)
         assert any("masked-out node 1" in item for item in report)
 
+    def test_non_finite_present_row_is_flagged(self, tiny_network):
+        tiny_network.views[0].features[2, 1] = np.nan
+        report = validate(tiny_network)
+        assert any("node 2 has a non-finite feature" in item for item in report)
+
     def test_asymmetric_adjacency_is_flagged(self, tiny_network):
         adj = tiny_network.views[0].adjacency.tolil()
         adj[0, 2] = 1.0  # no reverse entry

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,17 @@ class TestUpdateB:
         for g in grad_B(out, hyper):
             assert np.max(np.abs(g)) < 1e-8
 
+    def test_solves_over_the_state_masks(self):
+        network, hyper, prox, state = small_setup(12)
+        hidden = np.flatnonzero(state.masks[0])[0]
+        state.masks[0][hidden] = False  # make_state copied the network's masks
+        out = update_B(state, network, hyper)
+        m = state.masks[0]
+        Yp, Hp = state.Y[m], state.H[0][m]
+        ridge = np.linalg.solve(hyper.alpha * Yp.T @ Yp + hyper.lam * np.eye(hyper.dim),
+                                hyper.alpha * Yp.T @ Hp)
+        np.testing.assert_allclose(out.B[0], ridge, rtol=1e-10, atol=1e-12)
+
 
 class TestUpdateH:
     def test_refreshes_cached_representations_consistently(self):
@@ -307,6 +320,26 @@ class TestUpdateH:
         before = objective(state, network, prox, hyper)
         out = update_H(state, network, hyper)
         assert objective(out, network, prox, hyper) <= before + 1e-12
+
+    def test_hidden_state_mask_row_stays_zero(self):
+        network, hyper, prox, state = small_setup(13)
+        hidden = np.flatnonzero(state.masks[1])[0]
+        state.masks[1][hidden] = False
+        out = update_H(state, network, hyper)
+        assert np.all(out.H[1][hidden] == 0.0)
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("bad", [
+        {"alpha": -1.0}, {"beta": -1.0}, {"lam": -0.5}, {"alpha": float("nan")},
+        {"dim": 0}, {"max_iters": -1}, {"y_steps": -1}, {"h_steps": -2},
+        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"y_lr": 0.0}, {"h_lr": -0.1}])
+    def test_out_of_range_values_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Hyperparams(**bad)
+
+    def test_zero_budgets_and_tradeoffs_are_legal(self):
+        Hyperparams(alpha=0.0, beta=0.0, lam=0.0, max_iters=0, y_steps=0, h_steps=0)
 
 
 class TestTrain:
@@ -344,6 +377,25 @@ class TestTrain:
         trace = resumed.objective_trace
         assert trace[:4] == first.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("change", [
+        {"alpha": 2.0}, {"beta": 0.5}, {"lam": 0.1},
+        {"proximity": ProximityConfig(order=2)}])
+    def test_resume_with_other_tradeoffs_is_refused(self, change):
+        net = synth_generate(SynthConfig(n=30, communities=3, t=2, feature_dim=6, seed=4))
+        hyper = Hyperparams(dim=4, max_iters=2, hidden_dims=(5,), seed=4)
+        first = train(net, hyper)
+        with pytest.raises(ValueError, match=next(iter(change))):
+            train(net, replace(hyper, **change), init_state=first)
+
+    def test_resume_on_another_network_is_refused(self):
+        config = SynthConfig(n=30, communities=3, t=2, pdr=0.2, feature_dim=6, seed=4)
+        hyper = Hyperparams(dim=4, max_iters=1, hidden_dims=(5,), seed=4)
+        first = train(synth_generate(config), hyper)
+        for other, problem in ((replace(config, n=31), "nodes"), (replace(config, t=3), "views"),
+                               (replace(config, seed=5), "masks")):
+            with pytest.raises(ValueError, match=problem):
+                train(synth_generate(other), hyper, init_state=first)
 
     def test_early_stop_cuts_the_iteration_budget(self):
         # zero inner steps make every block a no-op, so the trace stalls at once
