@@ -74,11 +74,11 @@ def _read_edges(path, n):
                     raise ManifestError(
                         f"{path}:{line_no}:{col}: node {node} outside [0, {n})")
             pairs.append((u, v))
-    adj = sp.lil_matrix((n, n))
-    for u, v in pairs:
-        adj[u, v] = 1.0
-        adj[v, u] = 1.0
-    return sp.csr_matrix(adj)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    adj = sp.csr_matrix((np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                        shape=(n, n))
+    adj.data[:] = 1.0  # repeated edges and self-loops were summed; keep them 0/1
+    return adj
 
 
 def _read_mask(path, n):

@@ -1,9 +1,16 @@
-"""High-order proximity matrices and the graph Laplacian built from them.
+"""High-order proximity and the graph Laplacian built from it.
 
 Each view's proximity is a weighted sum of adjacency powers; powers count
 multi-hop walks, so densely connected node pairs get large entries. The
-per-view matrices are summed across views, and the Laplacian of that sum is
-what the trainer uses to keep linked nodes close in embedding space.
+per-view proximities are summed across views, and the Laplacian of that sum
+is what the trainer uses to keep linked nodes close in embedding space.
+
+Training never forms the summed proximity: even on sparse graphs its powers
+fill in to a dense n x n matrix. ``build_stack`` returns a
+``ProximityLaplacian`` that applies the Laplacian by repeated sparse
+products with the views' adjacencies. ``high_order_proximity`` and
+``aggregate_and_laplacian`` build the explicit matrices and serve as
+small-graph reference oracles.
 """
 
 from dataclasses import dataclass
@@ -12,9 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .parallel import map_views
-
-# switch matrix powers to dense arithmetic once fill-in passes this fraction
-_DENSIFY_AT = 0.5
 
 
 def default_weights(order):
@@ -32,6 +36,8 @@ class ProximityConfig:
     normalize: bool = False  # scale adjacency by inverse sqrt degrees first
 
     def resolved_weights(self):
+        if self.order < 1:
+            raise ValueError(f"proximity order must be >= 1, got {self.order}")
         if self.weights is None:
             return default_weights(self.order)
         weights = tuple(float(w) for w in self.weights)
@@ -44,59 +50,108 @@ class ProximityConfig:
 
 @dataclass
 class ProximityStack:
-    """Per-view proximities, their sum, its degree vector and Laplacian."""
-    per_view: list
-    aggregate: sp.spmatrix
+    """Degree vector of the summed proximity and its Laplacian."""
     degree: np.ndarray
-    laplacian: sp.spmatrix
+    laplacian: object  # anything with ``laplacian @ Y``
 
 
-def high_order_proximity(adjacency, config=None):
-    """Weighted sum of the first ``order`` powers of the adjacency.
+def proximity_adjacency(adjacency, normalize=False):
+    """The sparse matrix whose powers the proximity sums.
 
-    The input is symmetrized (undirected relations) and kept sparse; the
-    power iteration falls back to dense arithmetic when fill-in exceeds
-    half the matrix. Diagonal entries of the powers (closed walks) are
-    kept: they add nothing to pairwise embedding distances.
+    The input is symmetrized (undirected relations) and, with ``normalize``,
+    scaled by inverse square-root degrees on both sides.
     """
-    cfg = config or ProximityConfig()
-    if cfg.order < 1:
-        raise ValueError(f"proximity order must be >= 1, got {cfg.order}")
-    weights = cfg.resolved_weights()
     A = sp.csr_matrix(adjacency, dtype=np.float64)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency must be square, got {A.shape}")
     A = A.maximum(A.T)
-    if cfg.normalize:
+    if normalize:
         deg = np.asarray(A.sum(axis=1)).ravel()
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
         D = sp.diags(inv_sqrt)
         A = sp.csr_matrix(D @ A @ D)
+    return A
 
-    n = A.shape[0]
+
+class ProximityLaplacian:
+    """L = diag(P 1) - P for P = sum_s sum_k w_k A_s^k, applied without forming P.
+
+    The views' adjacencies are stored once, stacked row-wise into one
+    (t n) x n CSR matrix (``nnz``, ``data``, ``indices`` and ``indptr`` are
+    its arrays); ``views`` holds one n x n CSR per view over the same arrays.
+    ``self @ Y`` evaluates P Y in Horner form,
+    sum_s A_s (w_1 Y + A_s (w_2 Y + ... + A_s (w_K Y))): the innermost hop is
+    one product with the stacked matrix, each further hop one product per
+    view. A product costs O(t order nnz(A) d) time and O(t n d) memory.
+    """
+
+    def __init__(self, adjacencies, weights):
+        if not adjacencies:
+            raise ValueError("need at least one view adjacency")
+        n = adjacencies[0].shape[0]
+        self.shape = (n, n)
+        self.weights = tuple(weights)
+        self.stacked = sp.vstack(adjacencies, format="csr")
+        data, indices, ptr = self.stacked.data, self.stacked.indices, self.stacked.indptr
+        self.views = []
+        for s in range(len(adjacencies)):
+            lo, hi = ptr[s * n], ptr[(s + 1) * n]
+            view = sp.csr_matrix((data[lo:hi], indices[lo:hi], ptr[s * n:(s + 1) * n + 1] - lo),
+                                 shape=(n, n))
+            # the constructor copies small slices of a large array; share them instead
+            view.data, view.indices = data[lo:hi], indices[lo:hi]
+            self.views.append(view)
+        self.degree = self._proximity_product(np.ones((n, 1))).ravel()
+
+    nnz = property(lambda self: self.stacked.nnz)
+    data = property(lambda self: self.stacked.data)
+    indices = property(lambda self: self.stacked.indices)
+    indptr = property(lambda self: self.stacked.indptr)
+
+    def _proximity_product(self, X):
+        """P @ X for an (n, k) array ``X``."""
+        w = self.weights
+        hops = (self.stacked @ (w[-1] * X)).reshape(len(self.views), *X.shape)
+        for wk in reversed(w[:-1]):
+            hops = [A @ (Z + wk * X) for A, Z in zip(self.views, hops)]
+        return sum(hops[1:], hops[0])
+
+    def __matmul__(self, Y):
+        Y = np.asarray(Y, dtype=np.float64)
+        n = self.shape[0]
+        if Y.ndim not in (1, 2) or Y.shape[0] != n:
+            raise ValueError(f"operand shape {Y.shape} does not match {self.shape}")
+        X = Y.reshape(n, -1)
+        return (self.degree[:, None] * X - self._proximity_product(X)).reshape(Y.shape)
+
+    def toarray(self):
+        """Dense L, for small-n checks only."""
+        return self @ np.eye(self.shape[0])
+
+
+def high_order_proximity(adjacency, config=None):
+    """Weighted sum of the first ``order`` powers of the (prepared) adjacency.
+
+    A reference oracle: the powers fill in, so this is for small graphs.
+    Diagonal entries of the powers (closed walks) are kept: they add
+    nothing to pairwise embedding distances.
+    """
+    cfg = config or ProximityConfig()
+    weights = cfg.resolved_weights()
+    A = proximity_adjacency(adjacency, cfg.normalize)
     total = weights[0] * A
-    power = A.copy()
-    dense_power = None
-    dense_total = None
-    dense_A = None
+    power = A
     for w in weights[1:]:
-        if dense_power is None and power.nnz > _DENSIFY_AT * n * n:
-            dense_power = power.toarray()
-            dense_A = A.toarray()
-            dense_total = np.zeros((n, n))
-        if dense_power is None:
-            power = power @ A
-            total = total + w * power
-        else:
-            dense_power = dense_power @ dense_A
-            dense_total += w * dense_power
-    if dense_total is not None:
-        total = total + sp.csr_matrix(dense_total)
+        power = power @ A
+        total = total + w * power
     return sp.csr_matrix(total)
 
 
 def aggregate_and_laplacian(per_view):
-    """Sum the per-view proximities and form the Laplacian of the total."""
+    """Sum explicit per-view proximities and form the Laplacian of the total.
+
+    The reference oracle for ``build_stack``; the Laplacian is a CSR matrix.
+    """
     per_view = list(per_view)
     if not per_view:
         raise ValueError("need at least one per-view proximity matrix")
@@ -108,14 +163,14 @@ def aggregate_and_laplacian(per_view):
     for P in per_view[1:]:
         aggregate = aggregate + sp.csr_matrix(P, dtype=np.float64)
     degree = np.asarray(aggregate.sum(axis=1)).ravel()
-    laplacian = sp.csr_matrix(sp.diags(degree) - aggregate)
-    return ProximityStack([sp.csr_matrix(P, dtype=np.float64) for P in per_view],
-                          aggregate, degree, laplacian)
+    return ProximityStack(degree, sp.csr_matrix(sp.diags(degree) - aggregate))
 
 
 def build_stack(network, config=None):
-    """Per-view proximities for a whole network, then their aggregate."""
+    """The summed proximity's degree vector and its matrix-free Laplacian."""
     cfg = config or ProximityConfig()
-    per_view = map_views(lambda view: high_order_proximity(view.adjacency, cfg),
-                         network.views)
-    return aggregate_and_laplacian(per_view)
+    weights = cfg.resolved_weights()
+    adjacencies = map_views(lambda view: proximity_adjacency(view.adjacency, cfg.normalize),
+                            network.views)
+    laplacian = ProximityLaplacian(adjacencies, weights)
+    return ProximityStack(laplacian.degree, laplacian)

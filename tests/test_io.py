@@ -2,9 +2,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpmne.graph_model import SynthConfig, synth_generate
-from dpmne.io import (ManifestError, checkpoint, load_network, restore,
+from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, restore,
                       save_embeddings, save_network)
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.quantizer import unpack_codes
@@ -96,6 +97,23 @@ class TestNetworkRoundTrip:
             fh.write("1\t1\n")
         with pytest.raises(ManifestError, match="self-loop"):
             load_network(manifest)
+
+    def test_duplicate_reversed_and_self_loop_edges_collapse_to_one(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        path.write_text("0\t1\n0\t1\n1\t0\n2\t2\n3\t1\n\n")
+        adj = _read_edges(str(path), 5)
+        expected = np.zeros((5, 5))
+        for u, v in ((0, 1), (2, 2), (1, 3)):
+            expected[u, v] = expected[v, u] = 1.0
+        assert sp.isspmatrix_csr(adj) and adj.dtype == np.float64
+        assert adj.has_canonical_format
+        np.testing.assert_array_equal(adj.toarray(), expected)
+
+    def test_empty_edge_file_gives_empty_adjacency(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        path.write_text("")
+        adj = _read_edges(str(path), 3)
+        assert adj.shape == (3, 3) and adj.nnz == 0
 
     def test_unknown_format_version_rejected(self, tmp_path):
         net = small_net()

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dpmne.proximity import (ProximityConfig, aggregate_and_laplacian, build_stack,
-                             default_weights, high_order_proximity)
+from dpmne.graph_model import MultiplexNetwork, ViewData
+from dpmne.proximity import (ProximityConfig, ProximityLaplacian, aggregate_and_laplacian,
+                             build_stack, default_weights, high_order_proximity)
+
+from conftest import random_network
 
 def dense_power_oracle(adj, order, weights):
     """Sum of weighted matrix powers by plain dense multiplication."""
@@ -87,8 +92,8 @@ def test_wrong_weight_count_rejected():
         high_order_proximity(path_graph(), ProximityConfig(order=3, weights=(1.0,)))
 
 
-def test_densification_path_agrees_with_oracle():
-    # dense-ish graph pushes fill-in past the sparse threshold
+def test_dense_fill_in_agrees_with_oracle():
+    # dense-ish graph: the powers fill in the whole matrix
     rng = np.random.default_rng(4)
     adj = random_adjacency(rng, 30, 0.5)
     P = high_order_proximity(adj).toarray()
@@ -108,7 +113,8 @@ class TestAggregateAndLaplacian:
     def test_single_view_aggregate_is_that_view(self):
         P = high_order_proximity(path_graph(), ProximityConfig(order=2, weights=(1.0, 0.5)))
         stack = aggregate_and_laplacian([P])
-        assert (stack.aggregate != P).nnz == 0
+        np.testing.assert_array_equal(np.diag(stack.degree) - stack.laplacian.toarray(),
+                                      P.toarray())
 
     def test_path_graph_degree_and_laplacian_by_row_sums(self):
         P = high_order_proximity(path_graph(), ProximityConfig(order=2, weights=(1.0, 0.5)))
@@ -151,7 +157,7 @@ class TestAggregateAndLaplacian:
         views = [high_order_proximity(random_adjacency(rng, 30, 0.2)) for _ in range(3)]
         stack = aggregate_and_laplacian(views)
         row_sums = np.asarray(stack.laplacian.sum(axis=1)).ravel()
-        scale = max(1.0, float(np.abs(stack.aggregate).max()))
+        scale = max(1.0, float(np.abs(views[0] + views[1] + views[2]).max()))
         assert np.max(np.abs(row_sums)) < 1e-10 * scale
         assert (stack.laplacian != stack.laplacian.T).nnz == 0
         for _ in range(100):
@@ -159,7 +165,103 @@ class TestAggregateAndLaplacian:
             assert y @ (stack.laplacian @ y) >= -1e-10 * (y @ y)
 
 
-def test_build_stack_runs_per_view(tiny_network):
-    stack = build_stack(tiny_network)
-    assert len(stack.per_view) == 2
-    assert stack.aggregate.shape == (3, 3)
+def random_multiplex(seed, n, t, edge_p=0.15):
+    """Random t-view network; view 0 is given as a directed (upper-triangular) graph."""
+    net = random_network(seed, n=n, t=t, dims=(2,) * t, missing=(0.2,) * t, edge_p=edge_p)
+    net.views[0].adjacency = sp.triu(net.views[0].adjacency, format="csr")
+    return net
+
+
+def oracle_stack(net, cfg):
+    return aggregate_and_laplacian([high_order_proximity(v.adjacency, cfg) for v in net.views])
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+OPERATOR_CASES = [(t, order, normalize) for t in (1, 3) for order in range(1, 6)
+                  for normalize in (False, True)]
+
+
+class TestMatrixFreeLaplacian:
+    @pytest.mark.parametrize("t,order,normalize", OPERATOR_CASES)
+    def test_operator_matches_explicit_oracle(self, t, order, normalize):
+        rng = np.random.default_rng(100 * t + 10 * order + normalize)
+        net = random_multiplex(int(rng.integers(1 << 30)), n=25, t=t)
+        cfg = ProximityConfig(order=order, weights=tuple(rng.random(order)),
+                              normalize=normalize)
+        stack = build_stack(net, cfg)
+        oracle = oracle_stack(net, cfg)
+        assert isinstance(stack.laplacian, ProximityLaplacian)
+        assert stack.laplacian.shape == (25, 25)
+        assert rel_err(stack.degree, oracle.degree) <= 1e-12
+        Y = rng.standard_normal((25, 4))
+        y = rng.standard_normal(25)
+        assert rel_err(stack.laplacian @ Y, oracle.laplacian @ Y) <= 1e-12
+        out = stack.laplacian @ y
+        assert out.shape == (25,)
+        assert rel_err(out, oracle.laplacian @ y) <= 1e-12
+        assert rel_err(stack.laplacian.toarray(), oracle.laplacian.toarray()) <= 1e-12
+
+    def test_operand_of_wrong_length_rejected(self, tiny_network):
+        laplacian = build_stack(tiny_network).laplacian
+        for bad in (np.ones(6), np.ones((4, 2)), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError):
+                laplacian @ bad
+
+    def test_order_below_one_rejected(self, tiny_network):
+        with pytest.raises(ValueError):
+            build_stack(tiny_network, ProximityConfig(order=0, weights=()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_criterion_4_properties_hold_for_the_operator(self, seed):
+        rng = np.random.default_rng(seed + 70)
+        n, t = int(rng.integers(10, 30)), int(rng.integers(1, 4))
+        net = random_multiplex(seed + 70, n=n, t=t, edge_p=0.2)
+        cfg = ProximityConfig(order=int(rng.integers(1, 6)), normalize=bool(seed % 2))
+        L = build_stack(net, cfg).laplacian
+        P = sum(high_order_proximity(v.adjacency, cfg).toarray() for v in net.views)
+        scale = max(1.0, float(P.max()))
+        Y = rng.standard_normal((n, 3))
+        lhs = float(np.sum(Y * (L @ Y)))
+        rhs = 0.5 * sum(P[i, j] * float(np.sum((Y[i] - Y[j]) ** 2))
+                        for i in range(n) for j in range(n))
+        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+        assert np.max(np.abs(L @ np.ones(n))) <= 1e-12 * scale
+        for _ in range(20):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            bound = 1e-12 * scale * np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(x @ (L @ y) - y @ (L @ x)) <= bound
+            assert y @ (L @ y) >= -1e-12 * scale * (y @ y)
+
+    def test_large_sparse_graph_is_never_densified(self):
+        # n = 20000, expected degree about 5: a dense n x n float matrix would be 3.2 GB
+        n, t, d = 20000, 2, 8
+        rng = np.random.default_rng(9)
+        views = []
+        for _ in range(t):
+            u, v = rng.integers(0, n, size=(2, n * 5 // 2))
+            keep = u != v
+            adj = sp.csr_matrix((np.ones(keep.sum()), (u[keep], v[keep])), shape=(n, n))
+            views.append(ViewData(1, np.zeros((n, 1)), np.ones(n, dtype=bool),
+                                  adj.maximum(adj.T)))
+        net = MultiplexNetwork(n, t, views)
+        edges = sum(view.adjacency.nnz for view in views)
+        Y = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stack = build_stack(net, ProximityConfig(order=5, normalize=True))
+            stored = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = stack.laplacian @ Y
+            product_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stack.laplacian.nnz <= 2 * edges
+        # two copies of every edge at 8 bytes per value and index, plus O(t n)
+        assert stored <= 2 * edges * 16 + 64 * t * n
+        assert product_peak <= 8 * t * Y.nbytes
+        assert out.shape == (n, d) and np.all(np.isfinite(out))
