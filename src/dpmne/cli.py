@@ -162,10 +162,11 @@ def _cmd_train(args):
 def _cmd_binarize(args):
     if args.iters is not None and not args.itq:
         raise ValueError("--iters only applies together with --itq")
-    if args.iters is not None and args.iters < 1:
-        raise ValueError("--iters must be >= 1")
     state = io.restore(args.checkpoint)
-    codes = itq(state.Y, iterations=args.iters or 50) if args.itq else binarize_sign(state.Y)
+    if args.itq:
+        codes = itq(state.Y, iterations=50 if args.iters is None else args.iters)
+    else:
+        codes = binarize_sign(state.Y)
     os.makedirs(args.out, exist_ok=True)
     io.save_embeddings(codes.codes, os.path.join(args.out, "codes.tsv"))
     io.save_embeddings(codes.codes, os.path.join(args.out, "codes.bin"), fmt="packed")
@@ -230,8 +231,6 @@ def _cmd_tune(args):
         if len(values) != 3:
             raise ValueError(f"grid point {chunk!r} must be alpha,beta,lambda")
         points.append(tuple(values))
-    if not points:
-        raise ValueError("--grid is empty")
     base = _hyper_from_args(args)
     network = io.load_network(args.manifest)
     protocol = EvalProtocol(seed=args.seed)

@@ -38,8 +38,6 @@ class MetricsReport:
     micro_f1_std: float
     macro_f1: float
     macro_f1_std: float
-    clustering_accuracy: float | None = None
-    clustering_accuracy_std: float | None = None
 
 
 @dataclass
@@ -54,17 +52,22 @@ def _sample_std(values):
     return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
+def _count_pairs(a, b, na, nb):
+    """(na, nb) table whose entry (i, j) counts the positions where a == i and b == j."""
+    return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
+
+
 def micro_macro_f1(y_true, y_pred, num_classes):
     """F1 from pooled counts and the unweighted per-class mean."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    tp = np.zeros(num_classes)
-    fp = np.zeros(num_classes)
-    fn = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp[c] = np.sum((y_pred == c) & (y_true == c))
-        fp[c] = np.sum((y_pred == c) & (y_true != c))
-        fn[c] = np.sum((y_pred != c) & (y_true == c))
+    y_true = np.asarray(y_true, dtype=np.int64)
+    y_pred = np.asarray(y_pred, dtype=np.int64)
+    for name, y in (("y_true", y_true), ("y_pred", y_pred)):
+        if np.any((y < 0) | (y >= num_classes)):
+            raise ValueError(f"{name} has labels outside [0, {num_classes})")
+    confusion = _count_pairs(y_true, y_pred, num_classes, num_classes)
+    tp = np.diag(confusion)
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
     pooled = 2.0 * tp.sum() + fp.sum() + fn.sum()
     micro = 2.0 * tp.sum() / pooled if pooled > 0 else 0.0
     denom = 2.0 * tp + fp + fn
@@ -125,24 +128,24 @@ def _split_with_all_classes(rng, labels, train_fraction, num_classes, max_tries=
     raise RuntimeError("could not draw a training split containing every class")
 
 
+def _holdout_f1(X, y, train_idx, test_idx, num_classes, l2):
+    """Micro and macro F1 on the test rows of a classifier fit on the training rows."""
+    W = fit_logistic_regression(X[train_idx], y[train_idx], num_classes, l2=l2)
+    return micro_macro_f1(y[test_idx], predict_logistic(W, X[test_idx]), num_classes)
+
+
 def classify_f1(embeddings, labels, protocol=None):
     """Mean and std of micro/macro F1 over repeated random splits."""
     protocol = protocol or EvalProtocol()
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes, y = np.unique(labels, return_inverse=True)
-    children = np.random.SeedSequence(protocol.seed).spawn(protocol.repeats)
-    micro, macro = [], []
-    for child in children:
-        rng = np.random.default_rng(child)
+    classes, y = np.unique(np.asarray(labels), return_inverse=True)
+    scores = []
+    for child in np.random.SeedSequence(protocol.seed).spawn(protocol.repeats):
         train_idx, test_idx = _split_with_all_classes(
-            rng, y, protocol.train_fraction, classes.size)
-        W = fit_logistic_regression(embeddings[train_idx], y[train_idx],
-                                    classes.size, l2=protocol.l2)
-        pred = predict_logistic(W, embeddings[test_idx])
-        mi, ma = micro_macro_f1(y[test_idx], pred, classes.size)
-        micro.append(mi)
-        macro.append(ma)
+            np.random.default_rng(child), y, protocol.train_fraction, classes.size)
+        scores.append(_holdout_f1(embeddings, y, train_idx, test_idx, classes.size,
+                                  protocol.l2))
+    micro, macro = zip(*scores)
     return MetricsReport(float(np.mean(micro)), _sample_std(micro),
                          float(np.mean(macro)), _sample_std(macro))
 
@@ -200,16 +203,11 @@ def kmeans(X, k, seed=0, restarts=10, max_iter=300, tol=1e-6):
 
 def matched_accuracy(cluster_ids, labels):
     """Fraction correct under the best cluster-to-class assignment."""
-    cluster_ids = np.asarray(cluster_ids)
-    labels = np.asarray(labels)
-    uc = np.unique(cluster_ids)
-    ul = np.unique(labels)
-    table = np.zeros((uc.size, ul.size))
-    for i, c in enumerate(uc):
-        for j, l in enumerate(ul):
-            table[i, j] = np.sum((cluster_ids == c) & (labels == l))
+    clusters, cluster_idx = np.unique(np.asarray(cluster_ids), return_inverse=True)
+    classes, class_idx = np.unique(np.asarray(labels), return_inverse=True)
+    table = _count_pairs(cluster_idx, class_idx, clusters.size, classes.size)
     rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum() / labels.size)
+    return float(table[rows, cols].sum() / class_idx.size)
 
 
 def cluster_accuracy(embeddings, labels, num_clusters, seed=0):
@@ -226,46 +224,42 @@ def knn_impute(network, k=5):
     target view contribute a similarity-weighted average. Nodes with no
     usable neighbor fall back to zero fill and trigger a warning. All masks
     come back True; present rows are untouched.
+
+    Each view scores all of its missing rows R against every node at once:
+    the (|R|, n) similarity block is built from per-view products, never an
+    n x n matrix.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n, t = network.n, network.t
-    masks = [view.mask for view in network.views]
-    dots = [view.features @ view.features.T for view in network.views]
-    sqnorms = [np.sum(view.features ** 2, axis=1) for view in network.views]
+    n = network.n
+    present = np.column_stack([view.mask for view in network.views])        # (n, t)
+    feats = [np.where(view.mask[:, None], view.features, 0.0) for view in network.views]
+    sqnorms = np.column_stack([np.sum(F * F, axis=1) for F in feats])      # (n, t)
 
     fallbacks = []
     views = []
     for s, view in enumerate(network.views):
+        rows = np.flatnonzero(~view.mask)
+        # masked rows are zero, so each product only sums views where both nodes are present
+        numer = sum(F[rows] @ F.T for F in feats)
+        sq_i = sqnorms[rows] @ present.T
+        sq_j = present[rows] @ sqnorms.T
+        usable = view.mask & (sq_i > 0) & (sq_j > 0)
+        sims = np.where(usable, numer / np.sqrt(np.where(usable, sq_i * sq_j, 1.0)), 0.0)
+        top = np.argsort(np.where(usable, -sims, np.inf), axis=1, kind="stable")[:, :k]
+        top_sims = np.where(np.take_along_axis(usable, top, axis=1),
+                            np.take_along_axis(sims, top, axis=1), 0.0)
+        weight = top_sims.sum(axis=1)
+        ok = weight > 1e-12
+        fallbacks += [(s, int(i)) for i in rows[~ok]]
         features = view.features.copy()
-        for i in np.flatnonzero(~masks[s]):
-            shared = [v for v in range(t) if masks[v][i]]
-            numer = np.zeros(n)
-            sq_i = np.zeros(n)
-            sq_j = np.zeros(n)
-            overlap = np.zeros(n, dtype=bool)
-            for v in shared:
-                both = masks[v]
-                numer += np.where(both, dots[v][i], 0.0)
-                sq_i += np.where(both, sqnorms[v][i], 0.0)
-                sq_j += np.where(both, sqnorms[v], 0.0)
-                overlap |= both
-            usable = masks[s] & overlap & (sq_i > 0) & (sq_j > 0)
-            usable[i] = False
-            sims = np.zeros(n)
-            sims[usable] = numer[usable] / np.sqrt(sq_i[usable] * sq_j[usable])
-            order = np.argsort(-sims, kind="stable")
-            top = [j for j in order if usable[j]][:k]
-            weight = sims[top].sum() if top else 0.0
-            if weight <= 1e-12:
-                fallbacks.append((s, int(i)))
-                continue
-            features[i] = sims[top] @ view.features[top] / weight
+        features[rows[ok]] = (np.einsum("rk,rkd->rd", top_sims[ok], feats[s][top[ok]])
+                              / weight[ok, None])
         views.append(ViewData(view.dim, features, np.ones(n, dtype=bool), view.adjacency))
     if fallbacks:
         warnings.warn(f"knn_impute: zero-filled {len(fallbacks)} rows with no "
                       f"comparable neighbor: {fallbacks}")
-    return MultiplexNetwork(n, t, views, network.labels)
+    return MultiplexNetwork(n, network.t, views, network.labels)
 
 
 def _unmask_all(network):
@@ -331,8 +325,7 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
     base_hyper = base_hyper if base_hyper is not None else Hyperparams()
     if network.labels is None:
         raise ValueError("cross_validate needs node labels")
-    points = [dict(zip(("alpha", "beta", "lam"), p)) if not isinstance(p, dict) else p
-              for p in grid]
+    points = [dict(zip(("alpha", "beta", "lam"), p)) for p in grid]
     if not points:
         raise ValueError("empty hyperparameter grid")
     classes, y = np.unique(network.labels, return_inverse=True)
@@ -345,12 +338,9 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
         state = train(network, hyper)
         scores = []
         for f in range(folds):
-            test_idx = fold_sets[f]
             train_idx = np.concatenate([fold_sets[g] for g in range(folds) if g != f])
-            W = fit_logistic_regression(state.Y[train_idx], y[train_idx],
-                                        classes.size, l2=protocol.l2)
-            pred = predict_logistic(W, state.Y[test_idx])
-            scores.append(micro_macro_f1(y[test_idx], pred, classes.size)[0])
+            scores.append(_holdout_f1(state.Y, y, train_idx, fold_sets[f], classes.size,
+                                      protocol.l2)[0])
         score = float(np.mean(scores))
         if score > best_score:
             best_score, best_hyper = score, hyper

@@ -35,17 +35,19 @@ class ProximityConfig:
     weights: tuple | None = None
     normalize: bool = False  # scale adjacency by inverse sqrt degrees first
 
-    def resolved_weights(self):
+    def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"proximity order must be >= 1, got {self.order}")
+        if self.weights is not None:
+            if len(self.weights) != self.order:
+                raise ValueError(f"need {self.order} weights, got {len(self.weights)}")
+            if any(w < 0 for w in self.weights):
+                raise ValueError("weights must be nonnegative")
+
+    def resolved_weights(self):
         if self.weights is None:
             return default_weights(self.order)
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != self.order:
-            raise ValueError(f"need {self.order} weights, got {len(weights)}")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        return weights
+        return tuple(float(w) for w in self.weights)
 
 
 @dataclass

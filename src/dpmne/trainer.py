@@ -211,9 +211,14 @@ def _check_resume(state, network, hyper):
     if {len(state.B), len(state.H), len(state.masks), len(state.autoencoders)} != {network.t}:
         raise ValueError(f"resume state has {len(state.B)} views, network has {network.t}")
     for s, view in enumerate(network.views):
+        width = state.autoencoders[s].input_dim
+        if width != view.features.shape[1]:
+            raise ValueError(f"view {s}: resume state's autoencoder takes {width} features, "
+                             f"network has {view.features.shape[1]}")
         if not np.array_equal(state.masks[s], view.mask):
             raise ValueError(f"view {s}: resume state masks differ from the network's")
-    for name in ("alpha", "beta", "lam", "proximity"):
+    for name in ("alpha", "beta", "lam", "proximity", "dim", "hidden_dims", "activation",
+                 "output_activation"):
         if getattr(state.hyper, name) != getattr(hyper, name):
             raise ValueError(f"resume with {name}={getattr(hyper, name)!r} continues a trace "
                              f"made with {name}={getattr(state.hyper, name)!r}")

@@ -336,8 +336,12 @@ def test_criterion_10_scaling_sanity():
         state = train(net, hyper)
         return float(np.mean(state.iter_seconds[1:]))  # drop the warm-up iteration
 
-    small = np.mean([per_iter_seconds(600, run) for run in range(3)])
-    large = np.mean([per_iter_seconds(1200, run) for run in range(3)])
+    # alternate the sizes so a slow spell of a shared machine lands on both sides
+    seconds = {600: [], 1200: []}
+    for run in range(3):
+        for n in seconds:
+            seconds[n].append(per_iter_seconds(n, run))
+    small, large = np.mean(seconds[600]), np.mean(seconds[1200])
     ratio = large / small
     report(10, "doubling n scales per-iteration time near-linearly",
            ratio < 2.8, f"{small * 1e3:.1f} ms -> {large * 1e3:.1f} ms, ratio {ratio:.2f}")

@@ -77,6 +77,14 @@ class TestTrain:
         assert code == 1
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
 
+    def test_zero_order_fails_with_one_value_error_line(self, dataset, tmp_path, capsys):
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "train", "--manifest", dataset, "--order", "0",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_flag_defaults_are_the_library_defaults(self):
         parser = _build_parser()
         for argv in (["train", "--manifest", "m", "--out", "o"],
@@ -120,6 +128,15 @@ class TestBinarize:
         code, _, err = run(capsys, "binarize", "--checkpoint", trained,
                            "--iters", "5", "--out", str(out))
         assert code == 1 and "dpmne-error" in err
+        assert not os.path.exists(out)
+
+    def test_zero_rotation_iterations_fail_with_one_value_error_line(self, trained, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "c"
+        code, _, err = run(capsys, "binarize", "--checkpoint", trained, "--itq",
+                           "--iters", "0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
         assert not os.path.exists(out)
 
 
@@ -187,3 +204,8 @@ class TestSweepAndTune:
     def test_malformed_grid_fails_fast(self, dataset, capsys):
         code, _, err = run(capsys, "tune", "--manifest", dataset, "--grid", "1,2")
         assert code == 1 and "dpmne-error" in err
+
+    def test_empty_grid_fails_with_one_value_error_line(self, dataset, capsys):
+        code, _, err = run(capsys, "tune", "--manifest", dataset, "--grid", " ; ")
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1

@@ -1,8 +1,14 @@
 import itertools
+import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmne.evaluation import (EvalProtocol, classify_f1, cluster_accuracy,
                               cross_validate, fit_logistic_regression, kfold_indices,
@@ -13,7 +19,7 @@ from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
 
 from conftest import make_view, random_network
-from dpmne.graph_model import MultiplexNetwork
+from dpmne.graph_model import MultiplexNetwork, ViewData
 
 
 def f1_from_counts_oracle(y_true, y_pred, num_classes):
@@ -34,6 +40,77 @@ def f1_from_counts_oracle(y_true, y_pred, num_classes):
         den = 2 * tp[c] + fp[c] + fn[c]
         per_class.append(2 * tp[c] / den if den else 0.0)
     return micro, sum(per_class) / num_classes
+
+
+def knn_impute_oracle(features, masks, k):
+    """kNN fill by scalar loops over views, missing nodes, candidates and entries.
+
+    Returns the filled per-view feature lists and the (view, node) pairs left
+    at zero. The cosine divides by sqrt(sq_i * sq_j), as the library does, so
+    integer features give bitwise-equal similarities and equal tie order.
+    """
+    n = len(masks[0])
+    filled = [[list(row) for row in f] for f in features]
+    fallbacks = []
+    for s, (f_s, m_s) in enumerate(zip(features, masks)):
+        for i in range(n):
+            if m_s[i]:
+                continue
+            sims = {}
+            for j in range(n):
+                if j == i or not m_s[j]:
+                    continue
+                num, sq_i, sq_j = 0.0, 0.0, 0.0
+                for f, m in zip(features, masks):
+                    if m[i] and m[j]:
+                        for a, b in zip(f[i], f[j]):
+                            num += a * b
+                            sq_i += a * a
+                            sq_j += b * b
+                if sq_i > 0 and sq_j > 0:
+                    sims[j] = num / math.sqrt(sq_i * sq_j)
+            top = sorted(sims, key=lambda j: -sims[j])[:k]
+            weight = sum(sims[j] for j in top)
+            if weight <= 1e-12:
+                fallbacks.append((s, i))
+                continue
+            filled[s][i] = [sum(sims[j] * f_s[j][c] for j in top) / weight
+                            for c in range(len(f_s[i]))]
+    return filled, fallbacks
+
+
+def assert_knn_matches_oracle(features, masks, k):
+    n = len(masks[0])
+    views = [ViewData(f.shape[1], f, m, sp.csr_matrix((n, n))) for f, m in zip(features, masks)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = knn_impute(MultiplexNetwork(n, len(views), views), k=k)
+    expected, fallbacks = knn_impute_oracle([f.tolist() for f in features], masks, k)
+    for view, want in zip(out.views, expected):
+        np.testing.assert_allclose(view.features, np.array(want).reshape(n, -1),
+                                   rtol=0, atol=1e-10)
+    messages = [str(w.message) for w in caught]
+    assert messages == ([f"knn_impute: zero-filled {len(fallbacks)} rows with no "
+                         f"comparable neighbor: {fallbacks}"] if fallbacks else [])
+
+
+@st.composite
+def partial_networks(draw):
+    """Features and masks of n <= 12 nodes in t <= 3 views; masked rows are zero."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = draw(st.booleans())
+    features, masks = [], []
+    for _ in range(t):
+        width = draw(st.integers(1, 4))
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        f = rng.integers(-1, 3, (n, width)).astype(np.float64) if tied else rng.random((n, width))
+        f[rng.random(n) < 0.15] = 0.0  # all-zero rows among the present ones
+        f[~mask] = 0.0
+        features.append(f)
+        masks.append(mask)
+    return features, masks, draw(st.integers(1, 5))
 
 
 class TestF1:
@@ -64,6 +141,11 @@ class TestF1:
         oracle = f1_from_counts_oracle(list(y_true), list(y_pred), k)
         assert abs(micro - oracle[0]) < 1e-12
         assert abs(macro - oracle[1]) < 1e-12
+
+    @pytest.mark.parametrize("y_pred", [[0, 2], [-1, 0]])
+    def test_labels_outside_the_classes_rejected(self, y_pred):
+        with pytest.raises(ValueError, match="outside"):
+            micro_macro_f1([0, 1], y_pred, 2)
 
 
 class TestClassify:
@@ -145,6 +227,21 @@ class TestClusterAccuracy:
         lshuf = rng.permutation(4)
         assert matched_accuracy(cshuf[clusters], lshuf[labels]) == pytest.approx(base)
 
+    @pytest.mark.parametrize("num_clusters,num_classes", [(3, 2), (2, 4), (5, 3)])
+    def test_unequal_counts_against_exhaustive_matching(self, num_clusters, num_classes):
+        rng = np.random.default_rng(10 * num_clusters + num_classes)
+        clusters = rng.integers(0, num_clusters, size=25)
+        labels = rng.integers(0, num_classes, size=25)
+        small, large = sorted((num_clusters, num_classes))
+        best = 0
+        for image in itertools.permutations(range(large), small):
+            if num_clusters <= num_classes:
+                hits = sum(1 for c, l in zip(clusters, labels) if image[c] == l)
+            else:
+                hits = sum(1 for c, l in zip(clusters, labels) if image[l] == c)
+            best = max(best, hits)
+        assert matched_accuracy(clusters, labels) == best / 25
+
     def test_kmeans_recovers_separated_blobs(self):
         rng = np.random.default_rng(6)
         centers = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])
@@ -183,36 +280,52 @@ class TestKnnImpute:
 
     def test_six_node_instance_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(8)
-        n, k = 6, 3
+        n = 6
         f0 = rng.random((n, 4))
         f1 = rng.random((n, 3))
-        mask0 = np.array([True] * n)
         mask1 = np.array([True, True, False, True, True, False])
         f1[~mask1] = 0.0
-        net = MultiplexNetwork(n, 2, [make_view(f0, mask0, [], n),
-                                      make_view(f1, mask1, [], n)])
-        out = knn_impute(net, k=k)
+        assert_knn_matches_oracle([f0, f1], [np.ones(n, dtype=bool), mask1], k=3)
 
-        for i in np.flatnonzero(~mask1):
-            sims = {}
-            for j in range(n):
-                if j == i or not mask1[j]:
-                    continue
-                num, sq_i, sq_j = 0.0, 0.0, 0.0
-                for feats, m in ((f0, mask0), (f1, mask1)):
-                    if m[i] and m[j]:
-                        for a, b in zip(feats[i], feats[j]):
-                            num += a * b
-                            sq_i += a * a
-                            sq_j += b * b
-                if sq_i > 0 and sq_j > 0:
-                    sims[j] = num / (sq_i ** 0.5 * sq_j ** 0.5)
-            top = sorted(sims, key=lambda j: -sims[j])[:k]
-            expected = np.zeros(3)
-            for j in top:
-                expected += sims[j] * f1[j]
-            expected /= sum(sims[j] for j in top)
-            np.testing.assert_allclose(out.views[1].features[i], expected, atol=1e-10)
+    def test_masked_feature_storage_is_never_read(self):
+        rng = np.random.default_rng(9)
+        f0, f1 = rng.random((6, 4)), rng.random((6, 3))
+        m0 = np.array([True, False, True, True, True, True])
+        m1 = np.array([True, True, False, True, False, True])
+        f0[~m0], f1[~m1] = 0.0, 0.0
+        clean = knn_impute(MultiplexNetwork(6, 2, [make_view(f0, m0, [], 6),
+                                                    make_view(f1, m1, [], 6)]), k=2)
+        f0[~m0], f1[~m1] = np.nan, 1e6
+        dirty = knn_impute(MultiplexNetwork(6, 2, [make_view(f0, m0, [], 6),
+                                                    make_view(f1, m1, [], 6)]), k=2)
+        for a, b, m in zip(clean.views, dirty.views, (m0, m1)):
+            assert np.array_equal(a.features[~m], b.features[~m])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(partial_networks())
+    def test_random_networks_match_scalar_loop_oracle(self, case):
+        features, masks, k = case
+        assert_knn_matches_oracle(features, masks, k)
+
+    def test_peak_memory_stays_below_one_n_by_n_array(self):
+        n, t, width = 4000, 3, 16
+        rng = np.random.default_rng(11)
+        missing = rng.permutation(n)[:t * (n // 20)].reshape(t, -1)  # 5% per view
+        views = []
+        for s in range(t):
+            mask = np.ones(n, dtype=bool)
+            mask[missing[s]] = False
+            f = rng.random((n, width))
+            f[~mask] = 0.0
+            views.append(ViewData(width, f, mask, sp.csr_matrix((n, n))))
+        net = MultiplexNetwork(n, t, views)
+        tracemalloc.start()
+        try:
+            knn_impute(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_present_rows_are_never_modified(self):
         net = synth_generate(SynthConfig(n=30, communities=3, t=2, pdr=0.3, seed=9))
@@ -221,14 +334,17 @@ class TestKnnImpute:
             assert np.array_equal(before.features[before.mask],
                                   after.features[before.mask])
 
-    def test_isolated_node_falls_back_to_zero_fill_with_warning(self):
-        # node 2 is missing from view 1 and its only present view has zero features
+    @pytest.mark.parametrize("rows,k", [
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 2),    # only present view is all zero
+        ([[1.0, 1e-13], [1.0, 0.0], [0.0, 1.0]], 1)])  # best similarity is 1e-13
+    def test_isolated_node_falls_back_to_zero_fill_with_warning(self, rows, k):
+        # node 2 is missing from view 1 and has no usable neighbour in view 0
         n = 3
-        v0 = make_view([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [True] * 3, [], n)
+        v0 = make_view(rows, [True] * 3, [], n)
         v1 = make_view([[5.0], [6.0], [0.0]], [True, True, False], [], n)
         net = MultiplexNetwork(n, 2, [v0, v1])
         with pytest.warns(UserWarning, match="zero-filled"):
-            out = knn_impute(net, k=2)
+            out = knn_impute(net, k=k)
         assert np.array_equal(out.views[1].features[2], [0.0])
 
     def test_bad_k_rejected(self):

@@ -92,6 +92,13 @@ def test_wrong_weight_count_rejected():
         high_order_proximity(path_graph(), ProximityConfig(order=3, weights=(1.0,)))
 
 
+@pytest.mark.parametrize("bad", [{"order": 0}, {"order": 2, "weights": (1.0,)},
+                                 {"order": 2, "weights": (1.0, -0.5)}])
+def test_config_is_validated_when_built(bad):
+    with pytest.raises(ValueError):
+        ProximityConfig(**bad)
+
+
 def test_dense_fill_in_agrees_with_oracle():
     # dense-ish graph: the powers fill in the whole matrix
     rng = np.random.default_rng(4)

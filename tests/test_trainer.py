@@ -380,7 +380,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("change", [
         {"alpha": 2.0}, {"beta": 0.5}, {"lam": 0.1},
-        {"proximity": ProximityConfig(order=2)}])
+        {"proximity": ProximityConfig(order=2)}, {"dim": 5}, {"hidden_dims": (6,)}])
     def test_resume_with_other_tradeoffs_is_refused(self, change):
         net = synth_generate(SynthConfig(n=30, communities=3, t=2, feature_dim=6, seed=4))
         hyper = Hyperparams(dim=4, max_iters=2, hidden_dims=(5,), seed=4)
@@ -393,7 +393,8 @@ class TestTrain:
         hyper = Hyperparams(dim=4, max_iters=1, hidden_dims=(5,), seed=4)
         first = train(synth_generate(config), hyper)
         for other, problem in ((replace(config, n=31), "nodes"), (replace(config, t=3), "views"),
-                               (replace(config, seed=5), "masks")):
+                               (replace(config, seed=5), "masks"),
+                               (replace(config, feature_dim=7), "feature")):
             with pytest.raises(ValueError, match=problem):
                 train(synth_generate(other), hyper, init_state=first)
 
