@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .optim import armijo_minimize, flatten, unflatten
+from .optim import armijo_minimize, flatten, latest_point, unflatten
 
 _ACT = {
     "identity": (lambda z: z, lambda a: np.ones_like(a)),
@@ -136,13 +136,8 @@ def reconstruction_loss(X, X_hat, mask=None):
     return float(np.sum(diff * diff))
 
 
-def _view_forward(params, X, mask, Y, B, alpha, lam):
-    """Forward pass over the present rows and the per-view loss.
-
-    Returns the loss, the outputs of every encoder and then decoder layer
-    (input first, code at index ``len(params.enc_weights)``) and the
-    subspace target rows (None when ``alpha`` is 0).
-    """
+def _view_rows(X, mask, Y, B, alpha):
+    """Present feature rows and their subspace target rows (None when ``alpha`` is 0)."""
     X = np.asarray(X, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     target = None
@@ -150,30 +145,27 @@ def _view_forward(params, X, mask, Y, B, alpha, lam):
         if Y is None or B is None:
             raise ValueError("alpha != 0 requires the embedding Y and basis B")
         target = (Y @ B)[mask]
+    return X[mask], target
+
+
+def _view_forward(params, Xp, target, alpha, lam):
+    """Forward pass over the present rows ``Xp`` and the per-view loss.
+
+    Returns the loss and the outputs of every encoder and then decoder
+    layer (input first, code at index ``len(params.enc_weights)``).
+    """
     outputs = _forward(params.enc_weights + params.dec_weights,
                        params.enc_biases + params.dec_biases,
-                       _layers(params, False) + _layers(params, True), X[mask])
+                       _layers(params, False) + _layers(params, True), Xp)
     loss = float(np.sum((outputs[0] - outputs[-1]) ** 2))
     if target is not None:
         loss += alpha * float(np.sum((outputs[len(params.enc_weights)] - target) ** 2))
     loss += lam * params.weight_sq_norm()
-    return loss, outputs, target
+    return loss, outputs
 
 
-def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
-    """Per-view training objective; a forward pass only (see ``view_loss_and_grads``)."""
-    return _view_forward(params, X, mask, Y, B, alpha, lam)[0]
-
-
-def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
-    """Loss and exact gradients of the per-view training objective.
-
-    The objective is the masked reconstruction error, plus ``alpha`` times
-    the squared distance between the deep representation and the embedding
-    subspace Y B on present rows, plus ``lam`` times the squared norm of
-    all weight matrices. Gradients come back in ``all_arrays`` order.
-    """
-    loss, outputs, target = _view_forward(params, X, mask, Y, B, alpha, lam)
+def _view_backward(params, outputs, target, alpha, lam):
+    """Gradients of ``_view_forward``'s loss from its layer outputs, in ``all_arrays`` order."""
     ne = len(params.enc_weights)
     weights = params.enc_weights + params.dec_weights
     layers = _layers(params, False) + _layers(params, True)
@@ -186,21 +178,49 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
         grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
         grad_b[k] = dZ.sum(axis=0)
         d_out = dZ @ weights[k].T
-    return loss, grad_w[:ne] + grad_b[:ne] + grad_w[ne:] + grad_b[ne:]
+    return grad_w[:ne] + grad_b[:ne] + grad_w[ne:] + grad_b[ne:]
+
+
+def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
+    """Per-view training objective; a forward pass only (see ``view_loss_and_grads``)."""
+    Xp, target = _view_rows(X, mask, Y, B, alpha)
+    return _view_forward(params, Xp, target, alpha, lam)[0]
+
+
+def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
+    """Loss and exact gradients of the per-view training objective.
+
+    The objective is the masked reconstruction error, plus ``alpha`` times
+    the squared distance between the deep representation and the embedding
+    subspace Y B on present rows, plus ``lam`` times the squared norm of
+    all weight matrices. Gradients come back in ``all_arrays`` order.
+    """
+    Xp, target = _view_rows(X, mask, Y, B, alpha)
+    loss, outputs = _view_forward(params, Xp, target, alpha, lam)
+    return loss, _view_backward(params, outputs, target, alpha, lam)
 
 
 def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1):
-    """Backpropagation steps on one view's autoencoder; never increases the loss."""
+    """Backpropagation steps on one view's autoencoder; never increases the loss.
+
+    The present rows and the subspace target are taken once, and each
+    gradient runs only the backward pass of the loss evaluation that
+    accepted its point.
+    """
     templates = params.all_arrays()
+    Xp, target = _view_rows(X, mask, Y, B, alpha)
+
+    @latest_point
+    def forward(vec):
+        cur = params.replace_arrays(unflatten(vec, templates))
+        return cur, _view_forward(cur, Xp, target, alpha, lam)
 
     def fun(vec):
-        cur = params.replace_arrays(unflatten(vec, templates))
-        return view_loss(cur, X, mask, Y, B, alpha, lam)
+        return forward(vec)[1][0]
 
     def grad(vec):
-        cur = params.replace_arrays(unflatten(vec, templates))
-        _, grads = view_loss_and_grads(cur, X, mask, Y, B, alpha, lam)
-        return flatten(grads)
+        cur, (_, outputs) = forward(vec)
+        return flatten(_view_backward(cur, outputs, target, alpha, lam))
 
     vec, _, _ = armijo_minimize(fun, grad, flatten(templates), steps=steps, step0=lr)
     return params.replace_arrays(unflatten(vec, templates))

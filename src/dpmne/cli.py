@@ -222,15 +222,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_tune(args):
-    points = []
-    for chunk in args.grid.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values = _floats(chunk)
-        if len(values) != 3:
-            raise ValueError(f"grid point {chunk!r} must be alpha,beta,lambda")
-        points.append(tuple(values))
+    points = [_floats(chunk) for chunk in args.grid.split(";") if chunk.strip()]
     base = _hyper_from_args(args)
     network = io.load_network(args.manifest)
     protocol = EvalProtocol(seed=args.seed)

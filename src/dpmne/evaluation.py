@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph_model import MultiplexNetwork, ViewData, apply_pdr
-from .optim import armijo_minimize
+from .optim import armijo_minimize, latest_point
 from .trainer import Hyperparams, train
 
 
@@ -81,28 +81,35 @@ def fit_logistic_regression(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500)
     Runs until the gradient max-norm drops below ``gtol`` (or the step
     budget runs out); the bias row is not regularized. Returns the
     (features + 1) x classes weight matrix.
+
+    The logits are held class-major, (classes, rows), so the softmax
+    reductions run over the leading axis, and each gradient reuses the
+    softmax terms of the loss evaluation that accepted its point.
     """
     X = np.asarray(X, dtype=np.float64)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    onehot = np.zeros((X.shape[0], num_classes))
-    onehot[np.arange(X.shape[0]), y] = 1.0
-    shape = (Xb.shape[1], num_classes)
+    m = X.shape[0]
+    XbT = np.vstack([X.T, np.ones((1, m))])
+    picked = np.asarray(y) * m + np.arange(m)  # flat index of each row's true-class logit
+    shape = (XbT.shape[0], num_classes)
+
+    @latest_point
+    def softmax_terms(vec):
+        W = vec.reshape(shape)
+        logits = W.T @ XbT
+        logits -= logits.max(axis=0)
+        exp = np.exp(logits)
+        return W, logits, exp, exp.sum(axis=0)
 
     def fun(vec):
-        W = vec.reshape(shape)
-        logits = Xb @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(logits).sum(axis=1))
-        nll = float(np.sum(log_norm - logits[np.arange(len(y)), y]))
+        W, logits, _, norm = softmax_terms(vec)
+        nll = float(np.sum(np.log(norm) - logits.ravel()[picked]))
         return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
 
     def grad(vec):
-        W = vec.reshape(shape)
-        logits = Xb @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        G = Xb.T @ (probs - onehot)
+        W, _, exp, norm = softmax_terms(vec)
+        residual = exp / norm
+        residual.ravel()[picked] -= 1.0  # probabilities minus the one-hot labels
+        G = XbT @ residual.T
         G[:-1] += l2 * W[:-1]
         return G.ravel()
 
@@ -216,6 +223,10 @@ def cluster_accuracy(embeddings, labels, num_clusters, seed=0):
     return matched_accuracy(cluster_ids, labels)
 
 
+_KNN_BLOCK = 2 ** 20  # entries of one (missing rows, n) similarity block in knn_impute
+_KNN_WARN_PAIRS = 10  # (view, node) pairs named in knn_impute's fallback warning
+
+
 def knn_impute(network, k=5):
     """Fill each missing feature row from its most similar present nodes.
 
@@ -225,9 +236,10 @@ def knn_impute(network, k=5):
     usable neighbor fall back to zero fill and trigger a warning. All masks
     come back True; present rows are untouched.
 
-    Each view scores all of its missing rows R against every node at once:
-    the (|R|, n) similarity block is built from per-view products, never an
-    n x n matrix.
+    Each view scores its missing rows against every node in blocks of
+    ``_KNN_BLOCK // n`` rows (at least one): each (rows, n) similarity block
+    is built from per-view products, so memory stays bounded whatever the
+    missing ratio.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -236,29 +248,34 @@ def knn_impute(network, k=5):
     feats = [np.where(view.mask[:, None], view.features, 0.0) for view in network.views]
     sqnorms = np.column_stack([np.sum(F * F, axis=1) for F in feats])      # (n, t)
 
+    chunk = max(1, _KNN_BLOCK // n)
     fallbacks = []
     views = []
     for s, view in enumerate(network.views):
-        rows = np.flatnonzero(~view.mask)
-        # masked rows are zero, so each product only sums views where both nodes are present
-        numer = sum(F[rows] @ F.T for F in feats)
-        sq_i = sqnorms[rows] @ present.T
-        sq_j = present[rows] @ sqnorms.T
-        usable = view.mask & (sq_i > 0) & (sq_j > 0)
-        sims = np.where(usable, numer / np.sqrt(np.where(usable, sq_i * sq_j, 1.0)), 0.0)
-        top = np.argsort(np.where(usable, -sims, np.inf), axis=1, kind="stable")[:, :k]
-        top_sims = np.where(np.take_along_axis(usable, top, axis=1),
-                            np.take_along_axis(sims, top, axis=1), 0.0)
-        weight = top_sims.sum(axis=1)
-        ok = weight > 1e-12
-        fallbacks += [(s, int(i)) for i in rows[~ok]]
         features = view.features.copy()
-        features[rows[ok]] = (np.einsum("rk,rkd->rd", top_sims[ok], feats[s][top[ok]])
-                              / weight[ok, None])
+        missing = np.flatnonzero(~view.mask)
+        for start in range(0, missing.size, chunk):
+            rows = missing[start:start + chunk]
+            # masked rows are zero, so each product only sums views where both nodes are present
+            numer = sum(F[rows] @ F.T for F in feats)
+            sq_i = sqnorms[rows] @ present.T
+            sq_j = present[rows] @ sqnorms.T
+            usable = view.mask & (sq_i > 0) & (sq_j > 0)
+            sims = np.where(usable, numer / np.sqrt(np.where(usable, sq_i * sq_j, 1.0)), 0.0)
+            top = np.argsort(np.where(usable, -sims, np.inf), axis=1, kind="stable")[:, :k]
+            top_sims = np.where(np.take_along_axis(usable, top, axis=1),
+                                np.take_along_axis(sims, top, axis=1), 0.0)
+            weight = top_sims.sum(axis=1)
+            ok = weight > 1e-12
+            fallbacks += [(s, int(i)) for i in rows[~ok]]
+            features[rows[ok]] = (np.einsum("rk,rkd->rd", top_sims[ok], feats[s][top[ok]])
+                                  / weight[ok, None])
         views.append(ViewData(view.dim, features, np.ones(n, dtype=bool), view.adjacency))
     if fallbacks:
-        warnings.warn(f"knn_impute: zero-filled {len(fallbacks)} rows with no "
-                      f"comparable neighbor: {fallbacks}")
+        more = len(fallbacks) - _KNN_WARN_PAIRS
+        warnings.warn(f"knn_impute: zero-filled {len(fallbacks)} rows with no comparable "
+                      f"neighbor: {fallbacks[:_KNN_WARN_PAIRS]}"
+                      + (f" and {more} more" if more > 0 else ""))
     return MultiplexNetwork(n, network.t, views, network.labels)
 
 
@@ -325,16 +342,19 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
     base_hyper = base_hyper if base_hyper is not None else Hyperparams()
     if network.labels is None:
         raise ValueError("cross_validate needs node labels")
-    points = [dict(zip(("alpha", "beta", "lam"), p)) for p in grid]
+    points = [tuple(p) for p in grid]
     if not points:
         raise ValueError("empty hyperparameter grid")
+    for p in points:
+        if len(p) != 3:
+            raise ValueError(f"grid point {p} must be (alpha, beta, lam)")
     classes, y = np.unique(network.labels, return_inverse=True)
     rng = np.random.default_rng(protocol.seed)
     fold_sets = kfold_indices(network.n, folds, rng)
 
     best_score, best_hyper = -np.inf, None
-    for point in points:
-        hyper = replace(base_hyper, seed=protocol.seed, **point)
+    for alpha, beta, lam in points:
+        hyper = replace(base_hyper, seed=protocol.seed, alpha=alpha, beta=beta, lam=lam)
         state = train(network, hyper)
         scores = []
         for f in range(folds):

@@ -255,28 +255,68 @@ def checkpoint(state, path):
     np.savez(path, **arrays)
 
 
+def _shape_text(shape):
+    dims = ["*" if w is None else str(w) for w in shape]
+    return "(" + ", ".join(dims) + ("," if len(dims) == 1 else "") + ")"
+
+
 def restore(path):
-    """Rebuild the training state saved by ``checkpoint``."""
+    """Rebuild the training state saved by ``checkpoint``.
+
+    Every array must be present and agree in shape with the metadata and
+    with the other arrays: Y is (n, dim), each B_s (dim, code), H_s
+    (n, code) and mask_s (n,), each autoencoder's layer widths chain, and
+    the trace and iteration times are 1-D. Otherwise one ValueError names
+    the array.
+    """
     with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
+        def array(name, *shape):
+            """The archive's array ``name``; a ``None`` in ``shape`` matches any size."""
+            if name not in archive.files:
+                raise ValueError(f"{path}: checkpoint has no array {name!r}")
+            value = archive[name]
+            if value.ndim != len(shape) or any(
+                    w is not None and w != got for w, got in zip(shape, value.shape)):
+                raise ValueError(f"{path}: checkpoint array {name!r} has shape "
+                                 f"{_shape_text(value.shape)}, expected {_shape_text(shape)}")
+            return value
+
+        meta = json.loads(str(array("meta")))
         if meta.get("format") != 1:
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
-        hyper = _hyper_from_json(meta["hyper"])
-        t = meta["t"]
+        try:
+            hyper = _hyper_from_json(meta["hyper"])
+            t, enc_layers, activations = meta["t"], meta["enc_layers"], meta["activations"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint metadata has no {exc}") from None
+        if len(enc_layers) != t or len(activations) != t:
+            raise ValueError(f"{path}: checkpoint metadata lists {len(enc_layers)} encoders "
+                             f"and {len(activations)} activation pairs for {t} views")
+        Y = array("Y", None, hyper.dim)
+        n = Y.shape[0]
         B, H, masks, autoencoders = [], [], [], []
         for s in range(t):
-            B.append(archive[f"B_{s}"])
-            H.append(archive[f"H_{s}"])
-            masks.append(archive[f"mask_{s}"].astype(bool))
-            layers = meta["enc_layers"][s]
-            act, out_act = meta["activations"][s]
+            layers = enc_layers[s]
+            if layers < 1:
+                raise ValueError(f"{path}: view {s} autoencoder has {layers} encoder layers")
+            widths = [None]
+            enc_w, enc_b = [], []
+            for k in range(layers):
+                enc_w.append(array(f"ae{s}_enc_w{k}", widths[-1], None))
+                widths[-1] = enc_w[-1].shape[0]  # fixes the input width on the first layer
+                widths.append(enc_w[-1].shape[1])
+                enc_b.append(array(f"ae{s}_enc_b{k}", widths[-1]))
+            rev = widths[::-1]
+            dec_w = [array(f"ae{s}_dec_w{k}", rev[k], rev[k + 1]) for k in range(layers)]
+            dec_b = [array(f"ae{s}_dec_b{k}", rev[k + 1]) for k in range(layers)]
+            B.append(array(f"B_{s}", hyper.dim, widths[-1]))
+            H.append(array(f"H_{s}", n, widths[-1]))
+            masks.append(array(f"mask_{s}", n).astype(bool))
+            act, out_act = activations[s]
             autoencoders.append(AutoencoderParams(
-                enc_weights=[archive[f"ae{s}_enc_w{k}"] for k in range(layers)],
-                enc_biases=[archive[f"ae{s}_enc_b{k}"] for k in range(layers)],
-                dec_weights=[archive[f"ae{s}_dec_w{k}"] for k in range(layers)],
-                dec_biases=[archive[f"ae{s}_dec_b{k}"] for k in range(layers)],
+                enc_weights=enc_w, enc_biases=enc_b, dec_weights=dec_w, dec_biases=dec_b,
                 activation=act, output_activation=out_act))
         return EmbeddingState(
-            Y=archive["Y"], B=B, H=H, masks=masks, autoencoders=autoencoders,
-            hyper=hyper, objective_trace=archive["trace"].tolist(),
-            iter_seconds=archive["iter_seconds"].tolist())
+            Y=Y, B=B, H=H, masks=masks, autoencoders=autoencoders,
+            hyper=hyper, objective_trace=array("trace", None).tolist(),
+            iter_seconds=array("iter_seconds", None).tolist())

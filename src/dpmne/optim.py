@@ -23,6 +23,25 @@ def unflatten(vec, templates):
     return out
 
 
+def latest_point(forward):
+    """Memoize ``forward`` on the identity of its one argument, keeping only the last call.
+
+    ``fun`` and ``grad`` closures for ``armijo_minimize`` share a wrapped
+    forward pass, so the gradient at the accepted point reuses the work its
+    loss evaluation did. A call with any other array recomputes.
+    """
+    last_x, last_out = None, None
+
+    def cached(x):
+        nonlocal last_x, last_out
+        if x is not last_x:
+            last_x = last_out = None  # free the old point's work before computing the new one
+            last_out = forward(x)
+            last_x = x
+        return last_out
+    return cached
+
+
 def armijo_minimize(fun, grad, x0, steps, step0=1.0, c=1e-4, max_halvings=60, gtol=0.0):
     """Run ``steps`` descent steps on ``fun`` with backtracking line search.
 
@@ -32,6 +51,10 @@ def armijo_minimize(fun, grad, x0, steps, step0=1.0, c=1e-4, max_halvings=60, gt
     taken when it decreases the objective, and a step whose achievable
     decrease is below machine precision terminates the loop instead of
     failing.
+
+    ``grad(x)`` is only called with the array object most recently passed
+    to ``fun`` (x0 converted to float64, or the accepted trial), so ``fun``
+    and ``grad`` may share that point's forward pass (see ``latest_point``).
 
     Returns (x, f, last_step).
     """

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autoencoder as ae
-from .optim import armijo_minimize
+from .optim import armijo_minimize, latest_point
 from .parallel import map_views
 from .proximity import ProximityConfig, build_stack
 
@@ -72,18 +72,22 @@ def _y_views(state):
     return [(m, state.H[s][m], state.B[s]) for s, m in enumerate(state.masks)]
 
 
-def _y_value(Y, views, laplacian, hyper):
-    """Y-dependent objective terms: graph proximity, orthogonality, consistency."""
-    val = hyper.beta * float(np.sum(Y * (laplacian @ Y))) + hyper.lam * _orth_penalty(Y)
+def _y_value(Y, LY, views, hyper):
+    """Y-dependent objective terms: graph proximity, orthogonality, consistency.
+
+    ``LY`` is the Laplacian applied to ``Y``; the value and the gradient at
+    one point share it.
+    """
+    val = hyper.beta * float(np.sum(Y * LY)) + hyper.lam * _orth_penalty(Y)
     for m, Hp, B in views:
         diff = Hp - Y[m] @ B
         val += hyper.alpha * float(np.sum(diff * diff))
     return val
 
 
-def _y_grad(Y, views, laplacian, hyper):
+def _y_grad(Y, LY, views, hyper):
     """Exact gradient of ``_y_value`` with respect to Y."""
-    G = 2.0 * hyper.beta * (laplacian @ Y)
+    G = 2.0 * hyper.beta * LY
     G += 4.0 * hyper.lam * (Y @ (Y.T @ Y - np.eye(Y.shape[1])))
     for m, Hp, B in views:
         G[m] += 2.0 * hyper.alpha * (Y[m] @ B - Hp) @ B.T
@@ -92,7 +96,7 @@ def _y_grad(Y, views, laplacian, hyper):
 
 def objective(state, network, prox, hyper):
     """Value of the full training objective at the current state."""
-    total = _y_value(state.Y, _y_views(state), prox.laplacian, hyper)
+    total = _y_value(state.Y, prox.laplacian @ state.Y, _y_views(state), hyper)
     ridge = 0.0
     for s, view in enumerate(network.views):
         m = state.masks[s]
@@ -116,7 +120,7 @@ def objective_from_params(network, prox, Y, B, autoencoders, hyper):
 
 def grad_Y(state, prox, hyper):
     """Exact gradient of the objective's Y-dependent terms."""
-    return _y_grad(state.Y, _y_views(state), prox.laplacian, hyper)
+    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state), hyper)
 
 
 def grad_B(state, hyper):
@@ -131,12 +135,22 @@ def grad_B(state, hyper):
 
 
 def update_Y(state, prox, hyper):
-    """Backtracking gradient steps on Y; the Y subproblem never increases."""
+    """Backtracking gradient steps on Y; the Y subproblem never increases.
+
+    Each gradient reuses the Laplacian product of the loss evaluation that
+    accepted its point.
+    """
     shape = state.Y.shape
     views = _y_views(state)
+
+    @latest_point
+    def forward(v):
+        Y = v.reshape(shape)
+        return Y, prox.laplacian @ Y
+
     vec, _, _ = armijo_minimize(
-        lambda v: _y_value(v.reshape(shape), views, prox.laplacian, hyper),
-        lambda v: _y_grad(v.reshape(shape), views, prox.laplacian, hyper).ravel(),
+        lambda v: _y_value(*forward(v), views, hyper),
+        lambda v: _y_grad(*forward(v), views, hyper).ravel(),
         state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
     return replace(state, Y=vec.reshape(shape))
 

@@ -2,7 +2,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dpmne import optim
 from dpmne.graph_model import MultiplexNetwork, ViewData
+
+
+def recording_armijo(calls):
+    """``armijo_minimize`` that appends "f" per loss and "g" per gradient call to ``calls``.
+
+    The wrapped callables receive the optimizer's own arrays, so a closure
+    keyed on their identity behaves as without the wrapper.
+    """
+    def armijo(fun, grad, x0, *args, **kwargs):
+        def recorded_fun(x):
+            calls.append("f")
+            return fun(x)
+
+        def recorded_grad(x):
+            calls.append("g")
+            return grad(x)
+
+        return optim.armijo_minimize(recorded_fun, recorded_grad, x0, *args, **kwargs)
+    return armijo
 
 
 def make_view(features, mask, edges, n):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dpmne import autoencoder as ae
 from dpmne.autoencoder import (AutoencoderParams, decode, encode, init_autoencoder,
                                reconstruction_loss, train_view_autoencoder,
                                view_loss, view_loss_and_grads)
-from dpmne.optim import flatten, unflatten
+from dpmne.optim import armijo_minimize, flatten, unflatten
+
+from conftest import recording_armijo
 
 
 def straight_line_forward(params, X):
@@ -194,6 +197,36 @@ class TestTrainViewAutoencoder:
         mask = np.ones_like(mask)
         with pytest.raises(FloatingPointError):
             train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.8])
+    def test_matches_plain_loss_and_gradient_line_search(self, alpha):
+        params, X, mask, Y, B = small_problem(30)
+        templates = params.all_arrays()
+
+        def unpack(v):
+            return params.replace_arrays(unflatten(v, templates))
+
+        vec, _, _ = armijo_minimize(
+            lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
+            lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1]),
+            flatten(templates), steps=8, step0=0.5)
+        out = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8, lr=0.5)
+        assert np.array_equal(flatten(out.all_arrays()), vec)
+
+    def test_each_point_runs_one_forward_pass(self, monkeypatch):
+        params, X, mask, Y, B = small_problem(31)
+        calls = []
+        forward = ae._view_forward
+
+        def counted_forward(*args):
+            calls.append("forward")
+            return forward(*args)
+
+        monkeypatch.setattr(ae, "_view_forward", counted_forward)
+        monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
+        train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=6, lr=0.5)
+        assert calls.count("g") > 0
+        assert calls.count("forward") == calls.count("f")
 
     def test_loss_invariant_under_node_permutation(self):
         params, X, mask, Y, B = small_problem(6)

@@ -203,7 +203,9 @@ class TestSweepAndTune:
 
     def test_malformed_grid_fails_fast(self, dataset, capsys):
         code, _, err = run(capsys, "tune", "--manifest", dataset, "--grid", "1,2")
-        assert code == 1 and "dpmne-error" in err
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
+        assert "must be (alpha, beta, lam)" in err  # raised by cross_validate
 
     def test_empty_grid_fails_with_one_value_error_line(self, dataset, capsys):
         code, _, err = run(capsys, "tune", "--manifest", dataset, "--grid", " ; ")

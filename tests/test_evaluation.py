@@ -10,15 +10,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmne import evaluation
 from dpmne.evaluation import (EvalProtocol, classify_f1, cluster_accuracy,
                               cross_validate, fit_logistic_regression, kfold_indices,
                               kmeans, knn_impute, matched_accuracy, micro_macro_f1,
                               pdr_sweep, predict_logistic)
 from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
 
-from conftest import make_view, random_network
+from conftest import make_view, random_network, recording_armijo
 from dpmne.graph_model import MultiplexNetwork, ViewData
 
 
@@ -40,6 +42,73 @@ def f1_from_counts_oracle(y_true, y_pred, num_classes):
         den = 2 * tp[c] + fp[c] + fn[c]
         per_class.append(2 * tp[c] / den if den else 0.0)
     return micro, sum(per_class) / num_classes
+
+
+def row_major_logreg_loss(W, X, y, l2=1.0):
+    """Classifier loss with row-major (rows, classes) logits, as first written."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    logits = Xb @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(logits).sum(axis=1))
+    nll = float(np.sum(log_norm - logits[np.arange(len(y)), y]))
+    return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
+
+
+def row_major_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
+    """The classifier as first written: row-major logits, and a gradient that
+    recomputes the forward pass. Returns W and the loss ("f") and gradient
+    ("g") calls its line search made, in order."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    onehot = np.zeros((X.shape[0], num_classes))
+    onehot[np.arange(X.shape[0]), y] = 1.0
+    shape = (Xb.shape[1], num_classes)
+    calls = []
+
+    def fun(vec):
+        calls.append("f")
+        return row_major_logreg_loss(vec.reshape(shape), X, y, l2)
+
+    def grad(vec):
+        calls.append("g")
+        W = vec.reshape(shape)
+        logits = Xb @ W
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        G = Xb.T @ (probs - onehot)
+        G[:-1] += l2 * W[:-1]
+        return G.ravel()
+
+    vec, _, _ = armijo_minimize(fun, grad, np.zeros(shape).ravel(),
+                                steps=max_steps, step0=1.0, gtol=gtol)
+    return vec.reshape(shape), calls
+
+
+def knn_warning(fallbacks):
+    """The text of knn_impute's fallback warning for these (view, node) pairs."""
+    more = f" and {len(fallbacks) - 10} more" if len(fallbacks) > 10 else ""
+    return (f"knn_impute: zero-filled {len(fallbacks)} rows with no comparable neighbor: "
+            f"{fallbacks[:10]}{more}")
+
+
+def knn_impute_peak_bytes(n, missing, rng, width=16):
+    """Traced peak allocation of one knn_impute call; ``missing`` lists each view's absent nodes."""
+    views = []
+    for rows in missing:
+        mask = np.ones(n, dtype=bool)
+        mask[rows] = False
+        f = rng.random((n, width))
+        f[~mask] = 0.0
+        views.append(ViewData(width, f, mask, sp.csr_matrix((n, n))))
+    net = MultiplexNetwork(n, len(views), views)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nodes missing from every view fall back
+            knn_impute(net)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def knn_impute_oracle(features, masks, k):
@@ -90,8 +159,7 @@ def assert_knn_matches_oracle(features, masks, k):
         np.testing.assert_allclose(view.features, np.array(want).reshape(n, -1),
                                    rtol=0, atol=1e-10)
     messages = [str(w.message) for w in caught]
-    assert messages == ([f"knn_impute: zero-filled {len(fallbacks)} rows with no "
-                         f"comparable neighbor: {fallbacks}"] if fallbacks else [])
+    assert messages == ([knn_warning(fallbacks)] if fallbacks else [])
 
 
 @st.composite
@@ -194,6 +262,39 @@ class TestClassify:
         y = np.array([0] * 30 + [1] * 30)
         W = fit_logistic_regression(X, y, 2, l2=1.0)
         assert np.mean(predict_logistic(W, X) == y) == 1.0
+
+    def test_matches_row_major_oracle(self, monkeypatch):
+        # 2-10 classes under the step-budget stop (8 and 40 steps) and the gtol
+        # stop (budget 500). The class-major fit sums in another order, so once
+        # the achievable decrease is at rounding level (the last steps before
+        # the gtol stop) a line-search decision can go the other way; such a
+        # fit must still reach the oracle's loss and predictions.
+        calls = []
+        monkeypatch.setattr(evaluation, "armijo_minimize", recording_armijo(calls))
+        diverged = 0
+        for i in range(90):
+            rng = np.random.default_rng(i)
+            classes, budget = 2 + i % 9, (8, 40, 500)[(i // 9) % 3]
+            m, f = int(rng.integers(classes + 20, 300)), int(rng.integers(1, 40))
+            y = rng.integers(0, classes, m)
+            y[:classes] = np.arange(classes)
+            centers = rng.uniform(0, 3) * rng.standard_normal((classes, f))
+            X = rng.standard_normal((m, f)) + centers[y]
+            calls.clear()
+            W = fit_logistic_regression(X, y, classes, max_steps=budget)
+            W_ref, ref_calls = row_major_logreg_oracle(X, y, classes, max_steps=budget)
+            assert W.shape == (f + 1, classes)
+            X_test = rng.standard_normal((100, f)) * 2.0
+            for rows in (X, X_test):
+                assert np.array_equal(predict_logistic(W, rows), predict_logistic(W_ref, rows))
+            if calls == ref_calls:
+                assert np.max(np.abs(W - W_ref)) <= 1e-9 * np.max(np.abs(W_ref))
+            else:
+                diverged += 1
+                assert budget == 500
+                assert row_major_logreg_loss(W, X, y) == pytest.approx(
+                    row_major_logreg_loss(W_ref, X, y), rel=1e-12)
+        assert diverged <= 9
 
 
 class TestClusterAccuracy:
@@ -308,24 +409,27 @@ class TestKnnImpute:
         assert_knn_matches_oracle(features, masks, k)
 
     def test_peak_memory_stays_below_one_n_by_n_array(self):
-        n, t, width = 4000, 3, 16
+        n, t = 4000, 3
         rng = np.random.default_rng(11)
         missing = rng.permutation(n)[:t * (n // 20)].reshape(t, -1)  # 5% per view
-        views = []
-        for s in range(t):
-            mask = np.ones(n, dtype=bool)
-            mask[missing[s]] = False
-            f = rng.random((n, width))
-            f[~mask] = 0.0
-            views.append(ViewData(width, f, mask, sp.csr_matrix((n, n))))
-        net = MultiplexNetwork(n, t, views)
-        tracemalloc.start()
-        try:
-            knn_impute(net)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+        assert knn_impute_peak_bytes(n, missing, rng) < n * n * 8
+
+    def test_peak_memory_at_half_missing_stays_below_one_n_by_n_array(self):
+        n, t = 4000, 3
+        rng = np.random.default_rng(13)
+        missing = [rng.permutation(n)[:n // 2] for _ in range(t)]  # 50% per view
+        assert knn_impute_peak_bytes(n, missing, rng) < n * n * 8
+
+    def test_row_blocks_match_scalar_loop_oracle(self, monkeypatch):
+        # 40 nodes at 4 missing rows per block: several blocks per view
+        rng = np.random.default_rng(12)
+        n = 40
+        masks = [rng.random(n) > p for p in (0.3, 0.5, 0.6)]
+        features = [rng.integers(-1, 3, (n, w)).astype(np.float64) for w in (3, 2, 4)]
+        for f, m in zip(features, masks):
+            f[~m] = 0.0
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK", 4 * n)
+        assert_knn_matches_oracle(features, masks, k=3)
 
     def test_present_rows_are_never_modified(self):
         net = synth_generate(SynthConfig(n=30, communities=3, t=2, pdr=0.3, seed=9))
@@ -346,6 +450,19 @@ class TestKnnImpute:
         with pytest.warns(UserWarning, match="zero-filled"):
             out = knn_impute(net, k=k)
         assert np.array_equal(out.views[1].features[2], [0.0])
+
+    def test_fallback_warning_names_at_most_ten_pairs(self):
+        # view 0 is all zero, so the 12 nodes missing from view 1 have no neighbour
+        n = 16
+        v0 = make_view(np.zeros((n, 2)), [True] * n, [], n)
+        v1 = make_view(np.vstack([np.ones((4, 1)), np.zeros((12, 1))]),
+                       [True] * 4 + [False] * 12, [], n)
+        with pytest.warns(UserWarning) as caught:
+            knn_impute(MultiplexNetwork(n, 2, [v0, v1]))
+        assert [str(w.message) for w in caught] == [
+            "knn_impute: zero-filled 12 rows with no comparable neighbor: "
+            "[(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (1, 12), "
+            "(1, 13)] and 2 more"]
 
     def test_bad_k_rejected(self):
         net = synth_generate(SynthConfig(n=10, communities=2, seed=0))
@@ -417,6 +534,12 @@ class TestCrossValidate:
         best = cross_validate(net, [broken, sane], folds=3,
                               protocol=EvalProtocol(seed=2), base_hyper=base)
         assert (best.alpha, best.beta, best.lam) == sane
+
+    @pytest.mark.parametrize("point", [(0.7, 0.2), (0.7, 0.2, 0.05, 1.0)])
+    def test_grid_point_without_three_values_rejected(self, point):
+        net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
+        with pytest.raises(ValueError, match="alpha, beta, lam"):
+            cross_validate(net, [(1.0, 0.1, 0.01), point], folds=2)
 
     def test_empty_grid_rejected(self):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))

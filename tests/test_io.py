@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -175,6 +176,53 @@ class TestCheckpoint:
         assert resumed_a.objective_trace == resumed_b.objective_trace
         trace = resumed_a.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("name,tamper", [
+        ("Y", lambda a: a[:, :-1]),                        # (n, dim - 1)
+        ("B_1", lambda a: a[:-1]),                         # (dim - 1, code)
+        ("H_0", lambda a: a[:-1]),                         # (n - 1, code)
+        ("H_1", lambda a: np.hstack([a, a])),              # (n, 2 code)
+        ("mask_0", lambda a: a[:-1]),                      # (n - 1,)
+        ("ae0_enc_w1", lambda a: a[:-1]),                  # rows differ from layer 0's width
+        ("ae1_enc_b0", lambda a: a[:-1]),                  # bias differs from its layer
+        ("ae0_dec_w0", lambda a: a.T),                     # decoder does not mirror the encoder
+        ("ae1_dec_b1", lambda a: a[:-1]),                  # output bias differs from the input
+        ("trace", lambda a: a[:, None]),                   # 2-D trace
+        ("iter_seconds", lambda a: a[None, :]),            # 2-D iteration times
+        ("H_1", None),                                     # missing array
+        ("ae0_dec_b0", None),
+    ])
+    def test_tampered_checkpoint_names_the_array(self, tmp_path, name, tamper):
+        net = small_net(7)
+        hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=(5, 2), seed=7)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(net, hyper), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        if tamper is None:
+            del arrays[name]
+        else:
+            arrays[name] = tamper(arrays[name])
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            restore(path)
+
+    @pytest.mark.parametrize("key,value", [("t", None), ("hyper", None),
+                                           ("enc_layers", [1]), ("activations", [])])
+    def test_inconsistent_checkpoint_metadata_rejected(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["meta"]))
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=key if value is None else "views"):
+            restore(path)
 
     def test_bad_checkpoint_format_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from dpmne import autoencoder as ae
+from dpmne import trainer
 from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig, build_stack
-from dpmne.trainer import (EmbeddingState, Hyperparams, grad_B, grad_Y, objective,
-                           objective_from_params, reconstruct_missing, train,
-                           update_B, update_H, update_Y)
+from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
+                           grad_Y, objective, objective_from_params, reconstruct_missing,
+                           train, update_B, update_H, update_Y)
 
-from conftest import random_network
+from conftest import random_network, recording_armijo
 
 
 def make_state(network, hyper, seed=0):
@@ -184,6 +186,31 @@ class TestUpdateY:
         before = objective(state, network, prox, hyper)
         out = update_Y(state, prox, hyper)
         assert objective(out, network, prox, hyper) <= before + 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_plain_value_and_gradient_line_search(self, seed):
+        network, hyper, prox, state = small_setup(seed + 20)
+        shape, views, L = state.Y.shape, _y_views(state), prox.laplacian
+        vec, _, _ = armijo_minimize(
+            lambda v: _y_value(v.reshape(shape), L @ v.reshape(shape), views, hyper),
+            lambda v: _y_grad(v.reshape(shape), L @ v.reshape(shape), views, hyper).ravel(),
+            state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
+        assert np.array_equal(update_Y(state, prox, hyper).Y, vec.reshape(shape))
+
+    def test_each_point_applies_the_laplacian_once(self, monkeypatch):
+        network, hyper, prox, state = small_setup(23)
+        calls = []
+
+        class CountingLaplacian:
+            def __matmul__(self, Y):
+                calls.append("L")
+                return prox.laplacian @ Y
+
+        monkeypatch.setattr(trainer, "armijo_minimize", recording_armijo(calls))
+        update_Y(state, replace(prox, laplacian=CountingLaplacian()),
+                 replace(hyper, y_steps=6))
+        assert calls.count("g") > 0
+        assert calls.count("L") == calls.count("f")
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
