@@ -8,9 +8,7 @@ is what the trainer uses to keep linked nodes close in embedding space.
 Training never forms the summed proximity: even on sparse graphs its powers
 fill in to a dense n x n matrix. ``build_stack`` returns a
 ``ProximityLaplacian`` that applies the Laplacian by repeated sparse
-products with the views' adjacencies. ``high_order_proximity`` and
-``aggregate_and_laplacian`` build the explicit matrices and serve as
-small-graph reference oracles.
+products with the views' adjacencies.
 """
 
 from dataclasses import dataclass
@@ -129,43 +127,6 @@ class ProximityLaplacian:
     def toarray(self):
         """Dense L, for small-n checks only."""
         return self @ np.eye(self.shape[0])
-
-
-def high_order_proximity(adjacency, config=None):
-    """Weighted sum of the first ``order`` powers of the (prepared) adjacency.
-
-    A reference oracle: the powers fill in, so this is for small graphs.
-    Diagonal entries of the powers (closed walks) are kept: they add
-    nothing to pairwise embedding distances.
-    """
-    cfg = config or ProximityConfig()
-    weights = cfg.resolved_weights()
-    A = proximity_adjacency(adjacency, cfg.normalize)
-    total = weights[0] * A
-    power = A
-    for w in weights[1:]:
-        power = power @ A
-        total = total + w * power
-    return sp.csr_matrix(total)
-
-
-def aggregate_and_laplacian(per_view):
-    """Sum explicit per-view proximities and form the Laplacian of the total.
-
-    The reference oracle for ``build_stack``; the Laplacian is a CSR matrix.
-    """
-    per_view = list(per_view)
-    if not per_view:
-        raise ValueError("need at least one per-view proximity matrix")
-    shape = per_view[0].shape
-    for s, P in enumerate(per_view):
-        if P.shape != shape:
-            raise ValueError(f"view {s}: proximity shape {P.shape} != {shape}")
-    aggregate = sp.csr_matrix(per_view[0], dtype=np.float64)
-    for P in per_view[1:]:
-        aggregate = aggregate + sp.csr_matrix(P, dtype=np.float64)
-    degree = np.asarray(aggregate.sum(axis=1)).ravel()
-    return ProximityStack(degree, sp.csr_matrix(sp.diags(degree) - aggregate))
 
 
 def build_stack(network, config=None):

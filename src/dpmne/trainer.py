@@ -14,7 +14,7 @@ import scipy.linalg
 
 from . import autoencoder as ae
 from .optim import armijo_minimize, latest_point
-from .parallel import map_views
+from .parallel import map_views, one_blas_thread, worker_count
 from .proximity import ProximityConfig, build_stack
 
 
@@ -107,15 +107,6 @@ def objective(state, network, prox, hyper):
     if not np.isfinite(total):
         raise FloatingPointError("objective is not finite")
     return total
-
-
-def objective_from_params(network, prox, Y, B, autoencoders, hyper):
-    """Objective with the representations recomputed from the autoencoders."""
-    masks = [view.mask for view in network.views]
-    H = [ae.encode(autoencoders[s], view.features, view.mask)
-         for s, view in enumerate(network.views)]
-    state = EmbeddingState(Y, list(B), H, masks, list(autoencoders), hyper)
-    return objective(state, network, prox, hyper)
 
 
 def grad_Y(state, prox, hyper):
@@ -243,33 +234,37 @@ def train(network, hyper=None, init_state=None):
 
     Expects a validated network; masked feature rows are never read. Returns
     the final state with one objective value recorded per completed outer
-    iteration (plus the starting value). Fixing the seed fixes the output.
+    iteration (plus the starting value). Fixing the seed fixes the output:
+    BLAS runs on one thread meanwhile, so its thread setting does not split
+    sums differently, and the caller's setting is restored on return.
     """
     hyper = hyper if hyper is not None else Hyperparams()
-    if init_state is None:
-        state = _init_state(network, hyper, np.random.default_rng(hyper.seed))
-    else:
-        _check_resume(init_state, network, hyper)
-        state = init_state
-    prox = build_stack(network, hyper.proximity)
-    trace = list(state.objective_trace) or [objective(state, network, prox, hyper)]
-    iter_seconds = list(state.iter_seconds)
+    worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
+    with one_blas_thread():
+        if init_state is None:
+            state = _init_state(network, hyper, np.random.default_rng(hyper.seed))
+        else:
+            _check_resume(init_state, network, hyper)
+            state = init_state
+        prox = build_stack(network, hyper.proximity)
+        trace = list(state.objective_trace) or [objective(state, network, prox, hyper)]
+        iter_seconds = list(state.iter_seconds)
 
-    stalled = 0
-    for _ in range(hyper.max_iters):
-        tic = time.perf_counter()
-        state = update_Y(state, prox, hyper)
-        state = update_B(state, network, hyper)
-        state = update_H(state, network, hyper)
-        value = objective(state, network, prox, hyper)
-        iter_seconds.append(time.perf_counter() - tic)
-        previous = trace[-1]
-        trace.append(value)
-        rel_drop = (previous - value) / max(abs(previous), 1e-300)
-        stalled = stalled + 1 if rel_drop < hyper.stop_tol else 0
-        if stalled >= hyper.stop_patience:
-            break
-    return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
+        stalled = 0
+        for _ in range(hyper.max_iters):
+            tic = time.perf_counter()
+            state = update_Y(state, prox, hyper)
+            state = update_B(state, network, hyper)
+            state = update_H(state, network, hyper)
+            value = objective(state, network, prox, hyper)
+            iter_seconds.append(time.perf_counter() - tic)
+            previous = trace[-1]
+            trace.append(value)
+            rel_drop = (previous - value) / max(abs(previous), 1e-300)
+            stalled = stalled + 1 if rel_drop < hyper.stop_tol else 0
+            if stalled >= hyper.stop_patience:
+                break
+        return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
 
 
 def reconstruct_missing(state, node, view):

@@ -18,13 +18,13 @@ from dpmne.cli import main as cli_main
 from dpmne.evaluation import EvalProtocol, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.optim import flatten, unflatten
-from dpmne.proximity import (ProximityConfig, aggregate_and_laplacian,
-                             default_weights, high_order_proximity)
+from dpmne.proximity import ProximityConfig, ProximityLaplacian, default_weights
 from dpmne.quantizer import binarize_sign, itq, procrustes_rotation
-from dpmne.trainer import (EmbeddingState, Hyperparams, grad_B, grad_Y, objective,
-                           objective_from_params, train, update_B)
+from dpmne.trainer import (EmbeddingState, Hyperparams, grad_B, grad_Y, objective, train,
+                           update_B)
 
 from conftest import random_network
+from oracles import aggregate_and_laplacian, high_order_proximity, objective_from_params
 
 
 def report(number, description, ok, detail=""):
@@ -325,15 +325,19 @@ def test_criterion_09_citation_benchmark():
            f"micro {rep.micro_f1:.3f}, {elapsed:.0f}s")
 
 
+def scaling_input(n, seed):
+    """Criterion 10's sparse planted-partition network of size n and its training set-up."""
+    cfg = SynthConfig(n=n, communities=4, t=2, intra=8.0 / n, inter=0.4 / n,
+                      noise=0.2, feature_dim=32, pdr=0.2, seed=seed)
+    hyper = Hyperparams(alpha=1.0, beta=0.05, lam=0.01, dim=16, max_iters=6,
+                        hidden_dims=(32,), seed=seed, stop_tol=0.0,
+                        proximity=ProximityConfig(normalize=True))
+    return synth_generate(cfg), hyper
+
+
 def test_criterion_10_scaling_sanity():
     def per_iter_seconds(n, seed):
-        cfg = SynthConfig(n=n, communities=4, t=2, intra=8.0 / n, inter=0.4 / n,
-                          noise=0.2, feature_dim=32, pdr=0.2, seed=seed)
-        net = synth_generate(cfg)
-        hyper = Hyperparams(alpha=1.0, beta=0.05, lam=0.01, dim=16, max_iters=6,
-                            hidden_dims=(32,), seed=seed, stop_tol=0.0,
-                            proximity=ProximityConfig(normalize=True))
-        state = train(net, hyper)
+        state = train(*scaling_input(n, seed))
         return float(np.mean(state.iter_seconds[1:]))  # drop the warm-up iteration
 
     # alternate the sizes so a slow spell of a shared machine lands on both sides
@@ -345,6 +349,28 @@ def test_criterion_10_scaling_sanity():
     ratio = large / small
     report(10, "doubling n scales per-iteration time near-linearly",
            ratio < 2.8, f"{small * 1e3:.1f} ms -> {large * 1e3:.1f} ms, ratio {ratio:.2f}")
+
+
+def test_criterion_10_scaling_work_count(monkeypatch):
+    """Criterion 10 as a count: Laplacian products x stacked adjacency nnz per iteration."""
+    work = []
+    original = ProximityLaplacian.__matmul__
+
+    def counted(self, Y):
+        work.append(self.nnz)
+        return original(self, Y)
+    monkeypatch.setattr(ProximityLaplacian, "__matmul__", counted)
+
+    def per_iter_work(n, seed):
+        work.clear()
+        state = train(*scaling_input(n, seed))
+        return sum(work) / (len(state.objective_trace) - 1)
+
+    per_size = {n: np.mean([per_iter_work(n, seed) for seed in range(3)]) for n in (600, 1200)}
+    ratio = per_size[1200] / per_size[600]
+    report(10, "doubling n scales per-iteration sparse work near-linearly", ratio < 2.8,
+           f"products x stacked nnz {per_size[600]:.3g} -> {per_size[1200]:.3g}, "
+           f"ratio {ratio:.2f}")
 
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):

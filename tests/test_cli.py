@@ -85,6 +85,16 @@ class TestTrain:
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    def test_bad_thread_cap_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setenv("DPMNE_THREADS", "lots")
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "train", "--manifest", dataset, *TRAIN_FLAGS,
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\tDPMNE_THREADS") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_flag_defaults_are_the_library_defaults(self):
         parser = _build_parser()
         for argv in (["train", "--manifest", "m", "--out", "o"],

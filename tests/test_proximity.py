@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from dpmne.graph_model import MultiplexNetwork, ViewData
-from dpmne.proximity import (ProximityConfig, ProximityLaplacian, aggregate_and_laplacian,
-                             build_stack, default_weights, high_order_proximity)
+from dpmne.proximity import ProximityConfig, ProximityLaplacian, build_stack, default_weights
 
 from conftest import random_network
+from oracles import aggregate_and_laplacian, high_order_proximity
 
 def dense_power_oracle(adj, order, weights):
     """Sum of weighted matrix powers by plain dense multiplication."""

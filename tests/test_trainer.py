@@ -9,10 +9,11 @@ from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
-                           grad_Y, objective, objective_from_params, reconstruct_missing,
-                           train, update_B, update_H, update_Y)
+                           grad_Y, objective, reconstruct_missing, train, update_B, update_H,
+                           update_Y)
 
 from conftest import random_network, recording_armijo
+from oracles import objective_from_params
 
 
 def make_state(network, hyper, seed=0):
