@@ -15,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph_model import MultiplexNetwork, ViewData, apply_pdr
 from .optim import armijo_minimize, latest_point
+from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
 
 
@@ -227,6 +228,7 @@ _KNN_BLOCK = 2 ** 20  # entries of one (missing rows, n) similarity block in knn
 _KNN_WARN_PAIRS = 10  # (view, node) pairs named in knn_impute's fallback warning
 
 
+@one_blas_thread()
 def knn_impute(network, k=5):
     """Fill each missing feature row from its most similar present nodes.
 
@@ -239,7 +241,8 @@ def knn_impute(network, k=5):
     Each view scores its missing rows against every node in blocks of
     ``_KNN_BLOCK // n`` rows (at least one): each (rows, n) similarity block
     is built from per-view products, so memory stays bounded whatever the
-    missing ratio.
+    missing ratio. BLAS runs at one thread meanwhile (as in ``train``), so
+    the filled features do not depend on the thread setting.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -1,9 +1,15 @@
 """Joint embedding objective and its three-block coordinate descent.
 
 The shared embedding Y, the per-view bases B and the per-view autoencoders
-are trained by alternation: gradient steps on Y, an exact closed-form solve
-for each B, and backpropagation steps on each autoencoder. Every block is
-non-increasing, so the recorded objective trace is monotone.
+are trained by alternation: exact steps along the negative gradient on Y, an
+exact closed-form solve for each B, and backpropagation steps with an Armijo
+line search on each autoencoder. Every block is non-increasing, so the
+recorded objective trace is monotone.
+
+Along a ray Y - tau G the Y subproblem is a quartic in tau (the graph and
+consistency terms are quadratic, the orthogonality penalty quartic), so one
+Laplacian product L G and d x d algebra give its five coefficients, and the
+step goes to the ray's best stationary point.
 """
 
 import time
@@ -28,7 +34,7 @@ class Hyperparams:
     max_iters: int = 60       # outer coordinate-descent iterations
     y_steps: int = 5          # gradient steps on Y per outer iteration
     h_steps: int = 5          # backprop steps per autoencoder per outer iteration
-    y_lr: float = 1.0         # initial line-search step for the Y block
+    y_lr: float = 1.0         # first step of the Y block's Armijo fallback
     h_lr: float = 0.1         # initial line-search step for the autoencoders
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
@@ -125,25 +131,86 @@ def grad_B(state, hyper):
     return grads
 
 
-def update_Y(state, prox, hyper):
-    """Backtracking gradient steps on Y; the Y subproblem never increases.
+def _ray_coefficients(Y, G, LY, LG, views, hyper, f):
+    """Coefficients c0..c4 of the quartic f(tau) = ``_y_value`` at Y - tau G.
 
-    Each gradient reuses the Laplacian product of the loss evaluation that
-    accepted its point.
+    ``G`` is the gradient at Y, so c1 = -<G, G>; ``LY`` and ``LG`` are the
+    Laplacian applied to Y and G, and ``f`` is the value at Y.
     """
-    shape = state.Y.shape
-    views = _y_views(state)
+    M = Y.T @ Y - np.eye(Y.shape[1])
+    YtG = Y.T @ G
+    S = YtG + YtG.T
+    Q = G.T @ G
+    c2 = hyper.beta * float(np.sum(G * LG))
+    for m, _, B in views:
+        GB = G[m] @ B
+        c2 += hyper.alpha * float(np.sum(GB * GB))
+    c2 += hyper.lam * (float(np.sum(S * S)) + 2.0 * float(np.sum(M * Q)))
+    return np.array([f, -float(np.sum(G * G)), c2,
+                     -2.0 * hyper.lam * float(np.sum(S * Q)), hyper.lam * float(np.sum(Q * Q))])
 
+
+def _best_step(coeffs):
+    """The tau > 0 where f'(tau) = 0 with the least f(tau); 0.0 when there is none.
+
+    Real parts of complex roots are candidates too: a nearly double root
+    keeps its step, and any other such candidate loses to the real minimizer.
+    """
+    roots = np.roots([4.0 * coeffs[4], 3.0 * coeffs[3], 2.0 * coeffs[2], coeffs[1]])
+    taus = roots.real[roots.real > 0.0]
+    if taus.size == 0:
+        return 0.0
+    return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
+
+
+def _armijo_Y(Y, laplacian, views, hyper, steps):
+    """Backtracking gradient steps on Y; each gradient reuses its point's L Y."""
     @latest_point
     def forward(v):
-        Y = v.reshape(shape)
-        return Y, prox.laplacian @ Y
+        Z = v.reshape(Y.shape)
+        return Z, laplacian @ Z
 
     vec, _, _ = armijo_minimize(
         lambda v: _y_value(*forward(v), views, hyper),
         lambda v: _y_grad(*forward(v), views, hyper).ravel(),
-        state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
-    return replace(state, Y=vec.reshape(shape))
+        Y.ravel(), steps=steps, step0=hyper.y_lr)
+    return vec.reshape(Y.shape)
+
+
+def update_Y(state, prox, hyper):
+    """Exact steps along the negative gradient of Y; the Y subproblem never increases.
+
+    L Y is computed once per call and carried through the steps as
+    L Y - tau L G, so a step costs one Laplacian product, L G, and the
+    carried product's rounding never outlives the call. Each step moves to
+    the best stationary point of the quartic along -G (``_ray_coefficients``,
+    ``_best_step``) and is kept only if ``_y_value`` there is below the
+    current value. Otherwise (rounding can cause this near a stationary
+    point) the remaining steps run the Armijo line search from the current
+    Y, starting at ``y_lr``.
+    """
+    views = _y_views(state)
+    L = prox.laplacian
+    Y = state.Y
+    LY = L @ Y
+    f = _y_value(Y, LY, views, hyper)
+    if not np.isfinite(f):
+        raise FloatingPointError("objective is not finite at the starting point")
+    for done in range(hyper.y_steps):
+        G = _y_grad(Y, LY, views, hyper)
+        if not np.all(np.isfinite(G)):
+            raise FloatingPointError("gradient has non-finite entries")
+        if not np.any(G):
+            break
+        LG = L @ G
+        tau = _best_step(_ray_coefficients(Y, G, LY, LG, views, hyper, f))
+        Y_new, LY_new = Y - tau * G, LY - tau * LG
+        f_new = _y_value(Y_new, LY_new, views, hyper)
+        if not f_new < f:
+            Y = _armijo_Y(Y, L, views, hyper, hyper.y_steps - done)
+            break
+        Y, LY, f = Y_new, LY_new, f_new
+    return replace(state, Y=Y)
 
 
 def update_B(state, network, hyper):

@@ -232,17 +232,39 @@ for a in (state.Y, *state.H, np.array(state.objective_trace)):
 """
 
 
-def test_seed_output_is_independent_of_openblas_threads():
+KNN_DETERMINISM_SCRIPT = """
+import hashlib
+from dpmne.evaluation import knn_impute
+from dpmne.graph_model import SynthConfig, synth_generate
+net = synth_generate(SynthConfig(n=500, communities=5, t=3, pdr=0.3, seed=5))
+for view in knn_impute(net).views:
+    print(hashlib.sha256(view.features.tobytes()).hexdigest())
+"""
+
+
+def digests_under_openblas_threads(script):
+    """Output lines of ``script`` run in a child with 1, then 2, OpenBLAS threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     digests = {}
     for threads in ("1", "2"):  # one child at a time: never more than 2 BLAS threads
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         digests[threads] = done.stdout.split()
+    return digests
+
+
+def test_seed_output_is_independent_of_openblas_threads():
+    digests = digests_under_openblas_threads(DETERMINISM_SCRIPT)
     assert len(digests["1"]) == 5  # Y, three H, the trace
+    assert digests["1"] == digests["2"]
+
+
+def test_knn_fill_is_independent_of_openblas_threads():
+    digests = digests_under_openblas_threads(KNN_DETERMINISM_SCRIPT)
+    assert len(digests["1"]) == 3  # one filled feature matrix per view
     assert digests["1"] == digests["2"]
 
 

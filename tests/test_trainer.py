@@ -78,6 +78,16 @@ def small_setup(seed, n=10, d=3, hidden=(5, 4)):
     return network, hyper, prox, state
 
 
+class CountingLaplacian:
+    """Wraps a Laplacian and appends "L" to ``calls`` per product."""
+    def __init__(self, laplacian, calls):
+        self.laplacian, self.calls = laplacian, calls
+
+    def __matmul__(self, Y):
+        self.calls.append("L")
+        return self.laplacian @ Y
+
+
 class TestObjective:
     def test_each_term_vanishes_in_its_zero_case(self):
         network, hyper, prox, state = small_setup(0)
@@ -189,8 +199,12 @@ class TestUpdateY:
         assert objective(out, network, prox, hyper) <= before + 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_plain_value_and_gradient_line_search(self, seed):
+    @pytest.mark.parametrize("bad_tau", [0.0, 1e6])
+    def test_fallback_matches_plain_value_and_gradient_line_search(self, seed, bad_tau,
+                                                                  monkeypatch):
         network, hyper, prox, state = small_setup(seed + 20)
+        # a step that does not go below the current value hands every step to Armijo
+        monkeypatch.setattr(trainer, "_best_step", lambda coeffs: bad_tau)
         shape, views, L = state.Y.shape, _y_views(state), prox.laplacian
         vec, _, _ = armijo_minimize(
             lambda v: _y_value(v.reshape(shape), L @ v.reshape(shape), views, hyper),
@@ -198,20 +212,29 @@ class TestUpdateY:
             state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
         assert np.array_equal(update_Y(state, prox, hyper).Y, vec.reshape(shape))
 
-    def test_each_point_applies_the_laplacian_once(self, monkeypatch):
+    @pytest.mark.parametrize("y_steps", [1, 5, 8])
+    def test_applies_the_laplacian_once_per_step(self, y_steps, monkeypatch):
         network, hyper, prox, state = small_setup(23)
         calls = []
-
-        class CountingLaplacian:
-            def __matmul__(self, Y):
-                calls.append("L")
-                return prox.laplacian @ Y
-
         monkeypatch.setattr(trainer, "armijo_minimize", recording_armijo(calls))
-        update_Y(state, replace(prox, laplacian=CountingLaplacian()),
-                 replace(hyper, y_steps=6))
-        assert calls.count("g") > 0
-        assert calls.count("L") == calls.count("f")
+        update_Y(state, replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)),
+                 replace(hyper, y_steps=y_steps))
+        assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step; no fallback
+
+    def test_training_applies_the_laplacian_once_per_step_and_objective(self, monkeypatch):
+        network, hyper, _, _ = small_setup(24)
+        hyper = replace(hyper, max_iters=2, y_steps=5, stop_patience=10)
+        calls = []
+        build = trainer.build_stack
+
+        def counting_build(net, config=None):
+            prox = build(net, config)
+            return replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls))
+        monkeypatch.setattr(trainer, "build_stack", counting_build)
+        state = train(network, hyper)
+        assert len(state.objective_trace) == 3
+        # per iteration: y_steps + 1 in update_Y and one in objective; plus the first objective
+        assert len(calls) == 2 * (5 + 1) + 2 + 1
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
@@ -249,6 +272,71 @@ class TestUpdateY:
         for _ in range(300):
             fast = update_Y(fast, prox, hyper)
         assert sub_objective(fast.Y) <= value + 1e-6
+
+
+def ray_setup(seed, **changes):
+    """Small state, its hyperparameters and everything one exact Y step reads."""
+    network, hyper, prox, state = small_setup(seed)
+    hyper = replace(hyper, **changes)
+    views, L = _y_views(state), prox.laplacian
+    Y, LY = state.Y, L @ state.Y
+    G = _y_grad(Y, LY, views, hyper)
+    f = _y_value(Y, LY, views, hyper)
+    coeffs = trainer._ray_coefficients(Y, G, LY, L @ G, views, hyper, f)
+
+    def along(tau):
+        Z = Y - tau * G
+        return _y_value(Z, L @ Z, views, hyper)
+    return G, coeffs, along
+
+
+class TestExactStep:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coefficients_match_the_value_along_the_ray(self, seed):
+        G, coeffs, along = ray_setup(seed + 30)
+        tau_star = trainer._best_step(coeffs)
+        rng = np.random.default_rng(seed)
+        for tau in rng.uniform(-3.0, 3.0, 20) * tau_star:
+            exact = along(tau)
+            assert abs(np.polyval(coeffs[::-1], tau) - exact) <= 1e-10 * abs(exact)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_coefficient_is_minus_the_squared_gradient(self, seed):
+        G, coeffs, along = ray_setup(seed + 40)
+        assert coeffs[1] == pytest.approx(-float(np.sum(G * G)), rel=1e-14)
+        # it is the slope of the value along the ray at tau = 0
+        h = 1e-6 / np.linalg.norm(G)
+        assert coeffs[1] == pytest.approx((along(h) - along(-h)) / (2 * h), rel=1e-6)
+
+    def test_without_orthogonality_the_value_is_quadratic(self):
+        G, coeffs, along = ray_setup(50, lam=0.0)
+        assert coeffs[3] == 0.0 and coeffs[4] == 0.0
+        assert coeffs[2] > 0.0
+        assert trainer._best_step(coeffs) == pytest.approx(-coeffs[1] / (2 * coeffs[2]),
+                                                           rel=1e-12)
+
+    def test_no_descent_direction_gives_no_step(self):
+        # G = 0 makes every coefficient past c0 zero; f' has no positive root
+        assert trainer._best_step(np.array([3.0, 0.0, 0.0, 0.0, 0.0])) == 0.0
+        assert trainer._best_step(np.array([3.0, 0.0, 2.0, 0.0, 1.0])) == 0.0
+
+    def test_a_deeper_minimum_behind_the_start_is_not_taken(self):
+        # f = tau^4 + 3 tau^3 - tau: minima near -2.2 (f ~ -6.3) and 0.31 (f ~ -0.21)
+        tau = trainer._best_step(np.array([0.0, -1.0, 0.0, 3.0, 1.0]))
+        assert 0.0 < tau < 1.0
+        assert 4 * tau ** 3 + 9 * tau ** 2 - 1 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [0.05, 2.0])
+    def test_chosen_step_is_best_on_a_dense_grid(self, seed, lam):
+        G, coeffs, along = ray_setup(seed + 60, lam=lam)
+        tau_star = trainer._best_step(coeffs)
+        assert tau_star > 0.0
+        best = along(tau_star)
+        assert best < along(0.0)
+        grid = np.concatenate([np.linspace(0.0, 4.0 * tau_star, 2001)[1:],
+                               np.geomspace(4.0 * tau_star, 1e3 * tau_star, 200)])
+        assert best <= min(along(tau) for tau in grid) + 1e-12 * abs(best)
 
 
 class TestUpdateB:
