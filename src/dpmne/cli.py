@@ -78,7 +78,6 @@ def _build_parser():
     _add_hyper_flags(p)
     p.add_argument("--y-steps", type=int, default=_HYPER.y_steps)
     p.add_argument("--h-steps", type=int, default=_HYPER.h_steps)
-    p.add_argument("--y-lr", type=float, default=_HYPER.y_lr)
     p.add_argument("--h-lr", type=float, default=_HYPER.h_lr)
     p.add_argument("--order", type=int, default=_PROXIMITY.order, help="proximity order")
     p.add_argument("--normalize-features", action="store_true")

@@ -224,6 +224,7 @@ def _hyper_from_json(blob):
                              weights=None if weights is None else tuple(weights),
                              normalize=prox["normalize"])
     data["hidden_dims"] = tuple(data["hidden_dims"])
+    data.pop("y_lr", None)  # older checkpoints store the Y block's retired Armijo step
     return Hyperparams(proximity=config, **data)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autoencoder as ae
-from .optim import armijo_minimize, latest_point
+from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import map_views, one_blas_thread, worker_count
 from .proximity import ProximityConfig, build_stack
 
@@ -34,7 +34,6 @@ class Hyperparams:
     max_iters: int = 60       # outer coordinate-descent iterations
     y_steps: int = 5          # gradient steps on Y per outer iteration
     h_steps: int = 5          # backprop steps per autoencoder per outer iteration
-    y_lr: float = 1.0         # first step of the Y block's Armijo fallback
     h_lr: float = 0.1         # initial line-search step for the autoencoders
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
@@ -48,7 +47,7 @@ class Hyperparams:
         for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("dim", "y_lr", "h_lr"):
+        for name in ("dim", "h_lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
@@ -163,20 +162,6 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def _armijo_Y(Y, laplacian, views, hyper, steps):
-    """Backtracking gradient steps on Y; each gradient reuses its point's L Y."""
-    @latest_point
-    def forward(v):
-        Z = v.reshape(Y.shape)
-        return Z, laplacian @ Z
-
-    vec, _, _ = armijo_minimize(
-        lambda v: _y_value(*forward(v), views, hyper),
-        lambda v: _y_grad(*forward(v), views, hyper).ravel(),
-        Y.ravel(), steps=steps, step0=hyper.y_lr)
-    return vec.reshape(Y.shape)
-
-
 def update_Y(state, prox, hyper):
     """Exact steps along the negative gradient of Y; the Y subproblem never increases.
 
@@ -185,9 +170,7 @@ def update_Y(state, prox, hyper):
     carried product's rounding never outlives the call. Each step moves to
     the best stationary point of the quartic along -G (``_ray_coefficients``,
     ``_best_step``) and is kept only if ``_y_value`` there is below the
-    current value. Otherwise (rounding can cause this near a stationary
-    point) the remaining steps run the Armijo line search from the current
-    Y, starting at ``y_lr``.
+    current value; otherwise the block stops at the current Y.
     """
     views = _y_views(state)
     L = prox.laplacian
@@ -196,7 +179,7 @@ def update_Y(state, prox, hyper):
     f = _y_value(Y, LY, views, hyper)
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
-    for done in range(hyper.y_steps):
+    for _ in range(hyper.y_steps):
         G = _y_grad(Y, LY, views, hyper)
         if not np.all(np.isfinite(G)):
             raise FloatingPointError("gradient has non-finite entries")
@@ -207,7 +190,6 @@ def update_Y(state, prox, hyper):
         Y_new, LY_new = Y - tau * G, LY - tau * LG
         f_new = _y_value(Y_new, LY_new, views, hyper)
         if not f_new < f:
-            Y = _armijo_Y(Y, L, views, hyper, hyper.y_steps - done)
             break
         Y, LY, f = Y_new, LY_new, f_new
     return replace(state, Y=Y)

@@ -224,6 +224,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key if value is None else "views"):
             restore(path)
 
+    def test_checkpoint_with_retired_y_lr_still_loads(self, tmp_path):
+        # checkpoints written while the Y block line-searched store its first step
+        path = tmp_path / "ckpt.npz"
+        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))
+        checkpoint(train(small_net(9), hyper), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["meta"]))
+        meta["hyper"] = json.dumps({**json.loads(meta["hyper"]), "y_lr": 1.0})
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        assert restore(path).hyper == hyper
+
     def test_bad_checkpoint_format_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, meta=np.array('{"format": 99}'))

@@ -6,13 +6,12 @@ import pytest
 from dpmne import autoencoder as ae
 from dpmne import trainer
 from dpmne.graph_model import SynthConfig, synth_generate
-from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
                            grad_Y, objective, reconstruct_missing, train, update_B, update_H,
                            update_Y)
 
-from conftest import random_network, recording_armijo
+from conftest import random_network
 from oracles import objective_from_params
 
 
@@ -198,28 +197,13 @@ class TestUpdateY:
         out = update_Y(state, prox, hyper)
         assert objective(out, network, prox, hyper) <= before + 1e-12
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("bad_tau", [0.0, 1e6])
-    def test_fallback_matches_plain_value_and_gradient_line_search(self, seed, bad_tau,
-                                                                  monkeypatch):
-        network, hyper, prox, state = small_setup(seed + 20)
-        # a step that does not go below the current value hands every step to Armijo
-        monkeypatch.setattr(trainer, "_best_step", lambda coeffs: bad_tau)
-        shape, views, L = state.Y.shape, _y_views(state), prox.laplacian
-        vec, _, _ = armijo_minimize(
-            lambda v: _y_value(v.reshape(shape), L @ v.reshape(shape), views, hyper),
-            lambda v: _y_grad(v.reshape(shape), L @ v.reshape(shape), views, hyper).ravel(),
-            state.Y.ravel(), steps=hyper.y_steps, step0=hyper.y_lr)
-        assert np.array_equal(update_Y(state, prox, hyper).Y, vec.reshape(shape))
-
     @pytest.mark.parametrize("y_steps", [1, 5, 8])
-    def test_applies_the_laplacian_once_per_step(self, y_steps, monkeypatch):
+    def test_applies_the_laplacian_once_per_step(self, y_steps):
         network, hyper, prox, state = small_setup(23)
         calls = []
-        monkeypatch.setattr(trainer, "armijo_minimize", recording_armijo(calls))
         update_Y(state, replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)),
                  replace(hyper, y_steps=y_steps))
-        assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step; no fallback
+        assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step
 
     def test_training_applies_the_laplacian_once_per_step_and_objective(self, monkeypatch):
         network, hyper, _, _ = small_setup(24)
@@ -449,7 +433,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         {"alpha": -1.0}, {"beta": -1.0}, {"lam": -0.5}, {"alpha": float("nan")},
         {"dim": 0}, {"max_iters": -1}, {"y_steps": -1}, {"h_steps": -2},
-        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"y_lr": 0.0}, {"h_lr": -0.1}])
+        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"h_lr": -0.1}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
