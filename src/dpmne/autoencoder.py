@@ -177,7 +177,8 @@ def _view_backward(params, outputs, target, alpha, lam):
         dZ = d_out * layers[k][1](outputs[k + 1])
         grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
         grad_b[k] = dZ.sum(axis=0)
-        d_out = dZ @ weights[k].T
+        if k:  # no gradient is needed with respect to the input features
+            d_out = dZ @ weights[k].T
     return grad_w[:ne] + grad_b[:ne] + grad_w[ne:] + grad_b[ne:]
 
 
@@ -200,12 +201,15 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     return loss, _view_backward(params, outputs, target, alpha, lam)
 
 
-def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1):
+def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1, first_step=None):
     """Backpropagation steps on one view's autoencoder; never increases the loss.
 
     The present rows and the subspace target are taken once, and each
     gradient runs only the backward pass of the loss evaluation that
-    accepted its point.
+    accepted its point. ``first_step`` is ``armijo_minimize``'s speed hint
+    for the first step, typically the step this function returned for the
+    same view before. Returns the trained parameters and the line search's
+    last step.
     """
     templates = params.all_arrays()
     Xp, target = _view_rows(X, mask, Y, B, alpha)
@@ -222,5 +226,6 @@ def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1):
         cur, (_, outputs) = forward(vec)
         return flatten(_view_backward(cur, outputs, target, alpha, lam))
 
-    vec, _, _ = armijo_minimize(fun, grad, flatten(templates), steps=steps, step0=lr)
-    return params.replace_arrays(unflatten(vec, templates))
+    vec, _, step = armijo_minimize(fun, grad, flatten(templates), steps=steps, step0=lr,
+                                   first_step=first_step)
+    return params.replace_arrays(unflatten(vec, templates)), step

@@ -9,7 +9,14 @@ recorded objective trace is monotone.
 Along a ray Y - tau G the Y subproblem is a quartic in tau (the graph and
 consistency terms are quadratic, the orthogonality penalty quartic), so one
 Laplacian product L G and d x d algebra give its five coefficients, and the
-step goes to the ray's best stationary point.
+step goes to the ray's best stationary point. The L Y of each iteration's
+objective is handed to the next Y block, which starts from the same Y.
+
+Y starts in the span of the top left singular vectors of the stacked present
+features, taken from a truncated eigensolve of the smaller Gram matrix. Each
+autoencoder's line search starts from the step its search of the previous
+iteration returned; ``armijo_minimize`` states when that accepts the same
+steps as a search from ``h_lr``.
 """
 
 import time
@@ -65,6 +72,9 @@ class EmbeddingState:
     hyper: Hyperparams
     objective_trace: list = field(default_factory=list)
     iter_seconds: list = field(default_factory=list)
+    # per-view step each autoencoder's last line search returned: the next
+    # search's first-step hint; never checkpointed, so a resume starts at h_lr
+    h_last_step: list = None
 
 
 def _orth_penalty(Y):
@@ -99,9 +109,13 @@ def _y_grad(Y, LY, views, hyper):
     return G
 
 
-def objective(state, network, prox, hyper):
-    """Value of the full training objective at the current state."""
-    total = _y_value(state.Y, prox.laplacian @ state.Y, _y_views(state), hyper)
+def objective(state, network, prox, hyper, LY=None):
+    """Value of the full training objective at the current state.
+
+    ``LY``, the Laplacian applied to ``state.Y``, is computed when not given.
+    """
+    LY = prox.laplacian @ state.Y if LY is None else LY
+    total = _y_value(state.Y, LY, _y_views(state), hyper)
     ridge = 0.0
     for s, view in enumerate(network.views):
         m = state.masks[s]
@@ -162,10 +176,10 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def update_Y(state, prox, hyper):
+def update_Y(state, prox, hyper, LY=None):
     """Exact steps along the negative gradient of Y; the Y subproblem never increases.
 
-    L Y is computed once per call and carried through the steps as
+    L Y (``LY``, computed when not given) is carried through the steps as
     L Y - tau L G, so a step costs one Laplacian product, L G, and the
     carried product's rounding never outlives the call. Each step moves to
     the best stationary point of the quartic along -G (``_ray_coefficients``,
@@ -175,7 +189,7 @@ def update_Y(state, prox, hyper):
     views = _y_views(state)
     L = prox.laplacian
     Y = state.Y
-    LY = L @ Y
+    LY = L @ Y if LY is None else LY
     f = _y_value(Y, LY, views, hyper)
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
@@ -215,18 +229,53 @@ def update_B(state, network, hyper):
 
 
 def update_H(state, network, hyper):
-    """Train each view's autoencoder and refresh its cached representation."""
+    """Train each view's autoencoder and refresh its cached representation.
+
+    Each view's line search starts from the step its previous search
+    returned (``state.h_last_step``), or from ``h_lr`` when there is none.
+    """
+    hints = state.h_last_step or [None] * len(network.views)
+
     def train_one(s):
         X, m = network.views[s].features, state.masks[s]
-        params = ae.train_view_autoencoder(
-            state.autoencoders[s], X, m, state.Y, state.B[s],
-            hyper.alpha, hyper.lam, steps=hyper.h_steps, lr=hyper.h_lr)
-        return params, ae.encode(params, X, m)
+        params, step = ae.train_view_autoencoder(
+            state.autoencoders[s], X, m, state.Y, state.B[s], hyper.alpha, hyper.lam,
+            steps=hyper.h_steps, lr=hyper.h_lr, first_step=hints[s])
+        return params, ae.encode(params, X, m), step
 
     results = map_views(train_one, range(len(network.views)))
     return replace(state,
                    autoencoders=[r[0] for r in results],
-                   H=[r[1] for r in results])
+                   H=[r[1] for r in results],
+                   h_last_step=[r[2] for r in results])
+
+
+# Gram eigenvalues below this fraction of the largest count as zero (see below)
+_GRAM_RTOL = 1e-10
+
+
+def _leading_left_singular_vectors(X, k):
+    """Orthonormal top-``k`` left singular vectors of X, from its smaller Gram matrix.
+
+    X Xᵀ gives them as eigenvectors when X has no more rows than columns;
+    otherwise the eigenvectors V of Xᵀ X give X V / sigma. A Gram eigenvalue
+    carries a rounding error of about size * eps * lambda_max (1.3e-13
+    lambda_max at size 600), so eigenvalues below ``_GRAM_RTOL`` *
+    lambda_max count as zero and fewer than ``k`` vectors come back when X
+    has lower rank. In singular values that cutoff is 1e-5 sigma_max; the
+    Gram cannot resolve much less, and X V / sigma keeps its columns
+    orthogonal to about eps / _GRAM_RTOL.
+    """
+    n, m = X.shape
+    gram = X @ X.T if n <= m else X.T @ X
+    size = gram.shape[0]
+    k = min(k, size)
+    lam, vec = scipy.linalg.eigh(gram, subset_by_index=[size - k, size - 1])
+    lam, vec = lam[::-1], vec[:, ::-1]
+    rank = int(np.sum(lam > _GRAM_RTOL * lam[0]))
+    if n <= m:
+        return vec[:, :rank]
+    return (X @ vec[:, :rank]) / np.sqrt(lam[:rank])
 
 
 def _init_state(network, hyper, rng):
@@ -237,10 +286,9 @@ def _init_state(network, hyper, rng):
     Y = np.zeros((n, d))
     filled = 0
     if np.any(stacked):
-        U, S, _ = np.linalg.svd(stacked, full_matrices=False)
-        keep = min(d, int(np.sum(S > 1e-12 * S[0])))
-        Y[:, :keep] = U[:, :keep]
-        filled = keep
+        U = _leading_left_singular_vectors(stacked, d)
+        filled = U.shape[1]
+        Y[:, :filled] = U
     if filled < d:
         Y[:, filled:] = rng.standard_normal((n, d - filled)) / np.sqrt(d)
 
@@ -294,18 +342,24 @@ def train(network, hyper=None, init_state=None):
             state = _init_state(network, hyper, np.random.default_rng(hyper.seed))
         else:
             _check_resume(init_state, network, hyper)
-            state = init_state
+            state = replace(init_state, h_last_step=None)
         prox = build_stack(network, hyper.proximity)
-        trace = list(state.objective_trace) or [objective(state, network, prox, hyper)]
+        # the objective's L Y is handed to the next update_Y: B and H leave Y as it is
+        LY = None
+        trace = list(state.objective_trace)
+        if not trace:
+            LY = prox.laplacian @ state.Y
+            trace.append(objective(state, network, prox, hyper, LY))
         iter_seconds = list(state.iter_seconds)
 
         stalled = 0
         for _ in range(hyper.max_iters):
             tic = time.perf_counter()
-            state = update_Y(state, prox, hyper)
+            state = update_Y(state, prox, hyper, LY)
             state = update_B(state, network, hyper)
             state = update_H(state, network, hyper)
-            value = objective(state, network, prox, hyper)
+            LY = prox.laplacian @ state.Y
+            value = objective(state, network, prox, hyper, LY)
             iter_seconds.append(time.perf_counter() - tic)
             previous = trace[-1]
             trace.append(value)

@@ -56,3 +56,10 @@ def objective_from_params(network, prox, Y, B, autoencoders, hyper):
          for s, view in enumerate(network.views)]
     state = EmbeddingState(Y, list(B), H, masks, list(autoencoders), hyper)
     return objective(state, network, prox, hyper)
+
+
+def svd_warm_start(X, k):
+    """Top-``k`` left singular vectors of X from a full thin SVD, rank cut at 1e-12 sigma_max."""
+    U, S, _ = np.linalg.svd(X, full_matrices=False)
+    keep = min(k, int(np.sum(S > 1e-12 * S[0])))
+    return U[:, :keep]

@@ -5,14 +5,16 @@ import pytest
 
 from dpmne import autoencoder as ae
 from dpmne import trainer
+from dpmne.autoencoder import train_view_autoencoder
 from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
                            grad_Y, objective, reconstruct_missing, train, update_B, update_H,
                            update_Y)
 
 from conftest import random_network
-from oracles import objective_from_params
+from oracles import objective_from_params, svd_warm_start
 
 
 def make_state(network, hyper, seed=0):
@@ -217,8 +219,17 @@ class TestUpdateY:
         monkeypatch.setattr(trainer, "build_stack", counting_build)
         state = train(network, hyper)
         assert len(state.objective_trace) == 3
-        # per iteration: y_steps + 1 in update_Y and one in objective; plus the first objective
-        assert len(calls) == 2 * (5 + 1) + 2 + 1
+        # the first objective's L Y, then per iteration y_steps L G products in update_Y
+        # and the objective's L Y, which the next update_Y reuses
+        assert len(calls) == 1 + 2 * (5 + 1)
+
+    def test_handed_over_products_leave_the_trace_equal_to_objective(self):
+        network, hyper, _, _ = small_setup(25)
+        prox = build_stack(network, hyper.proximity)
+        start = train(network, replace(hyper, max_iters=0))
+        assert start.objective_trace == [objective(start, network, prox, hyper)]
+        state = train(network, replace(hyper, max_iters=3, stop_patience=10))
+        assert state.objective_trace[-1] == objective(state, network, prox, hyper)
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
@@ -427,6 +438,133 @@ class TestUpdateH:
         state.masks[1][hidden] = False
         out = update_H(state, network, hyper)
         assert np.all(out.H[1][hidden] == 0.0)
+
+
+def spectrum_matrix(rng, n, m, singular_values):
+    """n x m matrix with the given singular values and random singular vectors."""
+    r = len(singular_values)
+    P = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    Q = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    return (P * singular_values) @ Q.T
+
+
+def projector_distance(U, V):
+    return np.linalg.norm(U @ U.T - V @ V.T, 2)
+
+
+def stacked_features(network):
+    return np.hstack([np.where(v.mask[:, None], v.features, 0.0) for v in network.views])
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("shape", [(30, 70), (70, 30)])  # the X Xᵀ and the Xᵀ X branch
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_spans_the_svd_subspace_with_orthonormal_columns(self, shape, k):
+        rng = np.random.default_rng(k + shape[0])
+        X = spectrum_matrix(rng, *shape, np.geomspace(50.0, 0.5, min(shape)))
+        U = trainer._leading_left_singular_vectors(X, k)
+        oracle = svd_warm_start(X, k)
+        assert U.shape == oracle.shape == (shape[0], k)
+        assert np.abs(U.T @ U - np.eye(k)).max() < 1e-11
+        assert projector_distance(U, oracle) < 1e-10
+
+    @pytest.mark.parametrize("n, dims, rank", [(10, (8, 7), 2), (40, (5, 4), 3)])
+    def test_rank_deficient_features_keep_the_rank_and_fill_from_rng(self, n, dims, rank):
+        network = random_network(n, n=n, t=2, dims=dims)
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((n, rank))
+        for view in network.views:
+            view.features[:] = np.where(view.mask[:, None],
+                                        Z @ rng.standard_normal((rank, view.dim)), 0.0)
+        stacked = stacked_features(network)
+        d = 2 * rank + 2
+        oracle = svd_warm_start(stacked, d)
+        kept = np.linalg.matrix_rank(stacked)
+        assert oracle.shape[1] == kept < d
+        Y = trainer._init_state(network, Hyperparams(dim=d, hidden_dims=(3,)),
+                                np.random.default_rng(5)).Y
+        assert projector_distance(Y[:, :kept], oracle) < 1e-10
+        fill = np.random.default_rng(5).standard_normal((n, d - kept)) / np.sqrt(d)
+        assert np.array_equal(Y[:, kept:], fill)
+
+    def test_all_zero_features_fill_everything_from_rng(self):
+        network = random_network(3, n=10, t=2)
+        for view in network.views:
+            view.features[:] = 0.0
+        Y = trainer._init_state(network, Hyperparams(dim=4, hidden_dims=(3,)),
+                                np.random.default_rng(8)).Y
+        assert np.array_equal(Y, np.random.default_rng(8).standard_normal((10, 4)) / 2.0)
+
+
+def hint_recorder(monkeypatch, hints, drop=False):
+    """Route ``train_view_autoencoder`` calls through a recorder of their first-step hints.
+
+    With ``drop`` the hint is recorded but not passed on, so every search
+    starts at ``h_lr``.
+    """
+    def recorded(*args, first_step=None, **kwargs):
+        hints.append(first_step)
+        return train_view_autoencoder(*args, first_step=None if drop else first_step, **kwargs)
+    monkeypatch.setattr(ae, "train_view_autoencoder", recorded)
+
+
+def hint_network(seed):
+    return synth_generate(SynthConfig(n=60, communities=3, t=2, pdr=0.3, feature_dim=12,
+                                      seed=seed))
+
+
+class TestLineSearchHint:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_iters", [2, 8])
+    def test_training_is_bitwise_equal_to_training_without_it(self, seed, max_iters,
+                                                              monkeypatch):
+        net = hint_network(seed)
+        hyper = Hyperparams(dim=6, max_iters=max_iters, hidden_dims=(10, 4), seed=seed)
+        hints, plain_hints = [], []
+        hint_recorder(monkeypatch, hints)
+        hinted = train(net, hyper)
+        hint_recorder(monkeypatch, plain_hints, drop=True)
+        plain = train(net, hyper)
+        assert hints[:2] == [None, None] and None not in hints[2:]
+        assert len(hints) == len(plain_hints) == 2 * (len(hinted.objective_trace) - 1)
+        assert np.array_equal(hinted.Y, plain.Y)
+        assert all(np.array_equal(a, b) for a, b in zip(hinted.H, plain.H))
+        assert hinted.objective_trace == plain.objective_trace
+
+    def test_cuts_autoencoder_loss_evaluations(self, monkeypatch):
+        # wide enough that the accepted steps lie several halvings below h_lr
+        net = synth_generate(SynthConfig(n=120, communities=4, t=2, pdr=0.3, feature_dim=60,
+                                         seed=4))
+        hyper = Hyperparams(dim=8, max_iters=4, hidden_dims=(64, 16), seed=4)
+        forward = ae._view_forward
+        counts = []
+
+        def counted(*args):
+            counts[-1] += 1
+            return forward(*args)
+        monkeypatch.setattr(ae, "_view_forward", counted)
+        for drop in (False, True):
+            counts.append(0)
+            hint_recorder(monkeypatch, [], drop=drop)
+            train(net, hyper)
+        hinted, plain = counts
+        assert hinted < 0.95 * plain  # 128 against 144
+
+    def test_a_resume_starts_at_h_lr(self, monkeypatch, tmp_path):
+        net = hint_network(5)
+        hyper = Hyperparams(dim=6, max_iters=2, hidden_dims=(10, 4), seed=5)
+        first = train(net, hyper)
+        assert len(first.h_last_step) == 2
+        checkpoint(first, str(tmp_path / "state.npz"))
+        back = restore(str(tmp_path / "state.npz"))
+        assert back.h_last_step is None
+        hints = []
+        hint_recorder(monkeypatch, hints)
+        resumed = train(net, hyper, init_state=first)
+        assert hints[:2] == [None, None] and None not in hints[2:]
+        from_disk = train(net, hyper, init_state=back)
+        assert np.array_equal(resumed.Y, from_disk.Y)
+        assert resumed.objective_trace == from_disk.objective_trace
 
 
 class TestHyperparams:
