@@ -1,9 +1,10 @@
 """Command-line interface: synth, train, binarize, eval, sweep-pdr, tune."""
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def _scalar_or_list(values):
     return values[0] if len(values) == 1 else values
 
 
+def _per_view_floats(text):
+    """One value for every view, or a comma-separated value per view."""
+    return _scalar_or_list(_floats(text))
+
+
+def _per_view_ints(text):
+    return _scalar_or_list(_ints(text))
+
+
 def _widths(text):
     return tuple(_ints(text))
 
@@ -36,6 +46,7 @@ def _widths(text):
 _HYPER = Hyperparams()
 _PROXIMITY = ProximityConfig()
 _PROTOCOL = EvalProtocol()
+_SYNTH = {f.name: f.default for f in fields(SynthConfig) if f.default is not MISSING}
 
 
 def _add_hyper_flags(p, tradeoffs=True):
@@ -64,13 +75,11 @@ def _build_parser():
     p = sub.add_parser("synth", help="generate a planted-partition dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--communities", type=int, required=True)
-    p.add_argument("--views", type=int, default=2)
-    p.add_argument("--intra", type=_floats, default=[0.05])
-    p.add_argument("--inter", type=_floats, default=[0.005])
-    p.add_argument("--noise", type=_floats, default=[0.1])
-    p.add_argument("--pdr", type=_floats, default=[0.0])
-    p.add_argument("--feature-dim", type=_ints, default=[32])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--views", dest="t", metavar="VIEWS", type=int, default=_SYNTH["t"])
+    for name in ("intra", "inter", "noise", "pdr"):
+        p.add_argument(f"--{name}", type=_per_view_floats, default=_SYNTH[name])
+    p.add_argument("--feature-dim", type=_per_view_ints, default=_SYNTH["feature_dim"])
+    p.add_argument("--seed", type=int, default=_SYNTH["seed"])
     p.add_argument("--out", required=True, help="output dataset directory")
 
     p = sub.add_parser("train", help="learn embeddings from a dataset manifest")
@@ -110,7 +119,8 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--grid", required=True,
                    help="semicolon-separated alpha,beta,lambda triples, e.g. '1,0.1,0.01;1,1,0.01'")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int,
+                   default=inspect.signature(cross_validate).parameters["folds"].default)
     _add_hyper_flags(p, tradeoffs=False)
     p.add_argument("--seed", type=int, default=_HYPER.seed)
     return parser
@@ -130,15 +140,13 @@ def _protocol_from_args(args):
                         seed=args.seed)
 
 
+def _synth_config_from_args(args):
+    flags = vars(args)
+    return SynthConfig(**{f.name: flags[f.name] for f in fields(SynthConfig)})
+
+
 def _cmd_synth(args):
-    config = SynthConfig(n=args.n, communities=args.communities, t=args.views,
-                         intra=_scalar_or_list(args.intra),
-                         inter=_scalar_or_list(args.inter),
-                         noise=_scalar_or_list(args.noise),
-                         pdr=_scalar_or_list(args.pdr),
-                         feature_dim=_scalar_or_list(args.feature_dim),
-                         seed=args.seed)
-    manifest = io.save_network(synth_generate(config), args.out)
+    manifest = io.save_network(synth_generate(_synth_config_from_args(args)), args.out)
     print(manifest)
     return 0
 
@@ -163,7 +171,7 @@ def _cmd_binarize(args):
         raise ValueError("--iters only applies together with --itq")
     state = io.restore(args.checkpoint)
     if args.itq:
-        codes = itq(state.Y, iterations=50 if args.iters is None else args.iters)
+        codes = itq(state.Y) if args.iters is None else itq(state.Y, iterations=args.iters)
     else:
         codes = binarize_sign(state.Y)
     os.makedirs(args.out, exist_ok=True)

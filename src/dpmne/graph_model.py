@@ -63,7 +63,8 @@ class SynthConfig:
     features are the community's random prototype vector plus Gaussian noise,
     and a fraction ``pdr`` of nodes per view is masked out. All of ``intra``,
     ``inter``, ``noise``, ``pdr`` and ``feature_dim`` accept either a scalar
-    or one value per view.
+    or one value per view. Out-of-range settings are rejected when the
+    config is built.
     """
     n: int
     communities: int
@@ -74,6 +75,26 @@ class SynthConfig:
     pdr: object = 0.0
     feature_dim: object = 32
     seed: int = 0
+
+    def __post_init__(self):
+        n, t = self.n, self.t
+        if n < 1 or self.communities < 1 or t < 1:
+            raise ValueError("n, communities and t must all be >= 1")
+        if self.communities > n:
+            raise ValueError(f"more communities ({self.communities}) than nodes ({n})")
+        for name in ("intra", "inter"):
+            for v in _per_view(getattr(self, name), t, name):
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} probability {v} outside [0.0, 1.0]")
+        _per_view(self.noise, t, "noise")  # a scalar or one value per view
+        for s, r in enumerate(_per_view(self.pdr, t, "pdr")):
+            if not 0.0 <= r < 1.0:
+                raise ValueError(f"pdr {r} outside [0, 1)")
+            if round(r * n) >= n:
+                raise ValueError(f"view {s}: pdr {r} leaves no present node")
+        for d in _per_view(self.feature_dim, t, "feature_dim"):
+            if d < 1:
+                raise ValueError(f"feature_dim must be >= 1, got {d}")
 
 
 def validate(network):
@@ -142,22 +163,11 @@ def _draw_missing(masks, view, count, n, rng):
 def synth_generate(config):
     """Generate a planted-partition multiplex network with ground-truth labels."""
     n, c, t = config.n, config.communities, config.t
-    if n < 1 or c < 1 or t < 1:
-        raise ValueError("n, communities and t must all be >= 1")
-    if c > n:
-        raise ValueError(f"more communities ({c}) than nodes ({n})")
     intra = _per_view(config.intra, t, "intra")
     inter = _per_view(config.inter, t, "inter")
     noise = _per_view(config.noise, t, "noise")
     pdr = _per_view(config.pdr, t, "pdr")
     dims = _per_view(config.feature_dim, t, "feature_dim")
-    for name, vals, lo, hi in (("intra", intra, 0.0, 1.0), ("inter", inter, 0.0, 1.0)):
-        for v in vals:
-            if not lo <= v <= hi:
-                raise ValueError(f"{name} probability {v} outside [{lo}, {hi}]")
-    for r in pdr:
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"pdr {r} outside [0, 1)")
 
     rng = np.random.default_rng(config.seed)
     labels = rng.permutation(np.arange(n) % c)
@@ -165,10 +175,7 @@ def synth_generate(config):
     # draw all masks first so the at-least-one-view constraint sees every view
     masks = [np.ones(n, dtype=bool) for _ in range(t)]
     for s in range(t):
-        missing = int(round(pdr[s] * n))
-        if missing >= n:
-            raise ValueError(f"view {s}: pdr {pdr[s]} leaves no present node")
-        _draw_missing(masks, s, missing, n, rng)
+        _draw_missing(masks, s, int(round(pdr[s] * n)), n, rng)
 
     views = []
     same = labels[:, None] == labels[None, :]

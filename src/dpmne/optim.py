@@ -1,4 +1,4 @@
-"""Full-batch gradient descent with Armijo backtracking, for the autoencoders and the classifier."""
+"""Full-batch gradient descent with an Armijo line search, for the autoencoders and classifier."""
 
 import numpy as np
 
@@ -42,77 +42,68 @@ def latest_point(forward):
     return cached
 
 
-def _trial(fun, x, f, g, gg, step, c):
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
+MAX_HALVINGS = 60  # grid steps a search tries before it gives up
+
+
+def _trial(fun, x, f, g, gg, step):
     """The point ``step`` along -g, its value, and whether it passes the Armijo test."""
     x_new = x - step * g
     f_new = float(fun(x_new))
-    return x_new, f_new, bool(np.isfinite(f_new) and f_new <= f - c * step * gg)
+    return x_new, f_new, bool(np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * gg)
 
 
-def _backtrack(fun, x, f, g, gg, step, c, max_halvings):
-    """Halve ``step`` until the Armijo test passes: (x, f, step), or None when stationary."""
-    best_seen = np.inf
-    for _ in range(int(max_halvings)):
-        x_new, f_new, passed = _trial(fun, x, f, g, gg, step, c)
-        if passed:
-            return x_new, f_new, step
-        if np.isfinite(f_new):
-            best_seen = min(best_seen, f_new)
-        step *= 0.5
-    if best_seen <= f + 1e-12:
-        return None  # no decrease representable in float64: stationary point
-    raise RuntimeError(
-        "line search failed: no decrease after "
-        f"{max_halvings} halvings (objective {f:.6e})")
-
-
-def _bracket(fun, x, f, g, gg, start, top, floor, c):
+def _search(fun, x, f, g, gg, start, top, floor):
     """Armijo step from ``start`` on the grid top * 2**-k: double while passing, else halve.
 
-    Returns (x, f, step) for the largest passing step below a failing one
-    (or ``top``), or None when no step from ``start`` down to ``floor`` passes.
+    Returns (x, f, step) for the largest passing step below a failing one (or
+    ``top``). When no step from ``start`` down to ``floor`` passes, returns
+    (None, least finite value tried, None).
     """
     step = start
-    x_new, f_new, passed = _trial(fun, x, f, g, gg, step, c)
+    x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
     if passed:
         best = x_new, f_new, step
         while step < top:
             step *= 2.0
-            x_new, f_new, passed = _trial(fun, x, f, g, gg, step, c)
+            x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
             if not passed:
                 fun(best[0])  # the gradient is taken at the point ``fun`` saw last
                 break
             best = x_new, f_new, step
         return best
-    while step > floor:
+    least = np.inf
+    while not passed:
+        if np.isfinite(f_new):
+            least = min(least, f_new)
+        if step <= floor:
+            return None, least, None
         step *= 0.5
-        x_new, f_new, passed = _trial(fun, x, f, g, gg, step, c)
-        if passed:
-            return x_new, f_new, step
-    return None
+        x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
+    return x_new, f_new, step
 
 
-def armijo_minimize(fun, grad, x0, steps, step0=1.0, c=1e-4, max_halvings=60, gtol=0.0,
-                    first_step=None):
-    """Run ``steps`` descent steps on ``fun`` with backtracking line search.
+def armijo_minimize(fun, grad, x0, steps, step0=1.0, gtol=0.0, first_step=None):
+    """Run ``steps`` descent steps on ``fun`` with an Armijo line search.
 
-    Each step tries the carried-over step size (doubled after an accepted
-    step) and halves it until the Armijo sufficient-decrease test passes.
-    The returned objective value never exceeds ``fun(x0)``: a step is only
-    taken when it decreases the objective, and a step whose achievable
-    decrease is below machine precision terminates the loop instead of
-    failing.
+    Each step searches the grid t * 2**-k below the carried-over step size t
+    (``step0`` at first, then twice the last accepted step), halving from t
+    until the Armijo sufficient-decrease test passes, for at most
+    ``MAX_HALVINGS`` trials. The returned objective value never exceeds
+    ``fun(x0)``: a step is only taken when it decreases the objective, and a
+    step whose achievable decrease is below machine precision terminates the
+    loop instead of failing.
 
     ``first_step`` is a speed hint for the first step only, such as the step
-    a search on a nearby problem returned. It is capped at ``step0`` and
-    rounded down onto the grid step0 * 2**-k that halving from ``step0``
-    tries; from there the first step doubles while the Armijo test passes
-    (never above ``step0``) and halves while it fails. That accepts the same
-    step as halving from ``step0`` whenever no larger grid step passes above
-    a failing one, which holds when the test passes for every step below
-    some threshold and fails above it. When no step at or below the hint
-    passes, the first step halves from ``step0`` as without a hint, so the
-    stationary exit and the error are unchanged.
+    a search on a nearby problem returned. The first step starts at the hint
+    rounded down onto the grid (capped at ``step0``), doubles while the test
+    passes (never above ``step0``) and halves while it fails. That accepts
+    the same step as halving from ``step0`` whenever no larger grid step
+    passes above a failing one, which holds when the test passes for every
+    step below some threshold and fails above it. When no step at or below
+    the hint passes, the search halves from ``step0`` down to the grid step
+    above the hint, so every grid step is tried once and the stationary exit
+    and the error are those of the search without a hint.
 
     ``grad(x)`` is only called with the array object most recently passed
     to ``fun`` (x0 converted to float64, or the accepted trial), so ``fun``
@@ -124,10 +115,9 @@ def armijo_minimize(fun, grad, x0, steps, step0=1.0, c=1e-4, max_halvings=60, gt
     f = float(fun(x))
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
-    t = float(step0)
-    floor = t * 0.5 ** (int(max_halvings) - 1)  # the smallest step halving from step0 tries
-    start = None if first_step is None else t
-    while start is not None and start > first_step and start > floor:
+    t = start = float(step0)
+    floor = t * 0.5 ** (MAX_HALVINGS - 1)  # the smallest step a search from t tries
+    while first_step is not None and start > first_step and start > floor:
         start *= 0.5
     for _ in range(int(steps)):
         g = np.asarray(grad(x), dtype=np.float64)
@@ -136,14 +126,19 @@ def armijo_minimize(fun, grad, x0, steps, step0=1.0, c=1e-4, max_halvings=60, gt
         gg = float(g @ g)
         if gg == 0.0 or np.max(np.abs(g)) <= gtol:
             break
-        found = None
-        if start is not None and start < t:
-            found = _bracket(fun, x, f, g, gg, start, t, floor, c)
-        start = None
-        if found is None:
-            found = _backtrack(fun, x, f, g, gg, t, c, max_halvings)
-            if found is None:
-                break
-        x, f, trial = found
-        t = 2.0 * trial
+        x_new, f_new, trial = _search(fun, x, f, g, gg, start, t, floor)
+        if x_new is None and start < t:  # nothing at or below the hint passes: try above it
+            least = f_new
+            x_new, f_new, trial = _search(fun, x, f, g, gg, t, t, 2.0 * start)
+            if x_new is None:
+                f_new = min(least, f_new)
+        if x_new is None:
+            if f_new <= f + 1e-12 * max(1.0, abs(f)):
+                break  # no decrease beyond rounding error: stationary point
+            raise RuntimeError(
+                "line search failed: no decrease after "
+                f"{MAX_HALVINGS} halvings (objective {f:.6e})")
+        x, f = x_new, f_new
+        t = start = 2.0 * trial
+        floor = t * 0.5 ** (MAX_HALVINGS - 1)
     return x, f, t

@@ -106,6 +106,9 @@ def pack_codes(C):
 
 def unpack_codes(packed, dim):
     """Inverse of pack_codes for a known code length."""
-    bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=1,
-                         count=dim, bitorder="little")
+    packed = np.asarray(packed, dtype=np.uint8)
+    if dim > 8 * packed.shape[1]:
+        raise ValueError(
+            f"code length {dim} exceeds the {8 * packed.shape[1]} packed bits per row")
+    bits = np.unpackbits(packed, axis=1, count=dim, bitorder="little")
     return bits.astype(np.float64) * 2.0 - 1.0

@@ -163,13 +163,22 @@ def _ray_coefficients(Y, G, LY, LG, views, hyper, f):
                      -2.0 * hyper.lam * float(np.sum(S * Q)), hyper.lam * float(np.sum(Q * Q))])
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
 def _best_step(coeffs):
     """The tau > 0 where f'(tau) = 0 with the least f(tau); 0.0 when there is none.
 
     Real parts of complex roots are candidates too: a nearly double root
     keeps its step, and any other such candidate loses to the real minimizer.
+    A leading coefficient below the largest other one divided by the float64
+    maximum only adds stationary points beyond float64's range, so it is
+    dropped rather than let ``np.roots`` overflow.
     """
-    roots = np.roots([4.0 * coeffs[4], 3.0 * coeffs[3], 2.0 * coeffs[2], coeffs[1]])
+    deriv = np.array([4.0 * coeffs[4], 3.0 * coeffs[3], 2.0 * coeffs[2], coeffs[1]])
+    while deriv.size > 1 and abs(deriv[0]) < np.max(np.abs(deriv[1:])) / _FLOAT_MAX:
+        deriv = deriv[1:]
+    roots = np.roots(deriv)
     taus = roots.real[roots.real > 0.0]
     if taus.size == 0:
         return 0.0
@@ -221,10 +230,8 @@ def update_B(state, network, hyper):
             factor = scipy.linalg.cho_factor(A)
             new_B.append(scipy.linalg.cho_solve(factor, rhs))
         except scipy.linalg.LinAlgError:
-            if hyper.lam == 0.0:
-                raise ValueError(
-                    f"view {s}: basis system is singular with lam = 0; use lam > 0")
-            raise
+            raise ValueError(f"view {s}: basis system is singular with lam = {hyper.lam:g}; "
+                             "use a larger lam") from None
     return replace(state, B=new_B)
 
 

@@ -1,10 +1,13 @@
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from dpmne.cli import _build_parser, _hyper_from_args, _protocol_from_args, main
-from dpmne.evaluation import EvalProtocol
+from dpmne.cli import (_build_parser, _hyper_from_args, _protocol_from_args,
+                       _synth_config_from_args, main)
+from dpmne.evaluation import EvalProtocol, cross_validate
+from dpmne.graph_model import SynthConfig
 from dpmne.trainer import Hyperparams
 
 
@@ -37,6 +40,14 @@ class TestSynth:
         assert code == 1
         assert err.count("\n") == 1
         assert err.startswith("dpmne-error\t")
+
+    def test_zero_feature_dim_is_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "synth", "--n", "20", "--communities", "2",
+                           "--feature-dim", "0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\tfeature_dim") and err.count("\n") == 1
+        assert not os.path.exists(out)
 
 
 class TestTrain:
@@ -104,6 +115,13 @@ class TestTrain:
         for argv in (["eval", "--manifest", "m", "--checkpoint", "c", "--task", "cluster"],
                      ["sweep-pdr", "--manifest", "m", "--ratios", "0.3"]):
             assert _protocol_from_args(parser.parse_args(argv)) == EvalProtocol()
+        synth = parser.parse_args(["synth", "--n", "20", "--communities", "2", "--out", "o"])
+        assert _synth_config_from_args(synth) == SynthConfig(n=20, communities=2)
+        tune = parser.parse_args(["tune", "--manifest", "m", "--grid", "1,1,1"])
+        assert tune.folds == inspect.signature(cross_validate).parameters["folds"].default
+        # no --iters: binarize calls itq with itq's own default
+        assert parser.parse_args(["binarize", "--checkpoint", "c", "--itq",
+                                  "--out", "o"]).iters is None
 
 
 class TestBinarize:

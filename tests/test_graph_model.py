@@ -87,6 +87,14 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             synth_generate(SynthConfig(n=10, communities=2, intra=1.5, seed=0))
 
+    @pytest.mark.parametrize("bad", [
+        {"n": 0}, {"communities": 0}, {"t": 0}, {"communities": 21}, {"intra": 1.5},
+        {"inter": [0.1, -0.1]}, {"noise": [0.1, 0.1, 0.1]}, {"pdr": 1.0}, {"t": 1, "pdr": 0.98},
+        {"feature_dim": 0}, {"feature_dim": [4, 0]}])
+    def test_out_of_range_settings_are_rejected_when_built(self, bad):
+        with pytest.raises(ValueError):
+            SynthConfig(**{"n": 20, "communities": 2, **bad})
+
 
 class TestApplyPdr:
     def test_zero_ratio_is_identity(self):

@@ -128,3 +128,43 @@ class TestFirstStepHint:
         hinted = armijo_minimize(flat, grad, x0, steps=3, step0=0.4, first_step=1e-3)
         assert same_result(hinted, plain)
         assert np.array_equal(hinted[0], x0) and hinted[2] == 0.4
+
+    @pytest.mark.parametrize("hint", [1e-3, 1e-30])
+    @pytest.mark.parametrize("excess", [1.0, 1e-13])  # no decrease; a rounding error above f0
+    def test_nothing_passing_at_or_below_the_hint_tries_each_grid_step_once(self, hint, excess):
+        x0, g0, f0 = np.zeros(3), np.array([1.0, -2.0, 0.5]), 1.0
+
+        def never_lower(x):
+            return f0 if x is x0 else f0 + excess
+
+        def grad(x):
+            return g0
+
+        def outcome(f, **kwargs):
+            try:
+                return armijo_minimize(f, grad, x0, steps=3, step0=0.4, **kwargs)
+            except RuntimeError as exc:
+                return str(exc)
+
+        f, _, log = logged(never_lower, grad)
+        hinted = outcome(f, first_step=hint)
+        plain = outcome(never_lower)
+        if isinstance(plain, str):
+            assert hinted == plain and "no decrease after 60 halvings" in plain
+        else:
+            assert same_result(hinted, plain) and np.array_equal(hinted[0], x0)
+        # x0 = 0 makes each trial point exactly -step * g0
+        tried = sorted(float(-x[0] / g0[0]) for kind, x in log[1:] if kind == "f")
+        np.testing.assert_allclose(tried, sorted(0.4 * 0.5 ** k for k in range(60)), rtol=1e-12)
+
+
+class TestStationaryExit:
+    @pytest.mark.parametrize("f0", [0.5, 1e6, 1e17])
+    def test_trials_a_rounding_error_above_a_large_objective_are_stationary(self, f0):
+        x0, g0 = np.array([0.3, -1.2]), np.array([1.0, 2.0])
+
+        def flat(x):  # every trial a few ulps above the start
+            return f0 if x is x0 else f0 + 4 * np.spacing(f0)
+
+        x, f, step = armijo_minimize(flat, lambda x: g0, x0, steps=3, step0=0.4)
+        assert x is x0 and f == f0 and step == 0.4

@@ -167,3 +167,9 @@ class TestPackedCodes:
     def test_non_binary_input_rejected(self):
         with pytest.raises(ValueError):
             pack_codes(np.array([[0.5, 1.0]]))
+
+    def test_code_length_beyond_the_packed_bits_rejected(self):
+        packed = pack_codes([[1.0, -1.0, 1.0]])
+        assert unpack_codes(packed, 8).shape == (1, 8)  # the padding of the one byte
+        with pytest.raises(ValueError):
+            unpack_codes(packed, 12)

@@ -147,7 +147,7 @@ class TestObjective:
     def test_non_finite_objective_raises(self):
         network, hyper, prox, state = small_setup(2)
         state.Y[0, 0] = np.inf
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning):
             objective(state, network, prox, hyper)
 
 
@@ -310,6 +310,11 @@ class TestExactStep:
         assert trainer._best_step(coeffs) == pytest.approx(-coeffs[1] / (2 * coeffs[2]),
                                                            rel=1e-12)
 
+    @pytest.mark.parametrize("c4", [5e-324, 1e-310])
+    def test_a_negligible_quartic_term_gives_the_quadratic_step(self, c4):
+        # f' = 4 c4 tau^3 - 1 + tau: the cubic's third root lies beyond float64's range
+        assert trainer._best_step(np.array([2.0, -1.0, 0.5, 0.0, c4])) == pytest.approx(1.0)
+
     def test_no_descent_direction_gives_no_step(self):
         # G = 0 makes every coefficient past c0 zero; f' has no positive root
         assert trainer._best_step(np.array([3.0, 0.0, 0.0, 0.0, 0.0])) == 0.0
@@ -358,6 +363,13 @@ class TestUpdateB:
         state.Y = np.zeros_like(state.Y)
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim)
         with pytest.raises(ValueError, match="lam"):
+            update_B(state, network, bad)
+
+    def test_singular_system_with_a_negligible_ridge_names_lam(self):
+        network, hyper, prox, state = small_setup(9)
+        state.Y = np.ones_like(state.Y)  # alpha Y^T Y + lam I rounds to a singular matrix
+        bad = Hyperparams(alpha=1.0, beta=0.0, lam=5e-324, dim=hyper.dim)
+        with pytest.raises(ValueError, match=r"view \d: basis system is singular with lam = 4.94"):
             update_B(state, network, bad)
 
     @pytest.mark.parametrize("seed", range(5))
