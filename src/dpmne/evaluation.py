@@ -7,11 +7,11 @@ the best assignment against the labels under an optimal cluster-to-class
 matching.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph_model import MultiplexNetwork, ViewData, apply_pdr
 from .optim import armijo_minimize, latest_point
@@ -31,6 +31,8 @@ class EvalProtocol:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass
@@ -213,6 +215,10 @@ def matched_accuracy(cluster_ids, labels):
     """Fraction correct under the best cluster-to-class assignment."""
     clusters, cluster_idx = np.unique(np.asarray(cluster_ids), return_inverse=True)
     classes, class_idx = np.unique(np.asarray(labels), return_inverse=True)
+    # imported here, not at the top: scipy.optimize is the slowest import in the package
+    # and serves only this function
+    from scipy.optimize import linear_sum_assignment
+
     table = _count_pairs(cluster_idx, class_idx, clusters.size, classes.size)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / class_idx.size)

@@ -1,8 +1,12 @@
 """Dataset files, manifests, embedding export and training checkpoints.
 
-All dataset files are plain text with LF line endings and %.17g numeric
-rendering, so a load/save round trip is byte-stable. The checkpoint is a
-single .npz archive holding everything needed to resume training.
+Every dataset file except the manifest is a table: LF-terminated lines of
+tab-separated numbers, read by ``_read_table`` and written by
+``_write_table``. Numbers are read with Python's ``float`` and ``int`` and
+reals written as %.17g, so a load/save round trip is byte-stable. Empty
+lines are skipped in edge and mask files only. Every rejected table raises
+one ``ManifestError`` naming ``path:line[:col]``. The checkpoint is a single
+.npz archive holding everything needed to resume training.
 """
 
 import dataclasses
@@ -25,84 +29,65 @@ class ManifestError(ValueError):
     """Raised for malformed manifests or dataset files; message carries location."""
 
 
-def _fmt(x):
-    return "%.17g" % x
+def _read_table(path, width, parse, rows=None):
+    """Parse the lines of ``path`` as ``width`` tab-separated values each.
 
-
-def _parse_float(token, path, line_no, col_no):
-    try:
-        return float(token)
-    except ValueError:
-        raise ManifestError(f"{path}:{line_no}:{col_no}: not a number: {token!r}")
-
-
-def _parse_int(token, path, line_no, col_no):
-    try:
-        return int(token)
-    except ValueError:
-        raise ManifestError(f"{path}:{line_no}:{col_no}: not an integer: {token!r}")
-
-
-def _read_features(path, n, dim):
-    rows = np.zeros((n, dim))
+    ``parse`` is ``float`` or ``int``. With ``rows`` the file must have
+    exactly that many lines; without, empty lines are skipped. Returns the
+    (lines, width) array and the line number of each of its rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if len(lines) != n:
-        raise ManifestError(f"{path}: expected {n} rows, found {len(lines)}")
-    for i, line in enumerate(lines):
-        tokens = line.split("\t")
-        if len(tokens) != dim:
-            raise ManifestError(f"{path}:{i + 1}: expected {dim} values, found {len(tokens)}")
-        for j, tok in enumerate(tokens):
-            rows[i, j] = _parse_float(tok, path, i + 1, j + 1)
-    return rows
+    if rows is not None and len(lines) != rows:
+        raise ManifestError(f"{path}:{min(len(lines), rows) + 1}: "
+                            f"expected {rows} lines, found {len(lines)}")
+    line_nos = [i for i, line in enumerate(lines, start=1) if rows is not None or line]
+    values = []
+    for line_no in line_nos:
+        tokens = lines[line_no - 1].split("\t")
+        if len(tokens) != width:
+            raise ManifestError(f"{path}:{line_no}: expected {width} values, found {len(tokens)}")
+        try:
+            values.append(list(map(parse, tokens)))
+        except ValueError:  # find the token at fault
+            for col, token in enumerate(tokens, start=1):
+                try:
+                    parse(token)
+                except ValueError:
+                    kind = "a number" if parse is float else "an integer"
+                    raise ManifestError(f"{path}:{line_no}:{col}: not {kind}: {token!r}") from None
+    try:
+        table = np.array(values, dtype=np.float64 if parse is float else np.int64)
+    except OverflowError:  # int() has no bound, int64 has
+        i, col = next((i, col) for i, row in enumerate(values)
+                      for col, v in enumerate(row, start=1) if not -2**63 <= v < 2**63)
+        raise ManifestError(f"{path}:{line_nos[i]}:{col}: "
+                            f"{values[i][col - 1]} outside the int64 range") from None
+    return table.reshape(-1, width), line_nos
+
+
+def _read_nodes(path, n, width):
+    """Node ids, ``width`` to a line, each in [0, n)."""
+    nodes, line_nos = _read_table(path, width, int)
+    outside = np.argwhere((nodes < 0) | (nodes >= n))
+    if outside.size:
+        i, j = outside[0]
+        raise ManifestError(f"{path}:{line_nos[i]}:{j + 1}: node {nodes[i, j]} outside [0, {n})")
+    return nodes
 
 
 def _read_edges(path, n):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
-            if not line:
-                continue
-            tokens = line.split("\t")
-            if len(tokens) != 2:
-                raise ManifestError(f"{path}:{line_no}: expected 'u<TAB>v', got {line!r}")
-            u = _parse_int(tokens[0], path, line_no, 1)
-            v = _parse_int(tokens[1], path, line_no, 2)
-            for col, node in ((1, u), (2, v)):
-                if not 0 <= node < n:
-                    raise ManifestError(
-                        f"{path}:{line_no}:{col}: node {node} outside [0, {n})")
-            pairs.append((u, v))
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    u, v = _read_nodes(path, n, 2).T
     adj = sp.csr_matrix((np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
                         shape=(n, n))
     adj.data[:] = 1.0  # repeated edges and self-loops were summed; keep them 0/1
     return adj
 
 
-def _read_mask(path, n):
-    mask = np.ones(n, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
-            if not line:
-                continue
-            node = _parse_int(line, path, line_no, 1)
-            if not 0 <= node < n:
-                raise ManifestError(f"{path}:{line_no}:1: node {node} outside [0, {n})")
-            mask[node] = False
-    return mask
-
-
-def _read_labels(path, n):
-    labels = np.zeros(n, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) != n:
-        raise ManifestError(f"{path}: expected {n} labels, found {len(lines)}")
-    for i, line in enumerate(lines):
-        labels[i] = _parse_int(line, path, i + 1, 1)
-    return labels
+def _write_table(path, rows, fmt):
+    """Write ``rows`` (a 1-D array writes one value to a line) tab-separated, LF-terminated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter="\t")
 
 
 def load_network(manifest_path):
@@ -144,9 +129,10 @@ def load_network(manifest_path):
         for path in (feat_path, edge_path, mask_path):
             if not os.path.exists(path):
                 raise ManifestError(f"{manifest_path}: view {s} file missing: {path}")
-        features = _read_features(feat_path, n, dim)
+        features = _read_table(feat_path, dim, float, rows=n)[0]
         adjacency = _read_edges(edge_path, n)
-        mask = _read_mask(mask_path, n)
+        mask = np.ones(n, dtype=bool)
+        mask[_read_nodes(mask_path, n, 1).ravel()] = False
         views.append(ViewData(dim, features, mask, adjacency))
 
     labels = None
@@ -154,7 +140,7 @@ def load_network(manifest_path):
         labels_path = os.path.join(base, entries["labels"])
         if not os.path.exists(labels_path):
             raise ManifestError(f"{manifest_path}: labels file missing: {labels_path}")
-        labels = _read_labels(labels_path, n)
+        labels = _read_table(labels_path, 1, int, rows=n)[0].ravel()
 
     network = MultiplexNetwork(n, t, views, labels)
     violations = validate(network)
@@ -169,8 +155,7 @@ def save_network(network, out_dir, manifest_name="manifest.txt"):
     lines = [f"format={MANIFEST_FORMAT}", f"n={network.n}", f"t={network.t}"]
     if network.labels is not None:
         lines.append("labels=labels.txt")
-        with open(os.path.join(out_dir, "labels.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(f"{int(l)}\n" for l in network.labels))
+        _write_table(os.path.join(out_dir, "labels.txt"), network.labels, "%d")
     for s, view in enumerate(network.views):
         feat_name = f"view{s}.features.tsv"
         edge_name = f"view{s}.edges.tsv"
@@ -179,15 +164,12 @@ def save_network(network, out_dir, manifest_name="manifest.txt"):
                   f"view.{s}.features={feat_name}",
                   f"view.{s}.edges={edge_name}",
                   f"view.{s}.mask={mask_name}"]
-        with open(os.path.join(out_dir, feat_name), "w", encoding="utf-8", newline="\n") as fh:
-            for row in view.features:
-                fh.write("\t".join(_fmt(x) for x in row) + "\n")
+        _write_table(os.path.join(out_dir, feat_name), view.features, "%.17g")
         coo = sp.triu(view.adjacency, k=1).tocoo()
-        edges = sorted(zip(coo.row.tolist(), coo.col.tolist()))
-        with open(os.path.join(out_dir, edge_name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(f"{u}\t{v}\n" for u, v in edges))
-        with open(os.path.join(out_dir, mask_name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(f"{i}\n" for i in np.flatnonzero(~view.mask)))
+        order = np.lexsort((coo.col, coo.row))
+        _write_table(os.path.join(out_dir, edge_name),
+                     np.column_stack([coo.row, coo.col])[order], "%d")
+        _write_table(os.path.join(out_dir, mask_name), np.flatnonzero(~view.mask), "%d")
     manifest_path = os.path.join(out_dir, manifest_name)
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in lines))
@@ -198,9 +180,8 @@ def save_embeddings(matrix, path, fmt="tsv"):
     """Write embeddings (or codes) as node_id + values, or as packed bits."""
     matrix = np.asarray(matrix)
     if fmt == "tsv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i, row in enumerate(matrix):
-                fh.write(str(i) + "\t" + "\t".join(_fmt(x) for x in row) + "\n")
+        _write_table(path, np.column_stack([np.arange(len(matrix)), matrix]),
+                     ["%d"] + ["%.17g"] * matrix.shape[1])
     elif fmt == "packed":
         pack_codes(matrix).tofile(path)
     else:

@@ -11,6 +11,7 @@ fill in to a dense n x n matrix. ``build_stack`` returns a
 products with the views' adjacencies.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class ProximityConfig:
         if self.weights is not None:
             if len(self.weights) != self.order:
                 raise ValueError(f"need {self.order} weights, got {len(self.weights)}")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be nonnegative")
+            if not all(0 <= w < math.inf for w in self.weights):
+                raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
 
     def resolved_weights(self):
         if self.weights is None:

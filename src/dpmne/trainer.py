@@ -19,6 +19,7 @@ iteration returned; ``armijo_minimize`` states when that accepts the same
 steps as a search from ``h_lr``.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -52,11 +53,11 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("dim", "h_lr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
             raise ValueError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
 

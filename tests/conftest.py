@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpmne import optim
-from dpmne.graph_model import MultiplexNetwork, ViewData
+from dpmne.graph_model import MultiplexNetwork, ViewData, validate
 
 
 def recording_armijo(calls):
@@ -65,3 +67,26 @@ def random_network(seed, n=12, t=2, dims=(5, 4), missing=(0.25, 0.25), edge_p=0.
         views.append(ViewData(dims[s], features, masks[s], adj))
     lab = rng.integers(0, 3, size=n) if labels else None
     return MultiplexNetwork(n, t, views, lab)
+
+
+@st.composite
+def networks(draw, features=st.floats(allow_nan=False, allow_infinity=False), labels=False):
+    """Networks with n <= 12, t <= 3, widths <= 4 and random masks that ``validate`` accepts.
+
+    Feature values come from ``features``; with ``labels``, each node gets an int64 label.
+    """
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 3))
+    views = []
+    for _ in range(t):
+        dim = draw(st.integers(1, 4))
+        mask = draw(arrays(bool, n))
+        mask[draw(st.integers(0, n - 1))] = True  # validate wants a present node per view
+        values = draw(arrays(np.float64, (n, dim), elements=features))
+        upper = np.triu(draw(arrays(bool, (n, n))), k=1)
+        views.append(ViewData(dim, np.where(mask[:, None], values, 0.0), mask,
+                              sp.csr_matrix((upper | upper.T).astype(np.float64))))
+    node_labels = draw(arrays(np.int64, n)) if labels else None
+    network = MultiplexNetwork(n, t, views, node_labels)
+    assert validate(network) == []
+    return network

@@ -96,6 +96,16 @@ class TestTrain:
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag", ["--h-lr", "--lambda"])
+    def test_infinite_setting_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,
+                                                              flag):
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "train", "--manifest", dataset, *TRAIN_FLAGS, flag, "inf",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_bad_thread_cap_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,
                                                             monkeypatch):
         monkeypatch.setenv("DPMNE_THREADS", "lots")

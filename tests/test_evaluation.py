@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -343,6 +346,16 @@ class TestClusterAccuracy:
             best = max(best, hits)
         assert matched_accuracy(clusters, labels) == best / 25
 
+    def test_importing_the_package_leaves_scipy_optimize_unloaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, dpmne; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_kmeans_recovers_separated_blobs(self):
         rng = np.random.default_rng(6)
         centers = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])
@@ -555,3 +568,8 @@ class TestProtocolValidation:
     def test_bad_repeats_rejected(self):
         with pytest.raises(ValueError):
             EvalProtocol(repeats=0)
+
+    @pytest.mark.parametrize("l2", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_l2_rejected(self, l2):
+        with pytest.raises(ValueError, match="l2"):
+            EvalProtocol(l2=l2)

@@ -1,16 +1,20 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
-from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.graph_model import MultiplexNetwork, SynthConfig, ViewData, synth_generate
 from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, restore,
                       save_embeddings, save_network)
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.quantizer import unpack_codes
 from dpmne.trainer import Hyperparams, objective, train
+
+from conftest import networks
 
 
 def small_net(seed=0):
@@ -122,6 +126,98 @@ class TestNetworkRoundTrip:
         text = open(manifest).read().replace("format=1", "format=7")
         open(manifest, "w").write(text)
         with pytest.raises(ManifestError, match="unsupported format"):
+            load_network(manifest)
+
+
+def pinned_network():
+    """Three nodes: float extremes and a triangle in view 0 (node 2 masked), no edges in view 1."""
+    features = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [0.0, 0.0]])
+    view0 = ViewData(2, features, np.array([True, True, False]),
+                     sp.csr_matrix(np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])))
+    view1 = ViewData(1, np.array([[0.1], [2.5], [-3.0]]), np.ones(3, dtype=bool),
+                     sp.csr_matrix((3, 3)))
+    return MultiplexNetwork(3, 2, [view0, view1], np.array([0, 1, 1]))
+
+
+PINNED_FILES = {
+    "labels.txt": b"0\n1\n1\n",
+    "manifest.txt": b"format=1\nn=3\nt=2\nlabels=labels.txt\n"
+                    b"view.0.dim=2\nview.0.features=view0.features.tsv\n"
+                    b"view.0.edges=view0.edges.tsv\nview.0.mask=view0.mask.txt\n"
+                    b"view.1.dim=1\nview.1.features=view1.features.tsv\n"
+                    b"view.1.edges=view1.edges.tsv\nview.1.mask=view1.mask.txt\n",
+    "view0.edges.tsv": b"0\t1\n0\t2\n1\t2\n",
+    "view0.features.tsv": b"-0\t4.9406564584124654e-324\n"
+                          b"1.7976931348623157e+308\t0.10000000000000001\n0\t0\n",
+    "view0.mask.txt": b"2\n",
+    "view1.edges.tsv": b"",
+    "view1.features.tsv": b"0.10000000000000001\n2.5\n-3\n",
+    "view1.mask.txt": b"",
+}
+
+
+def assert_same_network(a, b):
+    assert (a.n, a.t) == (b.n, b.t)
+    assert (a.labels is None) == (b.labels is None)
+    if a.labels is not None:
+        assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+    for va, vb in zip(a.views, b.views):
+        assert va.dim == vb.dim
+        for x, y in ((va.features, vb.features), (va.mask, vb.mask),
+                     (va.adjacency.indptr, vb.adjacency.indptr),
+                     (va.adjacency.indices, vb.adjacency.indices),
+                     (va.adjacency.data, vb.adjacency.data)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestTableFormat:
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        save_network(pinned_network(), tmp_path)
+        assert read_all(tmp_path) == PINNED_FILES
+
+    def test_pinned_files_load_bit_for_bit(self, tmp_path):
+        for name, data in PINNED_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        assert_same_network(load_network(tmp_path / "manifest.txt"), pinned_network())
+
+    def test_edges_are_written_sorted_whatever_the_index_order(self, tmp_path):
+        net = pinned_network()
+        view = net.views[0]
+        adj = view.adjacency
+        reversed_rows = np.concatenate([adj.indices[a:b][::-1]
+                                        for a, b in zip(adj.indptr, adj.indptr[1:])])
+        net.views[0] = ViewData(view.dim, view.features, view.mask,
+                                sp.csr_matrix((adj.data, reversed_rows, adj.indptr), adj.shape))
+        save_network(net, tmp_path)
+        assert read_all(tmp_path) == PINNED_FILES
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(networks(labels=True))
+    def test_load_of_save_is_bitwise_and_a_second_save_is_byte_identical(self, network):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            loaded = load_network(save_network(network, first))
+            assert_same_network(loaded, network)
+            save_network(loaded, second)
+            assert read_all(first) == read_all(second)
+
+    @pytest.mark.parametrize("name,edit,where", [
+        ("labels.txt", lambda lines: lines[:1] + ["12345678901234567890"] + lines[2:],
+         r"labels\.txt:2:1: "),
+        ("view0.edges.tsv", lambda lines: ["0\t1\t2"] + lines, r"edges\.tsv:1: "),
+        ("view0.edges.tsv", lambda lines: lines + ["0\t12"], r"edges\.tsv:\d+:2: node 12 outside"),
+        ("view0.mask.txt", lambda lines: ["1.5"] + lines, r"mask\.txt:1:1: not an integer"),
+        ("view1.features.tsv", lambda lines: lines[:4] + [""] + lines[5:],
+         r"view1\.features\.tsv:5: "),
+        ("view1.features.tsv", lambda lines: lines[:-1], r"view1\.features\.tsv:12: "),
+    ], ids=["20-digit-label", "3-token-edge", "edge-node-out-of-range", "real-in-mask",
+            "blank-features-line", "truncated-features"])
+    def test_hostile_file_raises_one_error_naming_its_place(self, tmp_path, name, edit, where):
+        manifest = save_network(small_net(), tmp_path)
+        path = tmp_path / name
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ManifestError, match=where):
             load_network(manifest)
 
 

@@ -4,15 +4,14 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dpmne import io
-from dpmne.graph_model import MultiplexNetwork, ViewData, validate
 from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
+
+from conftest import networks
 
 # Features stay within +-1e6: from about 2e8 (at h_lr = 1) an autoencoder needs steps below
 # the 60 halvings of h_lr its line search tries, and training raises a RuntimeError.
@@ -22,24 +21,7 @@ SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=N
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@st.composite
-def networks(draw):
-    n = draw(st.integers(1, 12))
-    t = draw(st.integers(1, 3))
-    views = []
-    for _ in range(t):
-        dim = draw(st.integers(1, 4))
-        mask = draw(arrays(bool, n))
-        mask[draw(st.integers(0, n - 1))] = True  # validate wants a present node per view
-        values = draw(arrays(np.float64, (n, dim), elements=st.floats(-FEATURE_MAX, FEATURE_MAX)))
-        upper = np.triu(draw(arrays(bool, (n, n))), k=1)
-        views.append(ViewData(dim, np.where(mask[:, None], values, 0.0), mask,
-                              sp.csr_matrix((upper | upper.T).astype(np.float64))))
-    network = MultiplexNetwork(n, t, views)
-    assert validate(network) == []
-    return network
-
-
+bounded_networks = networks(features=st.floats(-FEATURE_MAX, FEATURE_MAX))
 weights = st.floats(0.0, 10.0)
 activations = st.sampled_from(["identity", "tanh", "sigmoid", "relu"])
 hyperparams = st.builds(
@@ -61,7 +43,7 @@ def train_or_value_error(network, hyper, init_state=None):
 
 
 @SETTINGS
-@given(networks(), hyperparams)
+@given(bounded_networks, hyperparams)
 def test_training_refuses_with_a_value_error_or_gives_a_monotone_finite_trace(network, hyper):
     state = train_or_value_error(network, hyper)
     if state is not None:
@@ -71,7 +53,7 @@ def test_training_refuses_with_a_value_error_or_gives_a_monotone_finite_trace(ne
 
 
 @SETTINGS
-@given(networks(), hyperparams)
+@given(bounded_networks, hyperparams)
 def test_resuming_from_a_checkpoint_is_resuming_from_the_state(network, hyper):
     state = train_or_value_error(network, hyper)
     if state is None:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,9 @@ def test_wrong_weight_count_rejected():
 
 
 @pytest.mark.parametrize("bad", [{"order": 0}, {"order": 2, "weights": (1.0,)},
-                                 {"order": 2, "weights": (1.0, -0.5)}])
+                                 {"order": 2, "weights": (1.0, -0.5)},
+                                 {"order": 1, "weights": (math.nan,)},
+                                 {"order": 2, "weights": (1.0, math.inf)}])
 def test_config_is_validated_when_built(bad):
     with pytest.raises(ValueError):
         ProximityConfig(**bad)

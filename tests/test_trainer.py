@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -583,7 +584,9 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         {"alpha": -1.0}, {"beta": -1.0}, {"lam": -0.5}, {"alpha": float("nan")},
         {"dim": 0}, {"max_iters": -1}, {"y_steps": -1}, {"h_steps": -2},
-        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"h_lr": -0.1}])
+        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"h_lr": -0.1},
+        {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf}, {"h_lr": math.inf},
+        {"h_lr": math.nan}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
