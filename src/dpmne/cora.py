@@ -1,55 +1,56 @@
 """Loader for the public citation benchmark layout (content + cites files).
 
+The content file holds one line per document: its id, its word attributes
+(numbers, 0/1 in the public data) and its class label, tab-separated. The
+cites file holds one pair of document ids per line. Both are read by
+``io._read_table``, so a malformed line, or a document id listed twice,
+raises one ``ManifestError`` naming ``path:line[:col]``. A citation of a
+document not in the content file, and a document citing itself, are
+dropped.
+
 Builds a two-view network: a citation view whose features are the rows of
 the symmetrized citation adjacency, and an attribute view whose features are
-the 0/1 word vectors, with an edge between two documents that share at least
-one attribute.
+the word vectors, with an edge between two documents that share at least one
+attribute. Labels number the class names in sorted order.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph_model import MultiplexNetwork, ViewData
+from .io import ManifestError, _bad_token, _read_table, _symmetric_adjacency
 
 
 def load_citation_network(content_path, cites_path):
-    ids = []
-    words = []
-    label_names = []
-    with open(content_path, "r", encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            if not line:
-                continue
-            tokens = line.split("\t")
-            ids.append(tokens[0])
-            words.append([float(tok) for tok in tokens[1:-1]])
-            label_names.append(tokens[-1])
-    n = len(ids)
-    index = {doc: i for i, doc in enumerate(ids)}
-    attributes = np.asarray(words, dtype=np.float64)
-    classes = sorted(set(label_names))
-    labels = np.asarray([classes.index(name) for name in label_names], dtype=np.int64)
+    content, line_nos = _read_table(content_path, None, str)
+    n = content.shape[0]
+    words = content[:, 1:-1]
+    try:
+        attributes = words.astype(np.float64)
+    except ValueError:
+        raise _bad_token(content_path, line_nos, words, float, first_col=2) from None
+    labels = np.unique(content[:, -1], return_inverse=True)[1]
 
-    cite = sp.lil_matrix((n, n))
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            if not line:
-                continue
-            a, b = line.split("\t")
-            if a in index and b in index and a != b:
-                cite[index[a], index[b]] = 1.0
-                cite[index[b], index[a]] = 1.0
-    cite = sp.csr_matrix(cite)
+    cites = _read_table(cites_path, 2, str)[0]
+    names, code = np.unique(np.concatenate([content[:, 0], cites.ravel()]), return_inverse=True)
+    first = np.full(names.size, n)  # each id's first row in the content file; n if none
+    np.minimum.at(first, code[:n], np.arange(n))
+    repeated = np.flatnonzero(first[code[:n]] != np.arange(n))
+    if repeated.size:
+        i = repeated[0]
+        raise ManifestError(f"{content_path}:{line_nos[i]}:1: document id {content[i, 0]!r} "
+                            f"already listed on line {line_nos[first[code[i]]]}")
+    u, v = first[code[n:]].reshape(-1, 2).T
+    keep = (u < n) & (v < n) & (u != v)
+    cite = _symmetric_adjacency(u[keep], v[keep], n)
 
     # attribute view: linked when two documents share at least one attribute
     attr_sparse = sp.csr_matrix(attributes)
     shared = attr_sparse @ attr_sparse.T
     shared.setdiag(0)
     shared.eliminate_zeros()
-    attr_adj = sp.csr_matrix((np.ones_like(shared.data), shared.indices, shared.indptr),
-                             shape=shared.shape)
+    shared.data[:] = 1.0
 
-    mask = np.ones(n, dtype=bool)
-    views = [ViewData(n, cite.toarray(), mask.copy(), cite),
-             ViewData(attributes.shape[1], attributes, mask.copy(), attr_adj)]
-    return MultiplexNetwork(n, 2, views, labels)
+    views = [ViewData(cite.toarray(), np.ones(n, dtype=bool), cite),
+             ViewData(attributes, np.ones(n, dtype=bool), shared)]
+    return MultiplexNetwork(n, views, labels)

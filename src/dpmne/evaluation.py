@@ -13,10 +13,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import MultiplexNetwork, ViewData, apply_pdr
+from .graph_model import apply_pdr
 from .optim import armijo_minimize, latest_point
 from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
+
+_SPLIT_TRIES = 100  # random splits drawn before giving up on one that holds every class
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6  # relative inertia decrease below which Lloyd iterations stop
+_KNN_BLOCK = 2 ** 20  # entries of one (missing rows, n) similarity block in knn_impute
+_KNN_WARN_PAIRS = 10  # (view, node) pairs named in knn_impute's fallback warning
 
 
 @dataclass
@@ -31,6 +38,8 @@ class EvalProtocol:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.l2 < math.inf:
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
@@ -126,11 +135,11 @@ def predict_logistic(W, X):
     return np.argmax(Xb @ W, axis=1)
 
 
-def _split_with_all_classes(rng, labels, train_fraction, num_classes, max_tries=100):
+def _split_with_all_classes(rng, labels, train_fraction, num_classes):
     n = labels.shape[0]
     n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)
-    for _ in range(max_tries):
+    for _ in range(_SPLIT_TRIES):
         perm = rng.permutation(n)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
         if np.unique(labels[train_idx]).size == num_classes:
@@ -160,7 +169,7 @@ def classify_f1(embeddings, labels, protocol=None):
                          float(np.mean(macro)), _sample_std(macro))
 
 
-def _kmeans_single(X, k, rng, max_iter=300, tol=1e-6):
+def _kmeans_single(X, k, rng):
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     # k-means++ seeding
@@ -177,7 +186,7 @@ def _kmeans_single(X, k, rng, max_iter=300, tol=1e-6):
 
     inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = sq[:, None] - 2.0 * (X @ centers.T) + np.sum(centers * centers, axis=1)
         labels = np.argmin(dists, axis=1)
         point_cost = dists[np.arange(n), labels]
@@ -192,20 +201,20 @@ def _kmeans_single(X, k, rng, max_iter=300, tol=1e-6):
                 labels[far] = j
                 point_cost[far] = 0.0
         new_inertia = float(np.sum((X - centers[labels]) ** 2))
-        if inertia - new_inertia <= tol * max(inertia, 1e-300) and np.isfinite(inertia):
+        if inertia - new_inertia <= _KMEANS_TOL * max(inertia, 1e-300) and np.isfinite(inertia):
             inertia = new_inertia
             break
         inertia = new_inertia
     return labels, inertia
 
 
-def kmeans(X, k, seed=0, restarts=10, max_iter=300, tol=1e-6):
-    """Best-of-``restarts`` Lloyd iterations with plus-plus seeding."""
+def kmeans(X, k, seed=0):
+    """Best of ``_KMEANS_RESTARTS`` runs of Lloyd iterations with plus-plus seeding."""
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
-        labels, inertia = _kmeans_single(X, k, rng, max_iter, tol)
+    for _ in range(_KMEANS_RESTARTS):
+        labels, inertia = _kmeans_single(X, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
@@ -226,12 +235,7 @@ def matched_accuracy(cluster_ids, labels):
 
 def cluster_accuracy(embeddings, labels, num_clusters, seed=0):
     """k-means the embeddings and score against labels with optimal matching."""
-    cluster_ids = kmeans(embeddings, num_clusters, seed=seed)
-    return matched_accuracy(cluster_ids, labels)
-
-
-_KNN_BLOCK = 2 ** 20  # entries of one (missing rows, n) similarity block in knn_impute
-_KNN_WARN_PAIRS = 10  # (view, node) pairs named in knn_impute's fallback warning
+    return matched_accuracy(kmeans(embeddings, num_clusters, seed=seed), labels)
 
 
 @one_blas_thread()
@@ -279,20 +283,13 @@ def knn_impute(network, k=5):
             fallbacks += [(s, int(i)) for i in rows[~ok]]
             features[rows[ok]] = (np.einsum("rk,rkd->rd", top_sims[ok], feats[s][top[ok]])
                                   / weight[ok, None])
-        views.append(ViewData(view.dim, features, np.ones(n, dtype=bool), view.adjacency))
+        views.append(replace(view, features=features, mask=np.ones(n, dtype=bool)))
     if fallbacks:
         more = len(fallbacks) - _KNN_WARN_PAIRS
         warnings.warn(f"knn_impute: zero-filled {len(fallbacks)} rows with no comparable "
                       f"neighbor: {fallbacks[:_KNN_WARN_PAIRS]}"
                       + (f" and {more} more" if more > 0 else ""))
-    return MultiplexNetwork(n, network.t, views, network.labels)
-
-
-def _unmask_all(network):
-    """Treat every node as present (features keep whatever fill they have)."""
-    views = [ViewData(v.dim, v.features.copy(), np.ones(network.n, dtype=bool), v.adjacency)
-             for v in network.views]
-    return MultiplexNetwork(network.n, network.t, views, network.labels)
+    return replace(network, views=views)
 
 
 SWEEP_METHODS = ("dpmne", "zero-fill", "knn-fill")
@@ -323,8 +320,9 @@ def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None)
         for method in methods:
             if method == "dpmne":
                 source = masked
-            elif method == "zero-fill":
-                source = _unmask_all(masked)
+            elif method == "zero-fill":  # masked rows are zero already: only the masks go
+                source = replace(masked, views=[replace(v, mask=np.ones(network.n, dtype=bool))
+                                                for v in masked.views])
             else:
                 source = knn_impute(masked)
             run_hyper = replace(hyper, seed=protocol.seed)

@@ -7,7 +7,8 @@ stored as zeros so every matrix expression stays mask-free except where the
 mask itself is applied.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,9 +29,9 @@ class ViewData:
     """One view: features (n x dim), presence mask (n,), 0/1 adjacency (n x n).
 
     Rows of ``features`` where ``mask`` is False must be all zero; the
-    adjacency is symmetric with a zero diagonal.
+    adjacency is symmetric with a zero diagonal. ``dim`` is read from the
+    features.
     """
-    dim: int
     features: np.ndarray
     mask: np.ndarray
     adjacency: sp.spmatrix
@@ -40,18 +41,21 @@ class ViewData:
         self.mask = np.asarray(self.mask, dtype=bool)
         self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
 
+    dim = property(lambda self: self.features.shape[1])
+
 
 @dataclass
 class MultiplexNetwork:
-    """n nodes seen through t views, with optional per-node class labels."""
+    """n nodes seen through ``t = len(views)`` views, with optional per-node class labels."""
     n: int
-    t: int
     views: list
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
+
+    t = property(lambda self: len(self.views))
 
 
 @dataclass
@@ -80,13 +84,17 @@ class SynthConfig:
         n, t = self.n, self.t
         if n < 1 or self.communities < 1 or t < 1:
             raise ValueError("n, communities and t must all be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.communities > n:
             raise ValueError(f"more communities ({self.communities}) than nodes ({n})")
         for name in ("intra", "inter"):
             for v in _per_view(getattr(self, name), t, name):
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{name} probability {v} outside [0.0, 1.0]")
-        _per_view(self.noise, t, "noise")  # a scalar or one value per view
+        for v in _per_view(self.noise, t, "noise"):
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"noise must be finite and >= 0, got {v}")
         for s, r in enumerate(_per_view(self.pdr, t, "pdr")):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"pdr {r} outside [0, 1)")
@@ -108,14 +116,11 @@ def validate(network):
         report.append(f"node count must be >= 1, got {network.n}")
     if network.t < 1:
         report.append(f"view count must be >= 1, got {network.t}")
-    if len(network.views) != network.t:
-        report.append(f"declared {network.t} views but found {len(network.views)}")
     if network.labels is not None and network.labels.shape != (network.n,):
         report.append(f"labels must have shape ({network.n},), got {network.labels.shape}")
     for s, view in enumerate(network.views):
-        if view.features.shape != (network.n, view.dim):
-            report.append(
-                f"view {s}: features shape {view.features.shape} != ({network.n}, {view.dim})")
+        if view.features.ndim != 2 or view.features.shape[0] != network.n:
+            report.append(f"view {s}: features shape {view.features.shape} != ({network.n}, dim)")
             continue
         if view.mask.shape != (network.n,):
             report.append(f"view {s}: mask length {view.mask.shape} != ({network.n},)")
@@ -144,13 +149,11 @@ def validate(network):
     return report
 
 
-def _draw_missing(masks, view, count, n, rng):
+def _draw_missing(masks, view, count, rng):
     """Mask out ``count`` extra nodes in ``view``, keeping every node present somewhere."""
     if count == 0:
         return
-    present_elsewhere = np.zeros(n, dtype=np.int64)
-    for m in masks:
-        present_elsewhere += m
+    present_elsewhere = np.sum(masks, axis=0)
     candidates = np.flatnonzero(masks[view] & (present_elsewhere >= 2))
     if candidates.size < count:
         raise ValueError(
@@ -163,11 +166,8 @@ def _draw_missing(masks, view, count, n, rng):
 def synth_generate(config):
     """Generate a planted-partition multiplex network with ground-truth labels."""
     n, c, t = config.n, config.communities, config.t
-    intra = _per_view(config.intra, t, "intra")
-    inter = _per_view(config.inter, t, "inter")
-    noise = _per_view(config.noise, t, "noise")
-    pdr = _per_view(config.pdr, t, "pdr")
-    dims = _per_view(config.feature_dim, t, "feature_dim")
+    intra, inter, noise, pdr, dims = (_per_view(getattr(config, name), t, name) for name in
+                                      ("intra", "inter", "noise", "pdr", "feature_dim"))
 
     rng = np.random.default_rng(config.seed)
     labels = rng.permutation(np.arange(n) % c)
@@ -175,7 +175,7 @@ def synth_generate(config):
     # draw all masks first so the at-least-one-view constraint sees every view
     masks = [np.ones(n, dtype=bool) for _ in range(t)]
     for s in range(t):
-        _draw_missing(masks, s, int(round(pdr[s] * n)), n, rng)
+        _draw_missing(masks, s, int(round(pdr[s] * n)), rng)
 
     views = []
     same = labels[:, None] == labels[None, :]
@@ -186,8 +186,8 @@ def synth_generate(config):
         prototypes = rng.uniform(0.0, 1.0, size=(c, dims[s]))
         features = prototypes[labels] + noise[s] * rng.standard_normal((n, dims[s]))
         features[~masks[s]] = 0.0
-        views.append(ViewData(dims[s], features, masks[s], adjacency))
-    return MultiplexNetwork(n, t, views, labels)
+        views.append(ViewData(features, masks[s], adjacency))
+    return MultiplexNetwork(n, views, labels)
 
 
 def apply_pdr(network, ratio, seed=0):
@@ -210,11 +210,11 @@ def apply_pdr(network, ratio, seed=0):
         if extra < 0:
             raise ValueError(
                 f"view {s}: already missing more than the requested ratio {ratios[s]}")
-        _draw_missing(masks, s, extra, network.n, rng)
+        _draw_missing(masks, s, extra, rng)
         features = view.features.copy()
         features[~masks[s]] = 0.0
-        views.append(ViewData(view.dim, features, masks[s], view.adjacency))
-    return MultiplexNetwork(network.n, network.t, views, network.labels)
+        views.append(replace(view, features=features, mask=masks[s]))
+    return replace(network, views=views)
 
 
 def normalize_features(network):
@@ -234,5 +234,5 @@ def normalize_features(network):
             scale = np.where(span > 0, span, 1.0)
             offset = np.where(span > 0, lo, 0.0)
             features[present] = (features[present] - offset) / scale
-        views.append(ViewData(view.dim, features, view.mask.copy(), view.adjacency))
-    return MultiplexNetwork(network.n, network.t, views, network.labels)
+        views.append(replace(view, features=features, mask=view.mask.copy()))
+    return replace(network, views=views)

@@ -1,11 +1,12 @@
 """Dataset files, manifests, embedding export and training checkpoints.
 
 Every dataset file except the manifest is a table: LF-terminated lines of
-tab-separated numbers, read by ``_read_table`` and written by
+tab-separated values, read by ``_read_table`` and written by
 ``_write_table``. Numbers are read with Python's ``float`` and ``int`` and
 reals written as %.17g, so a load/save round trip is byte-stable. Empty
 lines are skipped in edge and mask files only. Every rejected table raises
-one ``ManifestError`` naming ``path:line[:col]``. The checkpoint is a single
+one ``ManifestError`` naming ``path:line[:col]``; the citation loader in
+``cora`` reads its files through the same reader. The checkpoint is a single
 .npz archive holding everything needed to resume training.
 """
 
@@ -23,18 +24,32 @@ from .quantizer import pack_codes
 from .trainer import EmbeddingState, Hyperparams
 
 MANIFEST_FORMAT = 1
+MANIFEST_NAME = "manifest.txt"
 
 
 class ManifestError(ValueError):
     """Raised for malformed manifests or dataset files; message carries location."""
 
 
+def _bad_token(path, line_nos, rows, parse, first_col=1):
+    """ManifestError at the first token ``parse`` rejects; ``rows[i]`` is on ``line_nos[i]``."""
+    for line_no, tokens in zip(line_nos, rows):
+        for col, token in enumerate(tokens, start=first_col):
+            try:
+                parse(token)
+            except ValueError:
+                kind = "a number" if parse is float else "an integer"
+                return ManifestError(f"{path}:{line_no}:{col}: not {kind}: {token!r}")
+
+
 def _read_table(path, width, parse, rows=None):
     """Parse the lines of ``path`` as ``width`` tab-separated values each.
 
-    ``parse`` is ``float`` or ``int``. With ``rows`` the file must have
-    exactly that many lines; without, empty lines are skipped. Returns the
-    (lines, width) array and the line number of each of its rows.
+    ``parse`` is ``float``, ``int`` or ``str`` (the tokens as they are, in
+    an object array). ``width`` None takes the width of the first line read.
+    With ``rows`` the file must have exactly that many lines; without, empty
+    lines are skipped. Returns the (lines, width) array and the line number
+    of each of its rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -42,22 +57,21 @@ def _read_table(path, width, parse, rows=None):
         raise ManifestError(f"{path}:{min(len(lines), rows) + 1}: "
                             f"expected {rows} lines, found {len(lines)}")
     line_nos = [i for i, line in enumerate(lines, start=1) if rows is not None or line]
+    if width is None:
+        if not line_nos:
+            raise ManifestError(f"{path}: no lines")
+        width = lines[line_nos[0] - 1].count("\t") + 1
     values = []
     for line_no in line_nos:
         tokens = lines[line_no - 1].split("\t")
         if len(tokens) != width:
             raise ManifestError(f"{path}:{line_no}: expected {width} values, found {len(tokens)}")
         try:
-            values.append(list(map(parse, tokens)))
-        except ValueError:  # find the token at fault
-            for col, token in enumerate(tokens, start=1):
-                try:
-                    parse(token)
-                except ValueError:
-                    kind = "a number" if parse is float else "an integer"
-                    raise ManifestError(f"{path}:{line_no}:{col}: not {kind}: {token!r}") from None
+            values.append(tokens if parse is str else list(map(parse, tokens)))
+        except ValueError:
+            raise _bad_token(path, [line_no], [tokens], parse) from None
     try:
-        table = np.array(values, dtype=np.float64 if parse is float else np.int64)
+        table = np.array(values, dtype={float: np.float64, int: np.int64, str: object}[parse])
     except OverflowError:  # int() has no bound, int64 has
         i, col = next((i, col) for i, row in enumerate(values)
                       for col, v in enumerate(row, start=1) if not -2**63 <= v < 2**63)
@@ -76,12 +90,16 @@ def _read_nodes(path, n, width):
     return nodes
 
 
-def _read_edges(path, n):
-    u, v = _read_nodes(path, n, 2).T
+def _symmetric_adjacency(u, v, n):
+    """0/1 n x n CSR matrix with entries (u[i], v[i]) and (v[i], u[i])."""
     adj = sp.csr_matrix((np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
                         shape=(n, n))
     adj.data[:] = 1.0  # repeated edges and self-loops were summed; keep them 0/1
     return adj
+
+
+def _read_edges(path, n):
+    return _symmetric_adjacency(*_read_nodes(path, n, 2).T, n)
 
 
 def _write_table(path, rows, fmt):
@@ -133,7 +151,7 @@ def load_network(manifest_path):
         adjacency = _read_edges(edge_path, n)
         mask = np.ones(n, dtype=bool)
         mask[_read_nodes(mask_path, n, 1).ravel()] = False
-        views.append(ViewData(dim, features, mask, adjacency))
+        views.append(ViewData(features, mask, adjacency))
 
     labels = None
     if "labels" in entries:
@@ -142,14 +160,14 @@ def load_network(manifest_path):
             raise ManifestError(f"{manifest_path}: labels file missing: {labels_path}")
         labels = _read_table(labels_path, 1, int, rows=n)[0].ravel()
 
-    network = MultiplexNetwork(n, t, views, labels)
+    network = MultiplexNetwork(n, views, labels)
     violations = validate(network)
     if violations:
         raise ManifestError(f"{manifest_path}: invalid network: " + "; ".join(violations))
     return network
 
 
-def save_network(network, out_dir, manifest_name="manifest.txt"):
+def save_network(network, out_dir):
     """Write the canonical dataset files; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"format={MANIFEST_FORMAT}", f"n={network.n}", f"t={network.t}"]
@@ -157,20 +175,16 @@ def save_network(network, out_dir, manifest_name="manifest.txt"):
         lines.append("labels=labels.txt")
         _write_table(os.path.join(out_dir, "labels.txt"), network.labels, "%d")
     for s, view in enumerate(network.views):
-        feat_name = f"view{s}.features.tsv"
-        edge_name = f"view{s}.edges.tsv"
-        mask_name = f"view{s}.mask.txt"
-        lines += [f"view.{s}.dim={view.dim}",
-                  f"view.{s}.features={feat_name}",
-                  f"view.{s}.edges={edge_name}",
-                  f"view.{s}.mask={mask_name}"]
-        _write_table(os.path.join(out_dir, feat_name), view.features, "%.17g")
         coo = sp.triu(view.adjacency, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        _write_table(os.path.join(out_dir, edge_name),
-                     np.column_stack([coo.row, coo.col])[order], "%d")
-        _write_table(os.path.join(out_dir, mask_name), np.flatnonzero(~view.mask), "%d")
-    manifest_path = os.path.join(out_dir, manifest_name)
+        edges = np.column_stack([coo.row, coo.col])[np.lexsort((coo.col, coo.row))]
+        lines.append(f"view.{s}.dim={view.dim}")
+        for key, name, rows, fmt in (
+                ("features", f"view{s}.features.tsv", view.features, "%.17g"),
+                ("edges", f"view{s}.edges.tsv", edges, "%d"),
+                ("mask", f"view{s}.mask.txt", np.flatnonzero(~view.mask), "%d")):
+            lines.append(f"view.{s}.{key}={name}")
+            _write_table(os.path.join(out_dir, name), rows, fmt)
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in lines))
     return manifest_path
@@ -188,25 +202,14 @@ def save_embeddings(matrix, path, fmt="tsv"):
         raise ValueError(f"unknown embedding format {fmt!r}; use 'tsv' or 'packed'")
 
 
-def _hyper_to_json(hyper):
-    data = dataclasses.asdict(hyper)
-    data["hidden_dims"] = list(data["hidden_dims"])
-    prox = data["proximity"]
-    if prox["weights"] is not None:
-        prox["weights"] = list(prox["weights"])
-    return json.dumps(data)
-
-
 def _hyper_from_json(blob):
     data = json.loads(blob)
     prox = data.pop("proximity")
-    weights = prox["weights"]
-    config = ProximityConfig(order=prox["order"],
-                             weights=None if weights is None else tuple(weights),
-                             normalize=prox["normalize"])
+    if prox["weights"] is not None:
+        prox["weights"] = tuple(prox["weights"])
     data["hidden_dims"] = tuple(data["hidden_dims"])
     data.pop("y_lr", None)  # older checkpoints store the Y block's retired Armijo step
-    return Hyperparams(proximity=config, **data)
+    return Hyperparams(proximity=ProximityConfig(**prox), **data)
 
 
 def checkpoint(state, path):
@@ -216,7 +219,7 @@ def checkpoint(state, path):
               "iter_seconds": np.asarray(state.iter_seconds, dtype=np.float64)}
     meta = {"format": 1,
             "t": len(state.B),
-            "hyper": _hyper_to_json(state.hyper),
+            "hyper": json.dumps(dataclasses.asdict(state.hyper)),
             "activations": [[p.activation, p.output_activation]
                             for p in state.autoencoders],
             "enc_layers": [len(p.enc_weights) for p in state.autoencoders]}
@@ -225,14 +228,9 @@ def checkpoint(state, path):
         arrays[f"H_{s}"] = state.H[s]
         arrays[f"mask_{s}"] = state.masks[s]
         params = state.autoencoders[s]
-        for k, W in enumerate(params.enc_weights):
-            arrays[f"ae{s}_enc_w{k}"] = W
-        for k, b in enumerate(params.enc_biases):
-            arrays[f"ae{s}_enc_b{k}"] = b
-        for k, W in enumerate(params.dec_weights):
-            arrays[f"ae{s}_dec_w{k}"] = W
-        for k, b in enumerate(params.dec_biases):
-            arrays[f"ae{s}_dec_b{k}"] = b
+        for part, values in (("enc_w", params.enc_weights), ("enc_b", params.enc_biases),
+                             ("dec_w", params.dec_weights), ("dec_b", params.dec_biases)):
+            arrays.update((f"ae{s}_{part}{k}", value) for k, value in enumerate(values))
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -249,7 +247,7 @@ def restore(path):
     with the other arrays: Y is (n, dim), each B_s (dim, code), H_s
     (n, code) and mask_s (n,), each autoencoder's layer widths chain, and
     the trace and iteration times are 1-D. Otherwise one ValueError names
-    the array.
+    the array, or the metadata key at fault.
     """
     with np.load(path, allow_pickle=False) as archive:
         def array(name, *shape):
@@ -271,6 +269,8 @@ def restore(path):
             t, enc_layers, activations = meta["t"], meta["enc_layers"], meta["activations"]
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint metadata has no {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:  # not JSON, unknown key, bad value
+            raise ValueError(f"{path}: checkpoint metadata 'hyper' is invalid: {exc}") from None
         if len(enc_layers) != t or len(activations) != t:
             raise ValueError(f"{path}: checkpoint metadata lists {len(enc_layers)} encoders "
                              f"and {len(activations)} activation pairs for {t} views")

@@ -77,9 +77,9 @@ def proximity_adjacency(adjacency, normalize=False):
 class ProximityLaplacian:
     """L = diag(P 1) - P for P = sum_s sum_k w_k A_s^k, applied without forming P.
 
-    The views' adjacencies are stored once, stacked row-wise into one
-    (t n) x n CSR matrix (``nnz``, ``data``, ``indices`` and ``indptr`` are
-    its arrays); ``views`` holds one n x n CSR per view over the same arrays.
+    ``views`` holds the n x n CSR adjacency of each view, and ``stacked``
+    the same matrices stacked row-wise into one (t n) x n CSR matrix
+    (``nnz``, ``data``, ``indices`` and ``indptr`` are its arrays).
     ``self @ Y`` evaluates P Y in Horner form,
     sum_s A_s (w_1 Y + A_s (w_2 Y + ... + A_s (w_K Y))): the innermost hop is
     one product with the stacked matrix, each further hop one product per
@@ -92,16 +92,8 @@ class ProximityLaplacian:
         n = adjacencies[0].shape[0]
         self.shape = (n, n)
         self.weights = tuple(weights)
-        self.stacked = sp.vstack(adjacencies, format="csr")
-        data, indices, ptr = self.stacked.data, self.stacked.indices, self.stacked.indptr
-        self.views = []
-        for s in range(len(adjacencies)):
-            lo, hi = ptr[s * n], ptr[(s + 1) * n]
-            view = sp.csr_matrix((data[lo:hi], indices[lo:hi], ptr[s * n:(s + 1) * n + 1] - lo),
-                                 shape=(n, n))
-            # the constructor copies small slices of a large array; share them instead
-            view.data, view.indices = data[lo:hi], indices[lo:hi]
-            self.views.append(view)
+        self.views = list(adjacencies)
+        self.stacked = sp.vstack(self.views, format="csr")
         self.degree = self._proximity_product(np.ones((n, 1))).ravel()
 
     nnz = property(lambda self: self.stacked.nnz)

@@ -46,12 +46,15 @@ def binarize_sign(Y):
     return BinaryCodes(C, np.eye(Y.shape[1]), loss, [loss])
 
 
-def itq(Y, iterations=50, seed=None, tol=1e-10, initial_rotation=None):
+_ITQ_TOL = 1e-10  # loss improvement below which the alternation stops
+
+
+def itq(Y, iterations=50, seed=None, initial_rotation=None):
     """Alternating code/rotation optimization of the quantization error.
 
     Starts from the identity rotation (a seeded random orthogonal one when
     ``seed`` is given, or an explicit ``initial_rotation``) and stops after
-    ``iterations`` rounds or once the loss improves by less than ``tol``.
+    ``iterations`` rounds or once the loss improves by less than ``_ITQ_TOL``.
     Each half-step is an exact minimizer, so the loss trace is non-increasing;
     a round that fails to improve due to rounding noise is discarded. The
     returned codes are the exact signs of the rotated embedding.
@@ -84,7 +87,7 @@ def itq(Y, iterations=50, seed=None, tol=1e-10, initial_rotation=None):
             break
         C, Q = C_next, Q_next
         trace.append(new_loss)
-        converged = loss - new_loss < tol
+        converged = loss - new_loss < _ITQ_TOL
         loss = new_loss
         if converged:
             break

@@ -20,6 +20,7 @@ steps as a search from ``h_lr``.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -52,12 +53,16 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("dim", "h_lr"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # a setting that is not a number (say, from a checkpoint) fails here with its name
+        for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam", "stop_tol",
+                     "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("dim", "h_lr", "stop_patience"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
             raise ValueError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
 

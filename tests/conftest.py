@@ -33,8 +33,7 @@ def make_view(features, mask, edges, n):
     for u, v in edges:
         adj[u, v] = 1.0
         adj[v, u] = 1.0
-    return ViewData(features.shape[1], features, np.asarray(mask, dtype=bool),
-                    sp.csr_matrix(adj))
+    return ViewData(features, np.asarray(mask, dtype=bool), sp.csr_matrix(adj))
 
 
 @pytest.fixture
@@ -44,7 +43,7 @@ def tiny_network():
                       [True, True, True], [(0, 1), (1, 2)], 3)
     view1 = make_view([[0.5], [0.0], [0.25]],
                       [True, False, True], [(0, 2)], 3)
-    return MultiplexNetwork(3, 2, [view0, view1])
+    return MultiplexNetwork(3, [view0, view1])
 
 
 def random_network(seed, n=12, t=2, dims=(5, 4), missing=(0.25, 0.25), edge_p=0.3,
@@ -64,9 +63,9 @@ def random_network(seed, n=12, t=2, dims=(5, 4), missing=(0.25, 0.25), edge_p=0.
         features[~masks[s]] = 0.0
         upper = np.triu(rng.random((n, n)) < edge_p, k=1)
         adj = sp.csr_matrix((upper | upper.T).astype(np.float64))
-        views.append(ViewData(dims[s], features, masks[s], adj))
+        views.append(ViewData(features, masks[s], adj))
     lab = rng.integers(0, 3, size=n) if labels else None
-    return MultiplexNetwork(n, t, views, lab)
+    return MultiplexNetwork(n, views, lab)
 
 
 @st.composite
@@ -84,9 +83,9 @@ def networks(draw, features=st.floats(allow_nan=False, allow_infinity=False), la
         mask[draw(st.integers(0, n - 1))] = True  # validate wants a present node per view
         values = draw(arrays(np.float64, (n, dim), elements=features))
         upper = np.triu(draw(arrays(bool, (n, n))), k=1)
-        views.append(ViewData(dim, np.where(mask[:, None], values, 0.0), mask,
+        views.append(ViewData(np.where(mask[:, None], values, 0.0), mask,
                               sp.csr_matrix((upper | upper.T).astype(np.float64))))
     node_labels = draw(arrays(np.int64, n)) if labels else None
-    network = MultiplexNetwork(n, t, views, node_labels)
+    network = MultiplexNetwork(n, views, node_labels)
     assert validate(network) == []
     return network

@@ -96,6 +96,14 @@ class TestTrain:
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    def test_negative_seed_fails_with_one_line_naming_it(self, dataset, tmp_path, capsys):
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "train", "--manifest", dataset, *TRAIN_FLAGS, "--seed", "-1",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("dpmne-error\tValueError\tseed") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flag", ["--h-lr", "--lambda"])
     def test_infinite_setting_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,
                                                               flag):

@@ -102,8 +102,8 @@ def knn_impute_peak_bytes(n, missing, rng, width=16):
         mask[rows] = False
         f = rng.random((n, width))
         f[~mask] = 0.0
-        views.append(ViewData(width, f, mask, sp.csr_matrix((n, n))))
-    net = MultiplexNetwork(n, len(views), views)
+        views.append(ViewData(f, mask, sp.csr_matrix((n, n))))
+    net = MultiplexNetwork(n, views)
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
@@ -153,10 +153,10 @@ def knn_impute_oracle(features, masks, k):
 
 def assert_knn_matches_oracle(features, masks, k):
     n = len(masks[0])
-    views = [ViewData(f.shape[1], f, m, sp.csr_matrix((n, n))) for f, m in zip(features, masks)]
+    views = [ViewData(f, m, sp.csr_matrix((n, n))) for f, m in zip(features, masks)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = knn_impute(MultiplexNetwork(n, len(views), views), k=k)
+        out = knn_impute(MultiplexNetwork(n, views), k=k)
     expected, fallbacks = knn_impute_oracle([f.tolist() for f in features], masks, k)
     for view, want in zip(out.views, expected):
         np.testing.assert_allclose(view.features, np.array(want).reshape(n, -1),
@@ -388,7 +388,7 @@ class TestKnnImpute:
         v0 = make_view([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [True] * 3, [], n)
         v1 = make_view([[5.0, 7.0], [2.0, 2.0], [0.0, 0.0]],
                        [True, True, False], [], n)
-        net = MultiplexNetwork(n, 2, [v0, v1])
+        net = MultiplexNetwork(n, [v0, v1])
         out = knn_impute(net, k=1)
         np.testing.assert_allclose(out.views[1].features[2], [5.0, 7.0], atol=1e-12)
 
@@ -407,10 +407,10 @@ class TestKnnImpute:
         m0 = np.array([True, False, True, True, True, True])
         m1 = np.array([True, True, False, True, False, True])
         f0[~m0], f1[~m1] = 0.0, 0.0
-        clean = knn_impute(MultiplexNetwork(6, 2, [make_view(f0, m0, [], 6),
+        clean = knn_impute(MultiplexNetwork(6, [make_view(f0, m0, [], 6),
                                                     make_view(f1, m1, [], 6)]), k=2)
         f0[~m0], f1[~m1] = np.nan, 1e6
-        dirty = knn_impute(MultiplexNetwork(6, 2, [make_view(f0, m0, [], 6),
+        dirty = knn_impute(MultiplexNetwork(6, [make_view(f0, m0, [], 6),
                                                     make_view(f1, m1, [], 6)]), k=2)
         for a, b, m in zip(clean.views, dirty.views, (m0, m1)):
             assert np.array_equal(a.features[~m], b.features[~m])
@@ -459,7 +459,7 @@ class TestKnnImpute:
         n = 3
         v0 = make_view(rows, [True] * 3, [], n)
         v1 = make_view([[5.0], [6.0], [0.0]], [True, True, False], [], n)
-        net = MultiplexNetwork(n, 2, [v0, v1])
+        net = MultiplexNetwork(n, [v0, v1])
         with pytest.warns(UserWarning, match="zero-filled"):
             out = knn_impute(net, k=k)
         assert np.array_equal(out.views[1].features[2], [0.0])
@@ -471,7 +471,7 @@ class TestKnnImpute:
         v1 = make_view(np.vstack([np.ones((4, 1)), np.zeros((12, 1))]),
                        [True] * 4 + [False] * 12, [], n)
         with pytest.warns(UserWarning) as caught:
-            knn_impute(MultiplexNetwork(n, 2, [v0, v1]))
+            knn_impute(MultiplexNetwork(n, [v0, v1]))
         assert [str(w.message) for w in caught] == [
             "knn_impute: zero-filled 12 rows with no comparable neighbor: "
             "[(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (1, 12), "
@@ -569,7 +569,8 @@ class TestProtocolValidation:
         with pytest.raises(ValueError):
             EvalProtocol(repeats=0)
 
-    @pytest.mark.parametrize("l2", [-1.0, math.nan, math.inf])
-    def test_negative_or_non_finite_l2_rejected(self, l2):
-        with pytest.raises(ValueError, match="l2"):
-            EvalProtocol(l2=l2)
+    @pytest.mark.parametrize("name,value", [("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
+                                            ("seed", -1)])
+    def test_out_of_range_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EvalProtocol(**{name: value})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -90,7 +92,8 @@ class TestSynthGenerate:
     @pytest.mark.parametrize("bad", [
         {"n": 0}, {"communities": 0}, {"t": 0}, {"communities": 21}, {"intra": 1.5},
         {"inter": [0.1, -0.1]}, {"noise": [0.1, 0.1, 0.1]}, {"pdr": 1.0}, {"t": 1, "pdr": 0.98},
-        {"feature_dim": 0}, {"feature_dim": [4, 0]}])
+        {"feature_dim": 0}, {"feature_dim": [4, 0]}, {"noise": -1.0}, {"noise": math.nan},
+        {"noise": [0.1, math.inf]}, {"seed": -1}])
     def test_out_of_range_settings_are_rejected_when_built(self, bad):
         with pytest.raises(ValueError):
             SynthConfig(**{"n": 20, "communities": 2, **bad})

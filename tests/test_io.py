@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -132,11 +133,11 @@ class TestNetworkRoundTrip:
 def pinned_network():
     """Three nodes: float extremes and a triangle in view 0 (node 2 masked), no edges in view 1."""
     features = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [0.0, 0.0]])
-    view0 = ViewData(2, features, np.array([True, True, False]),
+    view0 = ViewData(features, np.array([True, True, False]),
                      sp.csr_matrix(np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])))
-    view1 = ViewData(1, np.array([[0.1], [2.5], [-3.0]]), np.ones(3, dtype=bool),
+    view1 = ViewData(np.array([[0.1], [2.5], [-3.0]]), np.ones(3, dtype=bool),
                      sp.csr_matrix((3, 3)))
-    return MultiplexNetwork(3, 2, [view0, view1], np.array([0, 1, 1]))
+    return MultiplexNetwork(3, [view0, view1], np.array([0, 1, 1]))
 
 
 PINNED_FILES = {
@@ -186,7 +187,7 @@ class TestTableFormat:
         adj = view.adjacency
         reversed_rows = np.concatenate([adj.indices[a:b][::-1]
                                         for a, b in zip(adj.indptr, adj.indptr[1:])])
-        net.views[0] = ViewData(view.dim, view.features, view.mask,
+        net.views[0] = ViewData(view.features, view.mask,
                                 sp.csr_matrix((adj.data, reversed_rows, adj.indptr), adj.shape))
         save_network(net, tmp_path)
         assert read_all(tmp_path) == PINNED_FILES
@@ -319,6 +320,24 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=key if value is None else "views"):
             restore(path)
+
+    @pytest.mark.parametrize("rewrite,key", [
+        (lambda blob: json.dumps({**json.loads(blob), "colour": 1}), "colour"),  # unknown key
+        (lambda blob: json.dumps({**json.loads(blob), "dim": "x"}), "dim"),      # not a number
+        (lambda blob: blob[:-1], "hyper"),                                      # not JSON
+    ])
+    def test_bad_stored_hyperparameters_rejected(self, tmp_path, rewrite, key):
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["meta"]))
+        meta["hyper"] = rewrite(meta["hyper"])
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key}") as info:
+            restore(path)
+        assert type(info.value) is ValueError
 
     def test_checkpoint_with_retired_y_lr_still_loads(self, tmp_path):
         # checkpoints written while the Y block line-searched store its first step

@@ -254,9 +254,9 @@ class TestMatrixFreeLaplacian:
             u, v = rng.integers(0, n, size=(2, n * 5 // 2))
             keep = u != v
             adj = sp.csr_matrix((np.ones(keep.sum()), (u[keep], v[keep])), shape=(n, n))
-            views.append(ViewData(1, np.zeros((n, 1)), np.ones(n, dtype=bool),
+            views.append(ViewData(np.zeros((n, 1)), np.ones(n, dtype=bool),
                                   adj.maximum(adj.T)))
-        net = MultiplexNetwork(n, t, views)
+        net = MultiplexNetwork(n, views)
         edges = sum(view.adjacency.nnz for view in views)
         Y = rng.standard_normal((n, d))
         tracemalloc.start()

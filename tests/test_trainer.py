@@ -586,7 +586,9 @@ class TestHyperparams:
         {"dim": 0}, {"max_iters": -1}, {"y_steps": -1}, {"h_steps": -2},
         {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"h_lr": -0.1},
         {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf}, {"h_lr": math.inf},
-        {"h_lr": math.nan}])
+        {"h_lr": math.nan}, {"stop_patience": -3}, {"stop_patience": 0},
+        {"stop_tol": math.nan}, {"stop_tol": -1e-6}, {"stop_tol": math.inf}, {"seed": -1},
+        {"dim": "x"}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
