@@ -1,7 +1,7 @@
 """Node embeddings for multiplex networks with per-view missing data."""
 
 from .autoencoder import (AutoencoderParams, decode, encode, init_autoencoder,
-                          reconstruction_loss, train_view_autoencoder)
+                          train_view_autoencoder)
 from .evaluation import (EvalProtocol, MetricsReport, classify_f1, cluster_accuracy,
                          cross_validate, knn_impute, pdr_sweep)
 from .graph_model import (MultiplexNetwork, SynthConfig, ViewData, apply_pdr,

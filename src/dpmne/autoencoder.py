@@ -1,4 +1,4 @@
-"""Per-view autoencoder: forward pass, reconstruction loss, coupled training.
+"""Per-view autoencoder: forward pass, coupled loss and training.
 
 One autoencoder per view maps raw features to a deep representation and back.
 Missing nodes never enter the computation: their representation rows are
@@ -22,54 +22,59 @@ _ACT = {
 }
 
 
-def _activation(name):
+def _activation(name, setting="activation"):
     try:
         return _ACT[name]
     except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACT)}")
+        raise ValueError(f"unknown {setting} {name!r}; choose from {sorted(_ACT)}")
 
 
 @dataclass
 class AutoencoderParams:
-    """Weight and bias stacks for a K-layer encoder and its mirrored decoder.
+    """The layer stack of a K-layer encoder and its mirrored decoder.
 
-    ``activation`` is applied on every layer except the last decoder layer,
-    which uses ``output_activation`` (sigmoid by default, matching 0/1-valued
-    input features).
+    ``weights[k]`` (fan-in x fan-out) and ``biases[k]`` belong to layer k of
+    2K: layers 0..K-1 encode and layers K..2K-1 decode, so the widths read
+    input, hidden..., code, hidden reversed..., input. ``activation`` is
+    applied on every layer except the last, which uses ``output_activation``
+    (sigmoid by default, matching 0/1-valued input features).
     """
-    enc_weights: list
-    enc_biases: list
-    dec_weights: list
-    dec_biases: list
+    weights: list
+    biases: list
     activation: str = "tanh"
     output_activation: str = "sigmoid"
 
     @property
     def input_dim(self):
-        return self.enc_weights[0].shape[0]
+        return self.weights[0].shape[0]
 
     @property
     def code_dim(self):
-        return self.enc_weights[-1].shape[1]
+        return self.weights[len(self.weights) // 2 - 1].shape[1]
 
     def weight_sq_norm(self):
-        return float(sum(np.sum(W * W) for W in self.enc_weights + self.dec_weights))
+        return float(sum(np.sum(W * W) for W in self.weights))
 
     def all_arrays(self):
-        return self.enc_weights + self.enc_biases + self.dec_weights + self.dec_biases
+        return self.weights + self.biases
 
     def replace_arrays(self, arrays):
-        ne, nd = len(self.enc_weights), len(self.dec_weights)
-        return replace(self, enc_weights=arrays[:ne], enc_biases=arrays[ne:2 * ne],
-                       dec_weights=arrays[2 * ne:2 * ne + nd], dec_biases=arrays[2 * ne + nd:])
+        return replace(self, weights=arrays[:len(self.weights)],
+                       biases=arrays[len(self.weights):])
+
+
+def _layer_widths(input_dim, hidden_dims):
+    """Input and output widths of the stack: input, hidden, then hidden mirrored to the input."""
+    widths = [int(input_dim)] + [int(w) for w in hidden_dims]
+    return widths + widths[-2::-1]
 
 
 def init_autoencoder(input_dim, hidden_dims=(200,), activation="tanh",
                      output_activation="sigmoid", rng=None):
     """Glorot-uniform weights, zero biases; decoder mirrors the encoder widths."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    _activation(activation), _activation(output_activation)
-    widths = [int(input_dim)] + [int(w) for w in hidden_dims]
+    _activation(activation), _activation(output_activation, "output_activation")
+    widths = _layer_widths(input_dim, hidden_dims)
     if any(w < 1 for w in widths):
         raise ValueError(f"layer widths must be positive, got {widths}")
 
@@ -77,27 +82,23 @@ def init_autoencoder(input_dim, hidden_dims=(200,), activation="tanh",
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-    enc_w = [glorot(widths[k], widths[k + 1]) for k in range(len(widths) - 1)]
-    enc_b = [np.zeros(widths[k + 1]) for k in range(len(widths) - 1)]
-    rev = widths[::-1]
-    dec_w = [glorot(rev[k], rev[k + 1]) for k in range(len(rev) - 1)]
-    dec_b = [np.zeros(rev[k + 1]) for k in range(len(rev) - 1)]
-    return AutoencoderParams(enc_w, enc_b, dec_w, dec_b, activation, output_activation)
+    return AutoencoderParams([glorot(a, b) for a, b in zip(widths, widths[1:])],
+                             [np.zeros(b) for b in widths[1:]], activation, output_activation)
 
 
-def _layers(params, decoder):
-    """(activation, derivative) pair of every layer in the encoder or decoder stack."""
-    act = _activation(params.activation)
-    if not decoder:
-        return [act] * len(params.enc_weights)
-    return [act] * (len(params.dec_weights) - 1) + [_activation(params.output_activation)]
+def _layer_activation(params, k):
+    """(activation, derivative from the output) of layer ``k``."""
+    if k == len(params.weights) - 1:
+        return _activation(params.output_activation, "output_activation")
+    return _activation(params.activation)
 
 
-def _forward(weights, biases, layers, X):
-    """Returns the list of layer outputs, input first."""
+def _forward(params, X, layers):
+    """Outputs of the ``layers`` (a range of layer indices) applied in turn, input first."""
     outputs = [X]
-    for W, b, (act, _) in zip(weights, biases, layers):
-        outputs.append(act(outputs[-1] @ W + b))
+    for k in layers:
+        act = _layer_activation(params, k)[0]
+        outputs.append(act(outputs[-1] @ params.weights[k] + params.biases[k]))
     return outputs
 
 
@@ -106,15 +107,15 @@ def encode(params, X, mask=None):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"features have shape {X.shape}, expected (*, {params.input_dim})")
-    layers = _layers(params, decoder=False)
+    encoder = range(len(params.weights) // 2)
     if mask is None:
-        return _forward(params.enc_weights, params.enc_biases, layers, X)[-1]
+        return _forward(params, X, encoder)[-1]
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[0],):
         raise ValueError(f"mask length {mask.shape} does not match {X.shape[0]} rows")
     H = np.zeros((X.shape[0], params.code_dim))
     if mask.any():
-        H[mask] = _forward(params.enc_weights, params.enc_biases, layers, X[mask])[-1]
+        H[mask] = _forward(params, X[mask], encoder)[-1]
     return H
 
 
@@ -123,17 +124,7 @@ def decode(params, H):
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != params.code_dim:
         raise ValueError(f"representations have shape {H.shape}, expected (*, {params.code_dim})")
-    return _forward(params.dec_weights, params.dec_biases, _layers(params, decoder=True), H)[-1]
-
-
-def reconstruction_loss(X, X_hat, mask=None):
-    """Squared Frobenius distance restricted to the present rows."""
-    X = np.asarray(X, dtype=np.float64)
-    X_hat = np.asarray(X_hat, dtype=np.float64)
-    if X.shape != X_hat.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {X_hat.shape}")
-    diff = X - X_hat if mask is None else X[mask] - X_hat[mask]
-    return float(np.sum(diff * diff))
+    return _forward(params, H, range(len(params.weights) // 2, len(params.weights)))[-1]
 
 
 def _view_rows(X, mask, Y, B, alpha):
@@ -151,35 +142,32 @@ def _view_rows(X, mask, Y, B, alpha):
 def _view_forward(params, Xp, target, alpha, lam):
     """Forward pass over the present rows ``Xp`` and the per-view loss.
 
-    Returns the loss and the outputs of every encoder and then decoder
-    layer (input first, code at index ``len(params.enc_weights)``).
+    Returns the loss and the outputs of every layer (input first, code at
+    index K = ``len(params.weights) // 2``).
     """
-    outputs = _forward(params.enc_weights + params.dec_weights,
-                       params.enc_biases + params.dec_biases,
-                       _layers(params, False) + _layers(params, True), Xp)
+    outputs = _forward(params, Xp, range(len(params.weights)))
     loss = float(np.sum((outputs[0] - outputs[-1]) ** 2))
     if target is not None:
-        loss += alpha * float(np.sum((outputs[len(params.enc_weights)] - target) ** 2))
+        loss += alpha * float(np.sum((outputs[len(params.weights) // 2] - target) ** 2))
     loss += lam * params.weight_sq_norm()
     return loss, outputs
 
 
 def _view_backward(params, outputs, target, alpha, lam):
     """Gradients of ``_view_forward``'s loss from its layer outputs, in ``all_arrays`` order."""
-    ne = len(params.enc_weights)
-    weights = params.enc_weights + params.dec_weights
-    layers = _layers(params, False) + _layers(params, True)
+    weights = params.weights
+    code = len(weights) // 2
     grad_w, grad_b = [None] * len(weights), [None] * len(weights)
     d_out = 2.0 * (outputs[-1] - outputs[0])
     for k in range(len(weights) - 1, -1, -1):
-        if k == ne - 1 and target is not None:
-            d_out = d_out + 2.0 * alpha * (outputs[ne] - target)
-        dZ = d_out * layers[k][1](outputs[k + 1])
+        if k == code - 1 and target is not None:
+            d_out = d_out + 2.0 * alpha * (outputs[code] - target)
+        dZ = d_out * _layer_activation(params, k)[1](outputs[k + 1])
         grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
         grad_b[k] = dZ.sum(axis=0)
         if k:  # no gradient is needed with respect to the input features
             d_out = dZ @ weights[k].T
-    return grad_w[:ne] + grad_b[:ne] + grad_w[ne:] + grad_b[ne:]
+    return grad_w + grad_b
 
 
 def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):

@@ -3,10 +3,10 @@
 The content file holds one line per document: its id, its word attributes
 (numbers, 0/1 in the public data) and its class label, tab-separated. The
 cites file holds one pair of document ids per line. Both are read by
-``io._read_table``, so a malformed line, or a document id listed twice,
-raises one ``ManifestError`` naming ``path:line[:col]``. A citation of a
-document not in the content file, and a document citing itself, are
-dropped.
+``io._read_table``, so a malformed line, a content file with no word
+columns, or a document id listed twice, raises one ``ManifestError`` naming
+``path:line[:col]``. A citation of a document not in the content file, and
+a document citing itself, are dropped.
 
 Builds a two-view network: a citation view whose features are the rows of
 the symmetrized citation adjacency, and an attribute view whose features are
@@ -24,6 +24,9 @@ from .io import ManifestError, _bad_token, _read_table, _symmetric_adjacency
 def load_citation_network(content_path, cites_path):
     content, line_nos = _read_table(content_path, None, str)
     n = content.shape[0]
+    if content.shape[1] < 3:
+        raise ManifestError(f"{content_path}:{line_nos[0]}: expected an id, words and a label, "
+                            f"found {content.shape[1]} values")
     words = content[:, 1:-1]
     try:
         attributes = words.astype(np.float64)

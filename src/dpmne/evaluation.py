@@ -210,6 +210,8 @@ def _kmeans_single(X, k, rng):
 
 def kmeans(X, k, seed=0):
     """Best of ``_KMEANS_RESTARTS`` runs of Lloyd iterations with plus-plus seeding."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf

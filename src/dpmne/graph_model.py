@@ -122,6 +122,8 @@ def validate(network):
         if view.features.ndim != 2 or view.features.shape[0] != network.n:
             report.append(f"view {s}: features shape {view.features.shape} != ({network.n}, dim)")
             continue
+        if view.features.shape[1] == 0:
+            report.append(f"view {s}: features have no columns")
         if view.mask.shape != (network.n,):
             report.append(f"view {s}: mask length {view.mask.shape} != ({network.n},)")
             continue
@@ -201,6 +203,8 @@ def apply_pdr(network, ratio, seed=0):
     for r in ratios:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"ratio {r} outside [0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     masks = [view.mask.copy() for view in network.views]
     views = []

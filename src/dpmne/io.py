@@ -17,7 +17,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .autoencoder import AutoencoderParams
+from .autoencoder import AutoencoderParams, _layer_widths
 from .graph_model import MultiplexNetwork, ViewData, validate
 from .proximity import ProximityConfig
 from .quantizer import pack_codes
@@ -212,25 +212,33 @@ def _hyper_from_json(blob):
     return Hyperparams(proximity=ProximityConfig(**prox), **data)
 
 
+def _layer_name(s, k, depth, kind):
+    """Archive name of view s's layer-k weight (kind "w") or bias ("b"), such as ae0_dec_w1."""
+    part, index = ("enc", k) if k < depth else ("dec", k - depth)
+    return f"ae{s}_{part}_{kind}{index}"
+
+
 def checkpoint(state, path):
-    """Persist a training state to one .npz archive."""
+    """Persist a training state to one .npz archive.
+
+    The metadata holds the format, the view count and the hyperparameters,
+    which give each autoencoder's depth, hidden widths and activations.
+    """
     arrays = {"Y": state.Y,
               "trace": np.asarray(state.objective_trace, dtype=np.float64),
               "iter_seconds": np.asarray(state.iter_seconds, dtype=np.float64)}
     meta = {"format": 1,
             "t": len(state.B),
-            "hyper": json.dumps(dataclasses.asdict(state.hyper)),
-            "activations": [[p.activation, p.output_activation]
-                            for p in state.autoencoders],
-            "enc_layers": [len(p.enc_weights) for p in state.autoencoders]}
+            "hyper": json.dumps(dataclasses.asdict(state.hyper))}
     for s in range(len(state.B)):
         arrays[f"B_{s}"] = state.B[s]
         arrays[f"H_{s}"] = state.H[s]
         arrays[f"mask_{s}"] = state.masks[s]
         params = state.autoencoders[s]
-        for part, values in (("enc_w", params.enc_weights), ("enc_b", params.enc_biases),
-                             ("dec_w", params.dec_weights), ("dec_b", params.dec_biases)):
-            arrays.update((f"ae{s}_{part}{k}", value) for k, value in enumerate(values))
+        depth = len(params.weights) // 2
+        for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+            arrays[_layer_name(s, k, depth, "w")] = W
+            arrays[_layer_name(s, k, depth, "b")] = b
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -243,11 +251,13 @@ def _shape_text(shape):
 def restore(path):
     """Rebuild the training state saved by ``checkpoint``.
 
-    Every array must be present and agree in shape with the metadata and
-    with the other arrays: Y is (n, dim), each B_s (dim, code), H_s
-    (n, code) and mask_s (n,), each autoencoder's layer widths chain, and
-    the trace and iteration times are 1-D. Otherwise one ValueError names
-    the array, or the metadata key at fault.
+    Each autoencoder's widths are the rows of ``ae{s}_enc_w0``, then
+    ``hyper.hidden_dims``, then their mirror back to the input, and its
+    activations are ``hyper``'s. Every array must be present and agree in
+    shape with them and with the other arrays: Y is (n, dim), each B_s
+    (dim, code), H_s (n, code) and mask_s (n,), and the trace and iteration
+    times are 1-D. Otherwise one ValueError names the array, or the metadata
+    key at fault. Metadata keys other than format, t and hyper are ignored.
     """
     with np.load(path, allow_pickle=False) as archive:
         def array(name, *shape):
@@ -266,38 +276,29 @@ def restore(path):
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
         try:
             hyper = _hyper_from_json(meta["hyper"])
-            t, enc_layers, activations = meta["t"], meta["enc_layers"], meta["activations"]
+            t = meta["t"]
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint metadata has no {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:  # not JSON, unknown key, bad value
             raise ValueError(f"{path}: checkpoint metadata 'hyper' is invalid: {exc}") from None
-        if len(enc_layers) != t or len(activations) != t:
-            raise ValueError(f"{path}: checkpoint metadata lists {len(enc_layers)} encoders "
-                             f"and {len(activations)} activation pairs for {t} views")
+        if type(t) is not int or t < 1:
+            raise ValueError(f"{path}: checkpoint metadata 't' is {t!r}, not a view count")
         Y = array("Y", None, hyper.dim)
         n = Y.shape[0]
+        depth, code = len(hyper.hidden_dims), hyper.hidden_dims[-1]
         B, H, masks, autoencoders = [], [], [], []
         for s in range(t):
-            layers = enc_layers[s]
-            if layers < 1:
-                raise ValueError(f"{path}: view {s} autoencoder has {layers} encoder layers")
-            widths = [None]
-            enc_w, enc_b = [], []
-            for k in range(layers):
-                enc_w.append(array(f"ae{s}_enc_w{k}", widths[-1], None))
-                widths[-1] = enc_w[-1].shape[0]  # fixes the input width on the first layer
-                widths.append(enc_w[-1].shape[1])
-                enc_b.append(array(f"ae{s}_enc_b{k}", widths[-1]))
-            rev = widths[::-1]
-            dec_w = [array(f"ae{s}_dec_w{k}", rev[k], rev[k + 1]) for k in range(layers)]
-            dec_b = [array(f"ae{s}_dec_b{k}", rev[k + 1]) for k in range(layers)]
-            B.append(array(f"B_{s}", hyper.dim, widths[-1]))
-            H.append(array(f"H_{s}", n, widths[-1]))
+            widths = _layer_widths(array(_layer_name(s, 0, depth, "w"), None, None).shape[0],
+                                   hyper.hidden_dims)
+            weights = [array(_layer_name(s, k, depth, "w"), fan_in, fan_out)
+                       for k, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))]
+            biases = [array(_layer_name(s, k, depth, "b"), fan_out)
+                      for k, fan_out in enumerate(widths[1:])]
+            B.append(array(f"B_{s}", hyper.dim, code))
+            H.append(array(f"H_{s}", n, code))
             masks.append(array(f"mask_{s}", n).astype(bool))
-            act, out_act = activations[s]
-            autoencoders.append(AutoencoderParams(
-                enc_weights=enc_w, enc_biases=enc_b, dec_weights=dec_w, dec_biases=dec_b,
-                activation=act, output_activation=out_act))
+            autoencoders.append(AutoencoderParams(weights, biases, hyper.activation,
+                                                  hyper.output_activation))
         return EmbeddingState(
             Y=Y, B=B, H=H, masks=masks, autoencoders=autoencoders,
             hyper=hyper, objective_trace=array("trace", None).tolist(),

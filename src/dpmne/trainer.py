@@ -65,6 +65,8 @@ class Hyperparams:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
             raise ValueError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
+        ae._activation(self.activation)
+        ae._activation(self.output_activation, "output_activation")
 
 
 @dataclass

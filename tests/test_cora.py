@@ -52,6 +52,8 @@ def test_loads_the_hand_written_pair(tmp_path):
     pytest.param("cites", CONTENT, CITES.replace("ghost\tp7", "ghost\tp7\tx"),
                  ":3: expected 2 values, found 3", id="three-token-citation"),
     pytest.param("content", "", CITES, ": no lines", id="empty-content"),
+    pytest.param("content", "a\tTheory\nb\tAI\nc\tAI\n", CITES,
+                 ":1: expected an id, words and a label, found 2 values", id="no-word-columns"),
 ])
 def test_malformed_files_raise_one_error_naming_the_place(tmp_path, name, content, cites, where):
     write_pair(tmp_path, content, cites)

@@ -373,6 +373,12 @@ class TestClusterAccuracy:
         ids = kmeans(X, 3, seed=0)
         assert len(ids) == 12  # empty-cluster reseeding must not crash
 
+    @pytest.mark.parametrize("run", [lambda X: kmeans(X, 2, seed=-1),
+                                     lambda X: cluster_accuracy(X, [0, 1, 0, 1], 2, seed=-1)])
+    def test_negative_seed_rejected(self, run):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run(np.eye(4))
+
 
 class TestKnnImpute:
     def test_no_missing_data_changes_nothing(self):

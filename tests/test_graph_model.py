@@ -42,6 +42,10 @@ class TestValidate:
         tiny_network.views[1].features[:] = 0.0
         assert any("no present node" in item for item in validate(tiny_network))
 
+    def test_view_without_feature_columns_is_flagged(self, tiny_network):
+        tiny_network.views[1].features = np.zeros((3, 0))
+        assert validate(tiny_network) == ["view 1: features have no columns"]
+
     def test_bad_label_shape_is_flagged(self, tiny_network):
         tiny_network.labels = np.array([0, 1])
         assert any("labels" in item for item in validate(tiny_network))
@@ -153,6 +157,11 @@ class TestApplyPdr:
         net = synth_generate(SynthConfig(n=20, communities=2, t=1, seed=0))
         with pytest.raises(ValueError):
             apply_pdr(net, 1.0, seed=0)
+
+    def test_negative_seed_is_rejected(self):
+        net = synth_generate(SynthConfig(n=20, communities=2, t=2, seed=0))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            apply_pdr(net, 0.3, seed=-1)
 
 
 class TestNormalizeFeatures:

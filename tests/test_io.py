@@ -23,6 +23,14 @@ def small_net(seed=0):
                                       feature_dim=(3, 4), seed=seed))
 
 
+def rewrite_meta(path, edit):
+    """Replace the metadata of the checkpoint at ``path`` by ``edit(metadata)``."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays["meta"] = np.array(json.dumps(edit(json.loads(str(arrays["meta"])))))
+    np.savez(path, **arrays)
+
+
 def read_all(directory):
     out = {}
     for name in sorted(os.listdir(directory)):
@@ -304,52 +312,66 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"'{name}'"):
             restore(path)
 
-    @pytest.mark.parametrize("key,value", [("t", None), ("hyper", None),
-                                           ("enc_layers", [1]), ("activations", [])])
+    @pytest.mark.parametrize("key,value", [("t", None), ("hyper", None), ("t", 0), ("t", "2")])
     def test_inconsistent_checkpoint_metadata_rejected(self, tmp_path, key, value):
         path = tmp_path / "ckpt.npz"
         checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))), path)
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        meta = json.loads(str(arrays["meta"]))
-        if value is None:
-            del meta[key]
-        else:
-            meta[key] = value
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match=key if value is None else "views"):
+        rewrite_meta(path, lambda meta: {k: v for k, v in meta.items() if k != key}
+                     if value is None else {**meta, key: value})
+        with pytest.raises(ValueError, match=f"'{key}'"):
             restore(path)
 
     @pytest.mark.parametrize("rewrite,key", [
         (lambda blob: json.dumps({**json.loads(blob), "colour": 1}), "colour"),  # unknown key
         (lambda blob: json.dumps({**json.loads(blob), "dim": "x"}), "dim"),      # not a number
         (lambda blob: blob[:-1], "hyper"),                                      # not JSON
+        (lambda blob: json.dumps({**json.loads(blob), "activation": "swish"}), "activation"),
     ])
     def test_bad_stored_hyperparameters_rejected(self, tmp_path, rewrite, key):
         path = tmp_path / "ckpt.npz"
         checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))), path)
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        meta = json.loads(str(arrays["meta"]))
-        meta["hyper"] = rewrite(meta["hyper"])
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        rewrite_meta(path, lambda meta: {**meta, "hyper": rewrite(meta["hyper"])})
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key}") as info:
             restore(path)
         assert type(info.value) is ValueError
+
+    def test_hidden_dims_that_disagree_with_the_arrays_are_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(5, 2))), path)
+        rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
+            {**json.loads(meta["hyper"]), "hidden_dims": [4, 2]})})
+        with pytest.raises(ValueError, match=re.escape("'ae0_enc_w0' has shape (3, 5), "
+                                                       "expected (3, 4)")):
+            restore(path)
+
+    def test_checkpoint_with_layer_metadata_restores_unchanged(self, tmp_path):
+        # earlier checkpoints also list each view's encoder depth and activation names
+        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(5, 2), activation="relu")
+        state = train(small_net(8), hyper)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        rewrite_meta(path, lambda meta: {**meta, "enc_layers": [2, 2],
+                                         "activations": [["relu", "sigmoid"]] * 2})
+        back = restore(path)
+
+        def arrays(st):
+            return [st.Y, *st.B, *st.H, *st.masks,
+                    *(a for params in st.autoencoders for a in params.all_arrays())]
+
+        for a, b in zip(arrays(back), arrays(state), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert back.hyper == hyper
+        assert back.objective_trace == state.objective_trace
+        assert [(p.activation, p.output_activation) for p in back.autoencoders] == [
+            ("relu", "sigmoid")] * 2
 
     def test_checkpoint_with_retired_y_lr_still_loads(self, tmp_path):
         # checkpoints written while the Y block line-searched store its first step
         path = tmp_path / "ckpt.npz"
         hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))
         checkpoint(train(small_net(9), hyper), path)
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        meta = json.loads(str(arrays["meta"]))
-        meta["hyper"] = json.dumps({**json.loads(meta["hyper"]), "y_lr": 1.0})
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
+            {**json.loads(meta["hyper"]), "y_lr": 1.0})})
         assert restore(path).hyper == hyper
 
     def test_bad_checkpoint_format_rejected(self, tmp_path):

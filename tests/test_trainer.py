@@ -138,11 +138,10 @@ class TestObjective:
         network, hyper, prox, state = small_setup(1)
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim)
         value = objective(state, network, prox, bare)
-        recon = sum(
-            ae.reconstruction_loss(v.features,
-                                   ae.decode(state.autoencoders[s], state.H[s]),
-                                   v.mask)
-            for s, v in enumerate(network.views))
+        recon = 0.0
+        for s, v in enumerate(network.views):
+            diff = (v.features - ae.decode(state.autoencoders[s], state.H[s]))[v.mask]
+            recon += float(np.sum(diff * diff))
         assert value == pytest.approx(recon, rel=1e-12)
 
     def test_non_finite_objective_raises(self):
@@ -588,7 +587,7 @@ class TestHyperparams:
         {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf}, {"h_lr": math.inf},
         {"h_lr": math.nan}, {"stop_patience": -3}, {"stop_patience": 0},
         {"stop_tol": math.nan}, {"stop_tol": -1e-6}, {"stop_tol": math.inf}, {"seed": -1},
-        {"dim": "x"}])
+        {"dim": "x"}, {"output_activation": "swish"}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
