@@ -7,13 +7,12 @@ the best assignment against the labels under an optimal cluster-to-class
 matching.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import apply_pdr
+from .graph_model import _check_setting, apply_pdr
 from .optim import armijo_minimize, latest_point
 from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
@@ -34,14 +33,11 @@ class EvalProtocol:
     l2: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.l2 < math.inf:
-            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        self.train_fraction = _check_setting("train_fraction", self.train_fraction, 0, 1,
+                                             low_open=True, high_open=True)
+        self.repeats = _check_setting("repeats", self.repeats, 1, integer=True)
+        self.seed = _check_setting("seed", self.seed, 0, integer=True)
+        self.l2 = _check_setting("l2", self.l2, 0)
 
 
 @dataclass
@@ -153,10 +149,17 @@ def _holdout_f1(X, y, train_idx, test_idx, num_classes, l2):
     return micro_macro_f1(y[test_idx], predict_logistic(W, X[test_idx]), num_classes)
 
 
+def _check_lengths(embeddings, labels):
+    """Raise unless there is one label per embedding row."""
+    if len(embeddings) != len(labels):
+        raise ValueError(f"{len(embeddings)} embedding rows but {len(labels)} labels")
+
+
 def classify_f1(embeddings, labels, protocol=None):
     """Mean and std of micro/macro F1 over repeated random splits."""
     protocol = protocol or EvalProtocol()
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    _check_lengths(embeddings, labels)
     classes, y = np.unique(np.asarray(labels), return_inverse=True)
     scores = []
     for child in np.random.SeedSequence(protocol.seed).spawn(protocol.repeats):
@@ -210,10 +213,9 @@ def _kmeans_single(X, k, rng):
 
 def kmeans(X, k, seed=0):
     """Best of ``_KMEANS_RESTARTS`` runs of Lloyd iterations with plus-plus seeding."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     X = np.asarray(X, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    k = _check_setting("k", k, 1, X.shape[0], integer=True)
+    rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
     best_labels, best_inertia = None, np.inf
     for _ in range(_KMEANS_RESTARTS):
         labels, inertia = _kmeans_single(X, k, rng)
@@ -237,6 +239,7 @@ def matched_accuracy(cluster_ids, labels):
 
 def cluster_accuracy(embeddings, labels, num_clusters, seed=0):
     """k-means the embeddings and score against labels with optimal matching."""
+    _check_lengths(embeddings, labels)
     return matched_accuracy(kmeans(embeddings, num_clusters, seed=seed), labels)
 
 
@@ -256,8 +259,7 @@ def knn_impute(network, k=5):
     missing ratio. BLAS runs at one thread meanwhile (as in ``train``), so
     the filled features do not depend on the thread setting.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_setting("k", k, 1, integer=True)
     n = network.n
     present = np.column_stack([view.mask for view in network.views])        # (n, t)
     feats = [np.where(view.mask[:, None], view.features, 0.0) for view in network.views]
@@ -335,9 +337,7 @@ def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None)
 
 def kfold_indices(n, folds, rng):
     """Disjoint folds covering 0..n-1 exactly once."""
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must be in [2, {n}], got {folds}")
-    return np.array_split(rng.permutation(n), folds)
+    return np.array_split(rng.permutation(n), _check_setting("folds", folds, 2, n, integer=True))
 
 
 def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):

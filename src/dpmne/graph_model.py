@@ -8,15 +8,37 @@ mask itself is applied.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 
+def _check_setting(name, value, low, high=math.inf, integer=False, low_open=False,
+                   high_open=False):
+    """``value`` if it is a number in its range, else one ValueError naming ``name``.
+
+    The range runs from ``low`` to ``high``, each end included unless marked
+    open; an infinite ``high`` is always open, so the value must be finite.
+    With ``integer`` the value must be an integer and comes back as an
+    ``int``. A bool or a string never passes.
+    """
+    unbounded = high == math.inf
+    if isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(
+            value, bool):
+        above = value > low if low_open else value >= low
+        if above and (value < high if high_open or unbounded else value <= high):
+            return int(value) if integer else value
+    rule = (f"{'>' if low_open else '>='} {low}" if unbounded else
+            f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}")
+    kind = "an integer" if integer else "a finite number" if unbounded else "a number"
+    raise ValueError(f"{name} must be {kind} {rule}, got {value!r}")
+
+
 def _per_view(value, t, name):
     """Broadcast a scalar or a length-t sequence into a list of t values."""
-    if np.isscalar(value):
+    if np.isscalar(value) or not np.iterable(value):
         return [value] * t
     values = list(value)
     if len(values) != t:
@@ -81,28 +103,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n, t = self.n, self.t
-        if n < 1 or self.communities < 1 or t < 1:
-            raise ValueError("n, communities and t must all be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.communities > n:
-            raise ValueError(f"more communities ({self.communities}) than nodes ({n})")
-        for name in ("intra", "inter"):
+        self.n = n = _check_setting("n", self.n, 1, integer=True)
+        self.t = t = _check_setting("t", self.t, 1, integer=True)
+        self.communities = _check_setting("communities", self.communities, 1, n, integer=True)
+        self.seed = _check_setting("seed", self.seed, 0, integer=True)
+        for name, high in (("intra", 1), ("inter", 1), ("noise", math.inf)):
             for v in _per_view(getattr(self, name), t, name):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} probability {v} outside [0.0, 1.0]")
-        for v in _per_view(self.noise, t, "noise"):
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"noise must be finite and >= 0, got {v}")
+                _check_setting(name, v, 0, high)
         for s, r in enumerate(_per_view(self.pdr, t, "pdr")):
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"pdr {r} outside [0, 1)")
-            if round(r * n) >= n:
+            if round(_check_setting("pdr", r, 0, 1, high_open=True) * n) >= n:
                 raise ValueError(f"view {s}: pdr {r} leaves no present node")
         for d in _per_view(self.feature_dim, t, "feature_dim"):
-            if d < 1:
-                raise ValueError(f"feature_dim must be >= 1, got {d}")
+            _check_setting("feature_dim", d, 1, integer=True)
 
 
 def validate(network):
@@ -199,13 +211,9 @@ def apply_pdr(network, ratio, seed=0):
     masked rows are zeroed, and each node stays present in at least one
     view. Raises if a view already misses more than the requested ratio.
     """
-    ratios = _per_view(ratio, network.t, "ratio")
-    for r in ratios:
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"ratio {r} outside [0, 1)")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    ratios = [_check_setting("ratio", r, 0, 1, high_open=True)
+              for r in _per_view(ratio, network.t, "ratio")]
+    rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
     masks = [view.mask.copy() for view in network.views]
     views = []
     for s, view in enumerate(network.views):

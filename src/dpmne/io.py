@@ -204,12 +204,8 @@ def save_embeddings(matrix, path, fmt="tsv"):
 
 def _hyper_from_json(blob):
     data = json.loads(blob)
-    prox = data.pop("proximity")
-    if prox["weights"] is not None:
-        prox["weights"] = tuple(prox["weights"])
-    data["hidden_dims"] = tuple(data["hidden_dims"])
     data.pop("y_lr", None)  # older checkpoints store the Y block's retired Armijo step
-    return Hyperparams(proximity=ProximityConfig(**prox), **data)
+    return Hyperparams(proximity=ProximityConfig(**data.pop("proximity")), **data)
 
 
 def _layer_name(s, k, depth, kind):

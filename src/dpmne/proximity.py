@@ -11,12 +11,12 @@ fill in to a dense n x n matrix. ``build_stack`` returns a
 products with the views' adjacencies.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .graph_model import _check_setting
 from .parallel import map_views
 
 
@@ -35,13 +35,11 @@ class ProximityConfig:
     normalize: bool = False  # scale adjacency by inverse sqrt degrees first
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"proximity order must be >= 1, got {self.order}")
+        self.order = _check_setting("order", self.order, 1, integer=True)
         if self.weights is not None:
             if len(self.weights) != self.order:
                 raise ValueError(f"need {self.order} weights, got {len(self.weights)}")
-            if not all(0 <= w < math.inf for w in self.weights):
-                raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
+            self.weights = tuple(_check_setting("weights", w, 0) for w in self.weights)
 
     def resolved_weights(self):
         if self.weights is None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph_model import _check_setting
+
 
 @dataclass
 class BinaryCodes:
@@ -62,8 +64,7 @@ def itq(Y, iterations=50, seed=None, initial_rotation=None):
     Y = np.asarray(Y, dtype=np.float64)
     if not np.all(np.isfinite(Y)):
         raise ValueError("embedding has non-finite entries")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    iterations = _check_setting("iterations", iterations, 1, integer=True)
     d = Y.shape[1]
     if initial_rotation is not None:
         Q = np.asarray(initial_rotation, dtype=np.float64)
@@ -72,7 +73,7 @@ def itq(Y, iterations=50, seed=None, initial_rotation=None):
     elif seed is None:
         Q = np.eye(d)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
         Q, R = np.linalg.qr(rng.standard_normal((d, d)))
         Q = Q * np.sign(np.diag(R))  # fix the sign convention
     C = _sign_pm1(Y @ Q)

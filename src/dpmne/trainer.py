@@ -19,8 +19,6 @@ iteration returned; ``armijo_minimize`` states when that accepts the same
 steps as a search from ``h_lr``.
 """
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autoencoder as ae
+from .graph_model import _check_setting
 from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import map_views, one_blas_thread, worker_count
 from .proximity import ProximityConfig, build_stack
@@ -53,18 +52,17 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        # a setting that is not a number (say, from a checkpoint) fails here with its name
-        for name in ("max_iters", "y_steps", "h_steps", "alpha", "beta", "lam", "stop_tol",
-                     "seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("dim", "h_lr", "stop_patience"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not self.hidden_dims or any(w < 1 for w in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
+        # a setting of the wrong type or range (say, from a checkpoint) fails here with its name
+        for name, low, integer in (("alpha", 0, False), ("beta", 0, False), ("lam", 0, False),
+                                   ("stop_tol", 0, False), ("max_iters", 0, True),
+                                   ("y_steps", 0, True), ("h_steps", 0, True), ("seed", 0, True),
+                                   ("dim", 1, True), ("stop_patience", 1, True)):
+            setattr(self, name, _check_setting(name, getattr(self, name), low, integer=integer))
+        self.h_lr = _check_setting("h_lr", self.h_lr, 0, low_open=True)
+        if not self.hidden_dims:
+            raise ValueError(f"hidden_dims must hold at least one width, got {self.hidden_dims!r}")
+        self.hidden_dims = tuple(_check_setting("hidden_dims", w, 1, integer=True)
+                                 for w in self.hidden_dims)
         ae._activation(self.activation)
         ae._activation(self.output_activation, "output_activation")
 

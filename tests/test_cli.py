@@ -156,7 +156,7 @@ class TestBinarize:
         assert code == 0
         assert os.path.exists(out / "codes.tsv")
         assert os.path.exists(out / "codes.bin")
-        values = {float(x) for line in open(out / "codes.tsv")
+        values = {float(x) for line in (out / "codes.tsv").read_text().splitlines()
                   for x in line.split("\t")[1:]}
         assert values <= {-1.0, 1.0}
 

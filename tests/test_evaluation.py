@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -258,6 +259,11 @@ class TestClassify:
         report = classify_f1(embeddings, labels, EvalProtocol(repeats=4, seed=2))
         assert 0.0 <= report.micro_f1 <= 1.0
 
+    def test_more_labels_than_embedding_rows_rejected(self):
+        X = np.random.default_rng(3).standard_normal((30, 4))
+        with pytest.raises(ValueError, match="30 embedding rows but 40 labels"):
+            classify_f1(X, np.arange(40) % 3)
+
     def test_logistic_regression_fits_separable_data(self):
         rng = np.random.default_rng(4)
         X = np.vstack([rng.standard_normal((30, 2)) + (4, 0),
@@ -373,11 +379,24 @@ class TestClusterAccuracy:
         ids = kmeans(X, 3, seed=0)
         assert len(ids) == 12  # empty-cluster reseeding must not crash
 
-    @pytest.mark.parametrize("run", [lambda X: kmeans(X, 2, seed=-1),
-                                     lambda X: cluster_accuracy(X, [0, 1, 0, 1], 2, seed=-1)])
-    def test_negative_seed_rejected(self, run):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            run(np.eye(4))
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    @pytest.mark.parametrize("run", [
+        lambda X, seed: kmeans(X, 2, seed=seed),
+        lambda X, seed: cluster_accuracy(X, [0, 1, 0, 1], 2, seed=seed)])
+    def test_negative_seed_rejected(self, run, seed):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'seed must be an integer >= 0, got {seed!r}')}$"):
+            run(np.eye(4), seed)
+
+    @pytest.mark.parametrize("k", [0, 5, 2.5, True, None])
+    def test_bad_cluster_count_rejected(self, k):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 4\]"):
+            kmeans(np.eye(4), k)
+
+    def test_more_labels_than_embedding_rows_rejected(self):
+        X = np.random.default_rng(3).standard_normal((30, 4))
+        with pytest.raises(ValueError, match="30 embedding rows but 40 labels"):
+            cluster_accuracy(X, np.arange(40) % 3, 3)
 
 
 class TestKnnImpute:
@@ -483,10 +502,11 @@ class TestKnnImpute:
             "[(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (1, 12), "
             "(1, 13)] and 2 more"]
 
-    def test_bad_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, 2.5, True, None])
+    def test_bad_k_rejected(self, k):
         net = synth_generate(SynthConfig(n=10, communities=2, seed=0))
-        with pytest.raises(ValueError):
-            knn_impute(net, k=0)
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            knn_impute(net, k=k)
 
 
 def quick_hyper(seed=0):
@@ -560,6 +580,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="alpha, beta, lam"):
             cross_validate(net, [(1.0, 0.1, 0.01), point], folds=2)
 
+    @pytest.mark.parametrize("folds", [1, 11, 2.5, True])
+    def test_bad_fold_count_rejected(self, folds):
+        with pytest.raises(ValueError, match=r"^folds must be an integer in \[2, 10\]"):
+            kfold_indices(10, folds, np.random.default_rng(0))
+
     def test_empty_grid_rejected(self):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
         with pytest.raises(ValueError):
@@ -575,8 +600,10 @@ class TestProtocolValidation:
         with pytest.raises(ValueError):
             EvalProtocol(repeats=0)
 
-    @pytest.mark.parametrize("name,value", [("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
-                                            ("seed", -1)])
+    @pytest.mark.parametrize("name,value", [
+        ("l2", -1.0), ("l2", math.nan), ("l2", math.inf), ("seed", -1), ("seed", 1.5),
+        ("seed", None), ("train_fraction", "0.5"), ("repeats", 2.5), ("repeats", True),
+        ("l2", None)])
     def test_out_of_range_setting_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             EvalProtocol(**{name: value})

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,11 +96,13 @@ class TestSynthGenerate:
 
     @pytest.mark.parametrize("bad", [
         {"n": 0}, {"communities": 0}, {"t": 0}, {"communities": 21}, {"intra": 1.5},
-        {"inter": [0.1, -0.1]}, {"noise": [0.1, 0.1, 0.1]}, {"pdr": 1.0}, {"t": 1, "pdr": 0.98},
+        {"inter": [0.1, -0.1]}, {"noise": [0.1, 0.1, 0.1]}, {"pdr": 1.0}, {"pdr": 0.98, "t": 1},
         {"feature_dim": 0}, {"feature_dim": [4, 0]}, {"noise": -1.0}, {"noise": math.nan},
-        {"noise": [0.1, math.inf]}, {"seed": -1}])
+        {"noise": [0.1, math.inf]}, {"seed": -1}, {"n": 10.5}, {"t": 2.0}, {"feature_dim": 2.5},
+        {"seed": 1.5}, {"n": True}, {"seed": None}, {"intra": None}, {"pdr": "0.1"}])
     def test_out_of_range_settings_are_rejected_when_built(self, bad):
-        with pytest.raises(ValueError):
+        # the first key names the setting at fault
+        with pytest.raises(ValueError, match=rf"\b{next(iter(bad))}\b"):
             SynthConfig(**{"n": 20, "communities": 2, **bad})
 
 
@@ -158,10 +161,12 @@ class TestApplyPdr:
         with pytest.raises(ValueError):
             apply_pdr(net, 1.0, seed=0)
 
-    def test_negative_seed_is_rejected(self):
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_negative_seed_is_rejected(self, seed):
         net = synth_generate(SynthConfig(n=20, communities=2, t=2, seed=0))
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            apply_pdr(net, 0.3, seed=-1)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'seed must be an integer >= 0, got {seed!r}')}$"):
+            apply_pdr(net, 0.3, seed=seed)
 
 
 class TestNormalizeFeatures:

@@ -80,8 +80,10 @@ class TestNetworkRoundTrip:
     def test_wrong_dimension_error_names_the_view(self, tmp_path):
         net = small_net()
         manifest = save_network(net, tmp_path)
-        text = open(manifest).read().replace("view.1.dim=4", "view.1.dim=9")
-        open(manifest, "w").write(text)
+        with open(manifest, encoding="utf-8") as fh:
+            text = fh.read().replace("view.1.dim=4", "view.1.dim=9")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(text)
         with pytest.raises(ManifestError, match="view1.features"):
             load_network(manifest)
 
@@ -132,8 +134,10 @@ class TestNetworkRoundTrip:
     def test_unknown_format_version_rejected(self, tmp_path):
         net = small_net()
         manifest = save_network(net, tmp_path)
-        text = open(manifest).read().replace("format=1", "format=7")
-        open(manifest, "w").write(text)
+        with open(manifest, encoding="utf-8") as fh:
+            text = fh.read().replace("format=1", "format=7")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(text)
         with pytest.raises(ManifestError, match="unsupported format"):
             load_network(manifest)
 
@@ -282,6 +286,18 @@ class TestCheckpoint:
         trace = resumed_a.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_run_configured_with_lists_resumes_from_its_checkpoint(self, tmp_path):
+        net = small_net(6)
+        hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=[3, 2], seed=6,
+                            proximity=ProximityConfig(order=2, weights=[1.0, 0.5]))
+        state = train(net, hyper)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        from_disk = train(net, hyper, init_state=restore(path))
+        live = train(net, hyper, init_state=state)
+        assert np.array_equal(from_disk.Y, live.Y)
+        assert from_disk.objective_trace == live.objective_trace
+
     @pytest.mark.parametrize("name,tamper", [
         ("Y", lambda a: a[:, :-1]),                        # (n, dim - 1)
         ("B_1", lambda a: a[:-1]),                         # (dim - 1, code)
@@ -326,6 +342,7 @@ class TestCheckpoint:
         (lambda blob: json.dumps({**json.loads(blob), "dim": "x"}), "dim"),      # not a number
         (lambda blob: blob[:-1], "hyper"),                                      # not JSON
         (lambda blob: json.dumps({**json.loads(blob), "activation": "swish"}), "activation"),
+        (lambda blob: json.dumps({**json.loads(blob), "max_iters": 1.5}), "max_iters"),
     ])
     def test_bad_stored_hyperparameters_rejected(self, tmp_path, rewrite, key):
         path = tmp_path / "ckpt.npz"

@@ -93,12 +93,16 @@ def test_wrong_weight_count_rejected():
         high_order_proximity(path_graph(), ProximityConfig(order=3, weights=(1.0,)))
 
 
-@pytest.mark.parametrize("bad", [{"order": 0}, {"order": 2, "weights": (1.0,)},
-                                 {"order": 2, "weights": (1.0, -0.5)},
-                                 {"order": 1, "weights": (math.nan,)},
-                                 {"order": 2, "weights": (1.0, math.inf)}])
+@pytest.mark.parametrize("bad", [{"order": 0}, {"weights": (1.0,), "order": 2},
+                                 {"weights": (1.0, -0.5), "order": 2},
+                                 {"weights": (math.nan,), "order": 1},
+                                 {"weights": (1.0, math.inf), "order": 2},
+                                 {"order": 2.5}, {"order": True}, {"order": None},
+                                 {"weights": (1.0, None), "order": 2},
+                                 {"weights": (False,), "order": 1}])
 def test_config_is_validated_when_built(bad):
-    with pytest.raises(ValueError):
+    # the first key names the setting at fault
+    with pytest.raises(ValueError, match=next(iter(bad))):
         ProximityConfig(**bad)
 
 

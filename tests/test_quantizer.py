@@ -130,9 +130,15 @@ class TestItq:
         inter = ham[:20, 20:].ravel()
         assert intra.mean() < inter.mean()
 
-    def test_bad_iteration_count_rejected(self):
-        with pytest.raises(ValueError):
-            itq(np.eye(3), iterations=0)
+    @pytest.mark.parametrize("iterations", [0, 2.5, True, None])
+    def test_bad_iteration_count_rejected(self, iterations):
+        with pytest.raises(ValueError, match="^iterations must be an integer >= 1"):
+            itq(np.eye(3), iterations=iterations)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            itq(np.eye(3), seed=seed)
 
     def test_seeded_random_rotation_start_is_deterministic(self):
         Y = np.random.default_rng(13).standard_normal((10, 3))

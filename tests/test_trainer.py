@@ -587,7 +587,9 @@ class TestHyperparams:
         {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf}, {"h_lr": math.inf},
         {"h_lr": math.nan}, {"stop_patience": -3}, {"stop_patience": 0},
         {"stop_tol": math.nan}, {"stop_tol": -1e-6}, {"stop_tol": math.inf}, {"seed": -1},
-        {"dim": "x"}, {"output_activation": "swish"}])
+        {"dim": "x"}, {"output_activation": "swish"}, {"dim": 2.5}, {"max_iters": 1.5},
+        {"hidden_dims": (2.5,)}, {"hidden_dims": ("a",)}, {"dim": True}, {"alpha": False},
+        {"seed": None}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
