@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph_model import _check_setting, apply_pdr
-from .optim import armijo_minimize, latest_point
+from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
 
@@ -84,46 +84,43 @@ def micro_macro_f1(y_true, y_pred, num_classes):
 
 
 def fit_logistic_regression(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
-    """Full-batch multinomial logistic regression with backtracking descent.
+    """Full-batch multinomial logistic regression, fit by L-BFGS.
 
-    Runs until the gradient max-norm drops below ``gtol`` (or the step
-    budget runs out); the bias row is not regularized. Returns the
-    (features + 1) x classes weight matrix.
+    Runs until the gradient max-norm drops below ``gtol``, a step no longer
+    lowers the loss, or ``max_steps`` iterations have run; the bias row is
+    not regularized. Returns the (features + 1) x classes weight matrix.
 
     The logits are held class-major, (classes, rows), so the softmax
-    reductions run over the leading axis, and each gradient reuses the
-    softmax terms of the loss evaluation that accepted its point.
+    reductions run over the leading axis, and the gradient reuses the
+    softmax terms of the loss evaluation at the same point.
     """
+    # imported here, not at the top: scipy.optimize is the slowest import in the package
+    from scipy.optimize import minimize
+
     X = np.asarray(X, dtype=np.float64)
     m = X.shape[0]
     XbT = np.vstack([X.T, np.ones((1, m))])
     picked = np.asarray(y) * m + np.arange(m)  # flat index of each row's true-class logit
     shape = (XbT.shape[0], num_classes)
 
-    @latest_point
-    def softmax_terms(vec):
+    def loss_and_grad(vec):
         W = vec.reshape(shape)
         logits = W.T @ XbT
         logits -= logits.max(axis=0)
         exp = np.exp(logits)
-        return W, logits, exp, exp.sum(axis=0)
-
-    def fun(vec):
-        W, logits, _, norm = softmax_terms(vec)
-        nll = float(np.sum(np.log(norm) - logits.ravel()[picked]))
-        return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
-
-    def grad(vec):
-        W, _, exp, norm = softmax_terms(vec)
+        norm = exp.sum(axis=0)
+        loss = float(np.sum(np.log(norm) - logits.ravel()[picked]))
+        loss += 0.5 * l2 * float(np.sum(W[:-1] ** 2))
         residual = exp / norm
         residual.ravel()[picked] -= 1.0  # probabilities minus the one-hot labels
         G = XbT @ residual.T
         G[:-1] += l2 * W[:-1]
-        return G.ravel()
+        return loss, G.ravel()
 
-    vec, _, _ = armijo_minimize(fun, grad, np.zeros(shape).ravel(),
-                                steps=max_steps, step0=1.0, gtol=gtol)
-    return vec.reshape(shape)
+    # the gradient max-norm test is L-BFGS-B's gtol (no bounds: nothing is projected)
+    result = minimize(loss_and_grad, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
+                      options={"gtol": gtol, "maxiter": max_steps, "ftol": 0.0})
+    return result.x.reshape(shape)
 
 
 def predict_logistic(W, X):
@@ -155,8 +152,13 @@ def _check_lengths(embeddings, labels):
         raise ValueError(f"{len(embeddings)} embedding rows but {len(labels)} labels")
 
 
+@one_blas_thread()
 def classify_f1(embeddings, labels, protocol=None):
-    """Mean and std of micro/macro F1 over repeated random splits."""
+    """Mean and std of micro/macro F1 over repeated random splits.
+
+    BLAS runs at one thread meanwhile (as in ``train``), so the scores do
+    not depend on the thread setting.
+    """
     protocol = protocol or EvalProtocol()
     embeddings = np.asarray(embeddings, dtype=np.float64)
     _check_lengths(embeddings, labels)
@@ -229,7 +231,6 @@ def matched_accuracy(cluster_ids, labels):
     clusters, cluster_idx = np.unique(np.asarray(cluster_ids), return_inverse=True)
     classes, class_idx = np.unique(np.asarray(labels), return_inverse=True)
     # imported here, not at the top: scipy.optimize is the slowest import in the package
-    # and serves only this function
     from scipy.optimize import linear_sum_assignment
 
     table = _count_pairs(cluster_idx, class_idx, clusters.size, classes.size)

@@ -36,6 +36,17 @@ def _check_setting(name, value, low, high=math.inf, integer=False, low_open=Fals
     raise ValueError(f"{name} must be {kind} {rule}, got {value!r}")
 
 
+def _check_settings(name, values, low, **rule):
+    """``values`` as a tuple of numbers that each pass ``_check_setting(name, v, low, **rule)``.
+
+    A bare number or a string is not a sequence of settings: one ValueError
+    names ``name``.
+    """
+    if isinstance(values, str) or not np.iterable(values):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
+    return tuple(_check_setting(name, v, low, **rule) for v in values)
+
+
 def _per_view(value, t, name):
     """Broadcast a scalar or a length-t sequence into a list of t values."""
     if np.isscalar(value) or not np.iterable(value):

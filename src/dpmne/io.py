@@ -25,6 +25,7 @@ from .trainer import EmbeddingState, Hyperparams
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.txt"
+CHECKPOINT_FORMAT = 2  # format 1 also stored each view's representations as H_s
 
 
 class ManifestError(ValueError):
@@ -205,7 +206,8 @@ def save_embeddings(matrix, path, fmt="tsv"):
 def _hyper_from_json(blob):
     data = json.loads(blob)
     data.pop("y_lr", None)  # older checkpoints store the Y block's retired Armijo step
-    return Hyperparams(proximity=ProximityConfig(**data.pop("proximity")), **data)
+    # a null proximity, stored by older releases for Hyperparams(proximity=None), is the default
+    return Hyperparams(proximity=ProximityConfig(**(data.pop("proximity") or {})), **data)
 
 
 def _layer_name(s, k, depth, kind):
@@ -218,17 +220,18 @@ def checkpoint(state, path):
     """Persist a training state to one .npz archive.
 
     The metadata holds the format, the view count and the hyperparameters,
-    which give each autoencoder's depth, hidden widths and activations.
+    which give each autoencoder's depth, hidden widths and activations. The
+    representations H are not stored: a resume recomputes them from the
+    autoencoders.
     """
     arrays = {"Y": state.Y,
               "trace": np.asarray(state.objective_trace, dtype=np.float64),
               "iter_seconds": np.asarray(state.iter_seconds, dtype=np.float64)}
-    meta = {"format": 1,
+    meta = {"format": CHECKPOINT_FORMAT,
             "t": len(state.B),
             "hyper": json.dumps(dataclasses.asdict(state.hyper))}
     for s in range(len(state.B)):
         arrays[f"B_{s}"] = state.B[s]
-        arrays[f"H_{s}"] = state.H[s]
         arrays[f"mask_{s}"] = state.masks[s]
         params = state.autoencoders[s]
         depth = len(params.weights) // 2
@@ -251,9 +254,11 @@ def restore(path):
     ``hyper.hidden_dims``, then their mirror back to the input, and its
     activations are ``hyper``'s. Every array must be present and agree in
     shape with them and with the other arrays: Y is (n, dim), each B_s
-    (dim, code), H_s (n, code) and mask_s (n,), and the trace and iteration
-    times are 1-D. Otherwise one ValueError names the array, or the metadata
-    key at fault. Metadata keys other than format, t and hyper are ignored.
+    (dim, code) and mask_s (n,), and the trace and iteration times are 1-D.
+    Otherwise one ValueError names the array, or the metadata key at fault.
+    Formats 1 and 2 load; the H_s arrays of format 1 are not read, since the
+    representations follow from the autoencoders. Metadata keys other than
+    format, t and hyper are ignored.
     """
     with np.load(path, allow_pickle=False) as archive:
         def array(name, *shape):
@@ -268,7 +273,7 @@ def restore(path):
             return value
 
         meta = json.loads(str(array("meta")))
-        if meta.get("format") != 1:
+        if meta.get("format") not in (1, CHECKPOINT_FORMAT):
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
         try:
             hyper = _hyper_from_json(meta["hyper"])
@@ -282,7 +287,7 @@ def restore(path):
         Y = array("Y", None, hyper.dim)
         n = Y.shape[0]
         depth, code = len(hyper.hidden_dims), hyper.hidden_dims[-1]
-        B, H, masks, autoencoders = [], [], [], []
+        B, masks, autoencoders = [], [], []
         for s in range(t):
             widths = _layer_widths(array(_layer_name(s, 0, depth, "w"), None, None).shape[0],
                                    hyper.hidden_dims)
@@ -291,11 +296,10 @@ def restore(path):
             biases = [array(_layer_name(s, k, depth, "b"), fan_out)
                       for k, fan_out in enumerate(widths[1:])]
             B.append(array(f"B_{s}", hyper.dim, code))
-            H.append(array(f"H_{s}", n, code))
             masks.append(array(f"mask_{s}", n).astype(bool))
             autoencoders.append(AutoencoderParams(weights, biases, hyper.activation,
                                                   hyper.output_activation))
         return EmbeddingState(
-            Y=Y, B=B, H=H, masks=masks, autoencoders=autoencoders,
+            Y=Y, B=B, masks=masks, autoencoders=autoencoders,
             hyper=hyper, objective_trace=array("trace", None).tolist(),
             iter_seconds=array("iter_seconds", None).tolist())

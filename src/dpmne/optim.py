@@ -1,4 +1,4 @@
-"""Full-batch gradient descent with an Armijo line search, for the autoencoders and classifier."""
+"""Full-batch gradient descent with an Armijo line search, for the autoencoders."""
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph_model import _check_setting
+from .graph_model import _check_setting, _check_settings
 from .parallel import map_views
 
 
@@ -37,9 +37,9 @@ class ProximityConfig:
     def __post_init__(self):
         self.order = _check_setting("order", self.order, 1, integer=True)
         if self.weights is not None:
+            self.weights = _check_settings("weights", self.weights, 0)
             if len(self.weights) != self.order:
                 raise ValueError(f"need {self.order} weights, got {len(self.weights)}")
-            self.weights = tuple(_check_setting("weights", w, 0) for w in self.weights)
 
     def resolved_weights(self):
         if self.weights is None:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autoencoder as ae
-from .graph_model import _check_setting
+from .graph_model import _check_setting, _check_settings
 from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import map_views, one_blas_thread, worker_count
 from .proximity import ProximityConfig, build_stack
@@ -46,7 +46,7 @@ class Hyperparams:
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
     output_activation: str = "sigmoid"
-    proximity: ProximityConfig = field(default_factory=ProximityConfig)
+    proximity: ProximityConfig = field(default_factory=ProximityConfig)  # None: the default
     stop_tol: float = 1e-6    # relative decrease below this counts as stalled
     stop_patience: int = 3    # stalled iterations before stopping early
     seed: int = 0
@@ -59,20 +59,27 @@ class Hyperparams:
                                    ("dim", 1, True), ("stop_patience", 1, True)):
             setattr(self, name, _check_setting(name, getattr(self, name), low, integer=integer))
         self.h_lr = _check_setting("h_lr", self.h_lr, 0, low_open=True)
+        self.hidden_dims = _check_settings("hidden_dims", self.hidden_dims, 1, integer=True)
         if not self.hidden_dims:
-            raise ValueError(f"hidden_dims must hold at least one width, got {self.hidden_dims!r}")
-        self.hidden_dims = tuple(_check_setting("hidden_dims", w, 1, integer=True)
-                                 for w in self.hidden_dims)
+            raise ValueError("hidden_dims must hold at least one width, got ()")
+        if self.proximity is None:
+            self.proximity = ProximityConfig()
+        elif not isinstance(self.proximity, ProximityConfig):
+            raise ValueError(f"proximity must be a ProximityConfig, got {self.proximity!r}")
         ae._activation(self.activation)
         ae._activation(self.output_activation, "output_activation")
 
 
 @dataclass
 class EmbeddingState:
-    """Everything the trainer iterates on, plus the recorded objective trace."""
+    """Everything the trainer iterates on, plus the recorded objective trace.
+
+    The per-view representations H are not stored: they are the encoders
+    applied to the present features (``representations``). ``train`` holds
+    them while it runs and passes them to the blocks.
+    """
     Y: np.ndarray             # (n, dim) shared embedding
     B: list                   # per-view (dim, code_dim) bases
-    H: list                   # per-view (n, code_dim) representations, zero on masked rows
     masks: list               # per-view boolean presence vectors
     autoencoders: list
     hyper: Hyperparams
@@ -88,9 +95,20 @@ def _orth_penalty(Y):
     return float(np.sum(gram * gram))
 
 
-def _y_views(state):
+@one_blas_thread()
+def representations(state, network):
+    """Per-view (n, code_dim) representations H of the state: zero on masked rows.
+
+    BLAS runs at one thread, as in ``train``, so these are the bytes that
+    training computed.
+    """
+    return [ae.encode(params, view.features, m)
+            for params, view, m in zip(state.autoencoders, network.views, state.masks)]
+
+
+def _y_views(state, H):
     """Per-view (mask, present H rows, basis): everything the Y terms read besides Y."""
-    return [(m, state.H[s][m], state.B[s]) for s, m in enumerate(state.masks)]
+    return [(m, H[s][m], state.B[s]) for s, m in enumerate(state.masks)]
 
 
 def _y_value(Y, LY, views, hyper):
@@ -115,17 +133,17 @@ def _y_grad(Y, LY, views, hyper):
     return G
 
 
-def objective(state, network, prox, hyper, LY=None):
-    """Value of the full training objective at the current state.
+def objective(state, H, network, prox, hyper, LY=None):
+    """Value of the full training objective at the current state and representations ``H``.
 
     ``LY``, the Laplacian applied to ``state.Y``, is computed when not given.
     """
     LY = prox.laplacian @ state.Y if LY is None else LY
-    total = _y_value(state.Y, LY, _y_views(state), hyper)
+    total = _y_value(state.Y, LY, _y_views(state, H), hyper)
     ridge = 0.0
     for s, view in enumerate(network.views):
         m = state.masks[s]
-        Xt = ae.decode(state.autoencoders[s], state.H[s][m])
+        Xt = ae.decode(state.autoencoders[s], H[s][m])
         total += float(np.sum((view.features[m] - Xt) ** 2))
         ridge += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
     total += hyper.lam * ridge
@@ -134,18 +152,18 @@ def objective(state, network, prox, hyper, LY=None):
     return total
 
 
-def grad_Y(state, prox, hyper):
+def grad_Y(state, H, prox, hyper):
     """Exact gradient of the objective's Y-dependent terms."""
-    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state), hyper)
+    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, H), hyper)
 
 
-def grad_B(state, hyper):
+def grad_B(state, H, hyper):
     """Per-view gradients of the basis subproblem (consistency + ridge)."""
     grads = []
     for s in range(len(state.B)):
         m = state.masks[s]
         Yp = state.Y[m]
-        residual = Yp @ state.B[s] - state.H[s][m]
+        residual = Yp @ state.B[s] - H[s][m]
         grads.append(2.0 * hyper.alpha * (Yp.T @ residual) + 2.0 * hyper.lam * state.B[s])
     return grads
 
@@ -191,7 +209,7 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def update_Y(state, prox, hyper, LY=None):
+def update_Y(state, H, prox, hyper, LY=None):
     """Exact steps along the negative gradient of Y; the Y subproblem never increases.
 
     L Y (``LY``, computed when not given) is carried through the steps as
@@ -201,7 +219,7 @@ def update_Y(state, prox, hyper, LY=None):
     ``_best_step``) and is kept only if ``_y_value`` there is below the
     current value; otherwise the block stops at the current Y.
     """
-    views = _y_views(state)
+    views = _y_views(state, H)
     L = prox.laplacian
     Y = state.Y
     LY = L @ Y if LY is None else LY
@@ -224,14 +242,14 @@ def update_Y(state, prox, hyper, LY=None):
     return replace(state, Y=Y)
 
 
-def update_B(state, network, hyper):
+def update_B(state, H, hyper):
     """Closed-form ridge solve for every view's basis matrix."""
     d = state.Y.shape[1]
     new_B = []
     for s, m in enumerate(state.masks):
         Yp = state.Y[m]
         A = hyper.alpha * (Yp.T @ Yp) + hyper.lam * np.eye(d)
-        rhs = hyper.alpha * (Yp.T @ state.H[s][m])
+        rhs = hyper.alpha * (Yp.T @ H[s][m])
         try:
             factor = scipy.linalg.cho_factor(A)
             new_B.append(scipy.linalg.cho_solve(factor, rhs))
@@ -242,7 +260,7 @@ def update_B(state, network, hyper):
 
 
 def update_H(state, network, hyper):
-    """Train each view's autoencoder and refresh its cached representation.
+    """Train each view's autoencoder; returns the new state and its representations H.
 
     Each view's line search starts from the step its previous search
     returned (``state.h_last_step``), or from ``h_lr`` when there is none.
@@ -257,10 +275,9 @@ def update_H(state, network, hyper):
         return params, ae.encode(params, X, m), step
 
     results = map_views(train_one, range(len(network.views)))
-    return replace(state,
-                   autoencoders=[r[0] for r in results],
-                   H=[r[1] for r in results],
-                   h_last_step=[r[2] for r in results])
+    state = replace(state, autoencoders=[r[0] for r in results],
+                    h_last_step=[r[2] for r in results])
+    return state, [r[1] for r in results]
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)
@@ -292,6 +309,7 @@ def _leading_left_singular_vectors(X, k):
 
 
 def _init_state(network, hyper, rng):
+    """The starting state and its representations H."""
     n, d = network.n, hyper.dim
     # warm start: top singular directions of the concatenated present features
     stacked = np.hstack([np.where(view.mask[:, None], view.features, 0.0)
@@ -310,20 +328,19 @@ def _init_state(network, hyper, rng):
                             hyper.output_activation, rng)
         for view in network.views
     ]
-    H = [ae.encode(autoencoders[s], view.features, view.mask)
-         for s, view in enumerate(network.views)]
     masks = [view.mask.copy() for view in network.views]
     code_dim = autoencoders[0].code_dim
     B = [np.zeros((d, code_dim)) for _ in network.views]
-    state = EmbeddingState(Y, B, H, masks, autoencoders, hyper)
-    return update_B(state, network, hyper)
+    state = EmbeddingState(Y, B, masks, autoencoders, hyper)
+    H = representations(state, network)
+    return update_B(state, H, hyper), H
 
 
 def _check_resume(state, network, hyper):
     """Refuse a resume whose state or trade-offs do not belong to this run."""
     if state.Y.shape[0] != network.n:
         raise ValueError(f"resume state has {state.Y.shape[0]} nodes, network has {network.n}")
-    if {len(state.B), len(state.H), len(state.masks), len(state.autoencoders)} != {network.t}:
+    if {len(state.B), len(state.masks), len(state.autoencoders)} != {network.t}:
         raise ValueError(f"resume state has {len(state.B)} views, network has {network.t}")
     for s, view in enumerate(network.views):
         width = state.autoencoders[s].input_dim
@@ -352,27 +369,28 @@ def train(network, hyper=None, init_state=None):
     worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
     with one_blas_thread():
         if init_state is None:
-            state = _init_state(network, hyper, np.random.default_rng(hyper.seed))
+            state, H = _init_state(network, hyper, np.random.default_rng(hyper.seed))
         else:
             _check_resume(init_state, network, hyper)
             state = replace(init_state, h_last_step=None)
+            H = representations(state, network)  # the same call that update_H made
         prox = build_stack(network, hyper.proximity)
         # the objective's L Y is handed to the next update_Y: B and H leave Y as it is
         LY = None
         trace = list(state.objective_trace)
         if not trace:
             LY = prox.laplacian @ state.Y
-            trace.append(objective(state, network, prox, hyper, LY))
+            trace.append(objective(state, H, network, prox, hyper, LY))
         iter_seconds = list(state.iter_seconds)
 
         stalled = 0
         for _ in range(hyper.max_iters):
             tic = time.perf_counter()
-            state = update_Y(state, prox, hyper, LY)
-            state = update_B(state, network, hyper)
-            state = update_H(state, network, hyper)
+            state = update_Y(state, H, prox, hyper, LY)
+            state = update_B(state, H, hyper)
+            state, H = update_H(state, network, hyper)
             LY = prox.laplacian @ state.Y
-            value = objective(state, network, prox, hyper, LY)
+            value = objective(state, H, network, prox, hyper, LY)
             iter_seconds.append(time.perf_counter() - tic)
             previous = trace[-1]
             trace.append(value)

@@ -54,8 +54,8 @@ def objective_from_params(network, prox, Y, B, autoencoders, hyper):
     masks = [view.mask for view in network.views]
     H = [ae.encode(autoencoders[s], view.features, view.mask)
          for s, view in enumerate(network.views)]
-    state = EmbeddingState(Y, list(B), H, masks, list(autoencoders), hyper)
-    return objective(state, network, prox, hyper)
+    state = EmbeddingState(Y, list(B), masks, list(autoencoders), hyper)
+    return objective(state, H, network, prox, hyper)
 
 
 def svd_warm_start(X, k):

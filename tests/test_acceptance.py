@@ -39,7 +39,7 @@ def rel_error(a, b):
 
 
 def random_instance(seed):
-    """n <= 20, d <= 4, t = 2, all hidden widths <= 8."""
+    """n <= 20, d <= 4, t = 2, all hidden widths <= 8; the state comes with its H."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 21))
     d = int(rng.integers(2, 5))
@@ -56,8 +56,8 @@ def random_instance(seed):
     Y = rng.standard_normal((n, d))
     B = [rng.standard_normal((d, autoencoders[s].code_dim)) for s in range(2)]
     masks = [v.mask.copy() for v in network.views]
-    state = EmbeddingState(Y, B, H, masks, autoencoders, hyper)
-    return network, prox, state, hyper
+    state = EmbeddingState(Y, B, masks, autoencoders, hyper)
+    return network, prox, state, H, hyper
 
 
 def central_diff(fun, vec, eps=1e-6):
@@ -74,24 +74,23 @@ def test_criterion_01_gradient_correctness():
     started = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        network, prox, state, hyper = random_instance(seed)
+        network, prox, state, H, hyper = random_instance(seed)
 
         def with_Y(vec):
-            trial = EmbeddingState(vec.reshape(state.Y.shape), state.B, state.H,
+            trial = EmbeddingState(vec.reshape(state.Y.shape), state.B,
                                    state.masks, state.autoencoders, hyper)
-            return objective(trial, network, prox, hyper)
+            return objective(trial, H, network, prox, hyper)
 
-        worst = max(worst, rel_error(grad_Y(state, prox, hyper).ravel(),
+        worst = max(worst, rel_error(grad_Y(state, H, prox, hyper).ravel(),
                                      central_diff(with_Y, state.Y.ravel())))
 
-        analytic_B = grad_B(state, hyper)
+        analytic_B = grad_B(state, H, hyper)
         for s in range(2):
             def with_B(vec, s=s):
                 B = list(state.B)
                 B[s] = vec.reshape(state.B[s].shape)
-                trial = EmbeddingState(state.Y, B, state.H, state.masks,
-                                       state.autoencoders, hyper)
-                return objective(trial, network, prox, hyper)
+                trial = EmbeddingState(state.Y, B, state.masks, state.autoencoders, hyper)
+                return objective(trial, H, network, prox, hyper)
 
             worst = max(worst, rel_error(analytic_B[s].ravel(),
                                          central_diff(with_B, state.B[s].ravel())))
@@ -138,11 +137,11 @@ def test_criterion_03_closed_form_basis_optimality():
     worst_dist = 0.0
     worst_grad = 0.0
     for seed in range(20):
-        network, prox, state, hyper = random_instance(seed + 100)
-        out = update_B(state, network, hyper)
+        network, prox, state, H, hyper = random_instance(seed + 100)
+        out = update_B(state, H, hyper)
         for s, view in enumerate(network.views):
             m = view.mask
-            Yp, Hp = state.Y[m], state.H[s][m]
+            Yp, Hp = state.Y[m], H[s][m]
 
             def grad(B):
                 return 2 * hyper.alpha * Yp.T @ (Yp @ B - Hp) + 2 * hyper.lam * B

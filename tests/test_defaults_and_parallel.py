@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from dpmne import parallel, trainer
-from dpmne.evaluation import EvalProtocol, pdr_sweep
+from dpmne import evaluation, parallel, trainer
+from dpmne.evaluation import EvalProtocol, classify_f1, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.parallel import map_views, one_blas_thread, worker_count
 from dpmne.proximity import ProximityConfig, default_weights
@@ -138,6 +138,20 @@ class TestOneBlasThread:
         assert seen and all(counts == [1] * len(blas_at_two_threads) for counts in seen)
         assert blas_counts(blas_at_two_threads) == [2] * len(blas_at_two_threads)
 
+    def test_classification_runs_one_blas_thread_and_restores(self, monkeypatch,
+                                                              blas_at_two_threads):
+        seen = []
+        fit = evaluation.fit_logistic_regression
+
+        def recording(*args, **kwargs):
+            seen.append(blas_counts(blas_at_two_threads))
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(evaluation, "fit_logistic_regression", recording)
+        embeddings = np.random.default_rng(0).standard_normal((40, 3))
+        classify_f1(embeddings, np.arange(40) % 2, EvalProtocol(repeats=2))
+        assert seen == [[1] * len(blas_at_two_threads)] * 2
+        assert blas_counts(blas_at_two_threads) == [2] * len(blas_at_two_threads)
+
     def test_counts_restored_when_training_raises(self, monkeypatch, blas_at_two_threads):
         def failing(*args):
             raise RuntimeError("update_H failed")
@@ -223,11 +237,11 @@ import hashlib
 import numpy as np
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.proximity import ProximityConfig
-from dpmne.trainer import Hyperparams, train
+from dpmne.trainer import Hyperparams, representations, train
 net = synth_generate(SynthConfig(n=300, communities=4, t=3, feature_dim=100, pdr=0.3, seed=3))
 state = train(net, Hyperparams(dim=32, hidden_dims=(64, 16), max_iters=1, seed=3,
                                proximity=ProximityConfig(order=1, normalize=True)))
-for a in (state.Y, *state.H, np.array(state.objective_trace)):
+for a in (state.Y, *representations(state, net), np.array(state.objective_trace)):
     print(hashlib.sha256(a.tobytes()).hexdigest())
 """
 
@@ -239,6 +253,28 @@ from dpmne.graph_model import SynthConfig, synth_generate
 net = synth_generate(SynthConfig(n=500, communities=5, t=3, pdr=0.3, seed=5))
 for view in knn_impute(net).views:
     print(hashlib.sha256(view.features.tobytes()).hexdigest())
+"""
+
+
+# 2000 training rows of width 128: large enough that OpenBLAS splits the
+# classifier's products over threads, which changes the bits of each fit
+CLASSIFY_DETERMINISM_SCRIPT = """
+import hashlib
+import numpy as np
+from dpmne import evaluation
+fit = evaluation.fit_logistic_regression
+
+def recorded(*args, **kwargs):
+    W = fit(*args, **kwargs)
+    print(hashlib.sha256(W.tobytes()).hexdigest())
+    return W
+evaluation.fit_logistic_regression = recorded
+rng = np.random.default_rng(4)
+labels = rng.integers(0, 10, 4000)
+embeddings = rng.standard_normal((4000, 128)) + 0.3 * rng.standard_normal((10, 128))[labels]
+report = evaluation.classify_f1(embeddings, labels, evaluation.EvalProtocol(repeats=2, seed=4))
+for value in (report.micro_f1, report.micro_f1_std, report.macro_f1, report.macro_f1_std):
+    print(repr(value))
 """
 
 
@@ -265,6 +301,12 @@ def test_seed_output_is_independent_of_openblas_threads():
 def test_knn_fill_is_independent_of_openblas_threads():
     digests = digests_under_openblas_threads(KNN_DETERMINISM_SCRIPT)
     assert len(digests["1"]) == 3  # one filled feature matrix per view
+    assert digests["1"] == digests["2"]
+
+
+def test_classification_fits_are_independent_of_openblas_threads():
+    digests = digests_under_openblas_threads(CLASSIFY_DETERMINISM_SCRIPT)
+    assert len(digests["1"]) == 6  # the weights of two fits, micro and macro F1 with stds
     assert digests["1"] == digests["2"]
 
 

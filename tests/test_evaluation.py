@@ -24,7 +24,7 @@ from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
 
-from conftest import make_view, random_network, recording_armijo
+from conftest import make_view, random_network
 from dpmne.graph_model import MultiplexNetwork, ViewData
 
 
@@ -58,34 +58,28 @@ def row_major_logreg_loss(W, X, y, l2=1.0):
     return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
 
 
-def row_major_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
-    """The classifier as first written: row-major logits, and a gradient that
-    recomputes the forward pass. Returns W and the loss ("f") and gradient
-    ("g") calls its line search made, in order."""
+def row_major_logreg_grad(W, X, y, l2=1.0):
+    """Gradient of ``row_major_logreg_loss`` with respect to W."""
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    onehot = np.zeros((X.shape[0], num_classes))
-    onehot[np.arange(X.shape[0]), y] = 1.0
-    shape = (Xb.shape[1], num_classes)
-    calls = []
+    logits = Xb @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(y)), y] -= 1.0
+    G = Xb.T @ probs
+    G[:-1] += l2 * W[:-1]
+    return G
 
-    def fun(vec):
-        calls.append("f")
-        return row_major_logreg_loss(vec.reshape(shape), X, y, l2)
 
-    def grad(vec):
-        calls.append("g")
-        W = vec.reshape(shape)
-        logits = Xb @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        G = Xb.T @ (probs - onehot)
-        G[:-1] += l2 * W[:-1]
-        return G.ravel()
-
-    vec, _, _ = armijo_minimize(fun, grad, np.zeros(shape).ravel(),
-                                steps=max_steps, step0=1.0, gtol=gtol)
-    return vec.reshape(shape), calls
+def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
+    """The classifier as first written: gradient descent with Armijo steps on
+    row-major logits, stopped by ``gtol`` or after ``max_steps`` steps."""
+    shape = (X.shape[1] + 1, num_classes)
+    vec, _, _ = armijo_minimize(
+        lambda v: row_major_logreg_loss(v.reshape(shape), X, y, l2),
+        lambda v: row_major_logreg_grad(v.reshape(shape), X, y, l2).ravel(),
+        np.zeros(shape).ravel(), steps=max_steps, step0=1.0, gtol=gtol)
+    return vec.reshape(shape)
 
 
 def knn_warning(fallbacks):
@@ -272,15 +266,11 @@ class TestClassify:
         W = fit_logistic_regression(X, y, 2, l2=1.0)
         assert np.mean(predict_logistic(W, X) == y) == 1.0
 
-    def test_matches_row_major_oracle(self, monkeypatch):
-        # 2-10 classes under the step-budget stop (8 and 40 steps) and the gtol
-        # stop (budget 500). The class-major fit sums in another order, so once
-        # the achievable decrease is at rounding level (the last steps before
-        # the gtol stop) a line-search decision can go the other way; such a
-        # fit must still reach the oracle's loss and predictions.
-        calls = []
-        monkeypatch.setattr(evaluation, "armijo_minimize", recording_armijo(calls))
-        diverged = 0
+    def test_reaches_at_most_the_loss_of_gradient_descent(self):
+        # 2-10 classes; the oracle stops on its step budget (8, 40 or 500 steps) or
+        # on gtol. The fit runs to gtol, so its loss is at most the oracle's up to
+        # rounding, and where the oracle reached gtol both predict alike.
+        converged = 0
         for i in range(90):
             rng = np.random.default_rng(i)
             classes, budget = 2 + i % 9, (8, 40, 500)[(i // 9) % 3]
@@ -289,21 +279,30 @@ class TestClassify:
             y[:classes] = np.arange(classes)
             centers = rng.uniform(0, 3) * rng.standard_normal((classes, f))
             X = rng.standard_normal((m, f)) + centers[y]
-            calls.clear()
-            W = fit_logistic_regression(X, y, classes, max_steps=budget)
-            W_ref, ref_calls = row_major_logreg_oracle(X, y, classes, max_steps=budget)
+            W = fit_logistic_regression(X, y, classes)
+            W_ref = armijo_logreg_oracle(X, y, classes, max_steps=budget)
             assert W.shape == (f + 1, classes)
-            X_test = rng.standard_normal((100, f)) * 2.0
-            for rows in (X, X_test):
-                assert np.array_equal(predict_logistic(W, rows), predict_logistic(W_ref, rows))
-            if calls == ref_calls:
-                assert np.max(np.abs(W - W_ref)) <= 1e-9 * np.max(np.abs(W_ref))
-            else:
-                diverged += 1
-                assert budget == 500
-                assert row_major_logreg_loss(W, X, y) == pytest.approx(
-                    row_major_logreg_loss(W_ref, X, y), rel=1e-12)
-        assert diverged <= 9
+            ref_loss = row_major_logreg_loss(W_ref, X, y)
+            assert row_major_logreg_loss(W, X, y) <= ref_loss + 1e-12 * abs(ref_loss)
+            if np.max(np.abs(row_major_logreg_grad(W_ref, X, y))) <= 1e-6:
+                converged += 1
+                X_test = rng.standard_normal((100, f)) * 2.0
+                for rows in (X, X_test):
+                    assert np.array_equal(predict_logistic(W, rows),
+                                          predict_logistic(W_ref, rows))
+        assert converged >= 10  # 10 of the 90 oracle fits reach gtol
+
+    def test_reaches_gtol_on_the_pipeline_shape(self):
+        # 750 training rows of dimension 32 in 10 overlapping classes: gradient
+        # descent ends its 500 steps above gtol, the fit returns below it
+        rng = np.random.default_rng(0)
+        y = rng.integers(0, 10, 750)
+        X = rng.standard_normal((750, 32)) + 0.7 * rng.standard_normal((10, 32))[y]
+        W = fit_logistic_regression(X, y, 10)
+        assert np.max(np.abs(row_major_logreg_grad(W, X, y))) <= 1e-6
+        W_ref = armijo_logreg_oracle(X, y, 10)
+        assert np.max(np.abs(row_major_logreg_grad(W_ref, X, y))) > 1e-6
+        assert row_major_logreg_loss(W, X, y) < row_major_logreg_loss(W_ref, X, y)
 
 
 class TestClusterAccuracy:

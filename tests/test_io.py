@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, rest
                       save_embeddings, save_network)
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.quantizer import unpack_codes
-from dpmne.trainer import Hyperparams, objective, train
+from dpmne.trainer import Hyperparams, objective, representations, train
 
 from conftest import networks
 
@@ -267,8 +268,8 @@ class TestCheckpoint:
         checkpoint(state, path)
         back = restore(path)
         prox = build_stack(net, hyper.proximity)
-        a = objective(state, net, prox, hyper)
-        b = objective(back, net, prox, back.hyper)
+        a = objective(state, representations(state, net), net, prox, hyper)
+        b = objective(back, representations(back, net), net, prox, back.hyper)
         assert abs(a - b) < 1e-12
         assert back.hyper == hyper
         assert back.objective_trace == state.objective_trace
@@ -301,8 +302,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name,tamper", [
         ("Y", lambda a: a[:, :-1]),                        # (n, dim - 1)
         ("B_1", lambda a: a[:-1]),                         # (dim - 1, code)
-        ("H_0", lambda a: a[:-1]),                         # (n - 1, code)
-        ("H_1", lambda a: np.hstack([a, a])),              # (n, 2 code)
         ("mask_0", lambda a: a[:-1]),                      # (n - 1,)
         ("ae0_enc_w1", lambda a: a[:-1]),                  # rows differ from layer 0's width
         ("ae1_enc_b0", lambda a: a[:-1]),                  # bias differs from its layer
@@ -310,7 +309,7 @@ class TestCheckpoint:
         ("ae1_dec_b1", lambda a: a[:-1]),                  # output bias differs from the input
         ("trace", lambda a: a[:, None]),                   # 2-D trace
         ("iter_seconds", lambda a: a[None, :]),            # 2-D iteration times
-        ("H_1", None),                                     # missing array
+        ("B_0", None),                                     # missing array
         ("ae0_dec_b0", None),
     ])
     def test_tampered_checkpoint_names_the_array(self, tmp_path, name, tamper):
@@ -372,7 +371,7 @@ class TestCheckpoint:
         back = restore(path)
 
         def arrays(st):
-            return [st.Y, *st.B, *st.H, *st.masks,
+            return [st.Y, *st.B, *st.masks,
                     *(a for params in st.autoencoders for a in params.all_arrays())]
 
         for a, b in zip(arrays(back), arrays(state), strict=True):
@@ -381,6 +380,43 @@ class TestCheckpoint:
         assert back.objective_trace == state.objective_trace
         assert [(p.activation, p.output_activation) for p in back.autoencoders] == [
             ("relu", "sigmoid")] * 2
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_resume_from_either_format_continues_the_uninterrupted_trace(self, tmp_path, fmt):
+        net = small_net(10)
+        hyper = Hyperparams(dim=3, max_iters=4, hidden_dims=(5, 2), seed=10, stop_tol=0.0)
+        uninterrupted = train(net, hyper)
+        half = train(net, replace(hyper, max_iters=2))
+        path = tmp_path / "ckpt.npz"
+        checkpoint(half, path)
+        with np.load(path) as archive:
+            assert json.loads(str(archive["meta"]))["format"] == 2
+            assert not any(name.startswith("H_") for name in archive.files)
+        if fmt == 1:  # format 1 also stored each view's representations
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            arrays.update({f"H_{s}": H for s, H in enumerate(representations(half, net))})
+            np.savez(path, **arrays)
+            rewrite_meta(path, lambda meta: {**meta, "format": 1})
+        resumed = train(net, replace(hyper, max_iters=2), init_state=restore(path))
+        assert resumed.objective_trace == uninterrupted.objective_trace
+        assert np.array_equal(resumed.Y, uninterrupted.Y)
+
+    def test_default_proximity_given_as_none_survives_a_checkpoint(self, tmp_path):
+        net = small_net(11)
+        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(2,), proximity=None)
+        assert hyper.proximity == ProximityConfig()
+        state = train(net, hyper)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        assert restore(path).hyper == hyper
+        # earlier releases stored the None itself
+        rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
+            {**json.loads(meta["hyper"]), "proximity": None})})
+        back = restore(path)
+        assert back.hyper == hyper
+        resumed = train(net, hyper, init_state=back)
+        assert resumed.objective_trace[:2] == state.objective_trace
 
     def test_checkpoint_with_retired_y_lr_still_loads(self, tmp_path):
         # checkpoints written while the Y block line-searched store its first step

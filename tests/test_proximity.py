@@ -99,7 +99,8 @@ def test_wrong_weight_count_rejected():
                                  {"weights": (1.0, math.inf), "order": 2},
                                  {"order": 2.5}, {"order": True}, {"order": None},
                                  {"weights": (1.0, None), "order": 2},
-                                 {"weights": (False,), "order": 1}])
+                                 {"weights": (False,), "order": 1},
+                                 {"weights": 5, "order": 1}, {"weights": "ab", "order": 2}])
 def test_config_is_validated_when_built(bad):
     # the first key names the setting at fault
     with pytest.raises(ValueError, match=next(iter(bad))):

@@ -11,11 +11,11 @@ from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
-                           grad_Y, objective, reconstruct_missing, train, update_B, update_H,
-                           update_Y)
+                           grad_Y, objective, reconstruct_missing, representations, train,
+                           update_B, update_H, update_Y)
 
 from conftest import random_network
-from oracles import objective_from_params, svd_warm_start
+from oracles import svd_warm_start
 
 
 def make_state(network, hyper, seed=0):
@@ -25,27 +25,25 @@ def make_state(network, hyper, seed=0):
     autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, hyper.activation,
                                         hyper.output_activation, rng)
                     for v in network.views]
-    H = [ae.encode(autoencoders[s], v.features, v.mask)
-         for s, v in enumerate(network.views)]
     Y = rng.standard_normal((n, d))
     B = [rng.standard_normal((d, autoencoders[s].code_dim))
          for s in range(network.t)]
     masks = [v.mask.copy() for v in network.views]
-    return EmbeddingState(Y, B, H, masks, autoencoders, hyper)
+    return EmbeddingState(Y, B, masks, autoencoders, hyper)
 
 
-def objective_oracle(state, network, prox, hyper):
+def objective_oracle(state, H, network, prox, hyper):
     """Independent term-by-term re-summation with explicit loops over views."""
     recon = 0.0
     consistency = 0.0
     reg = 0.0
     for s, view in enumerate(network.views):
-        Xt = ae.decode(state.autoencoders[s], state.H[s])
+        Xt = ae.decode(state.autoencoders[s], H[s])
         for i in range(network.n):
             if not view.mask[i]:
                 continue
             recon += float(np.sum((view.features[i] - Xt[i]) ** 2))
-            resid = state.H[s][i] - state.Y[i] @ state.B[s]
+            resid = H[s][i] - state.Y[i] @ state.B[s]
             consistency += float(resid @ resid)
         reg += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
     L = prox.laplacian.toarray()
@@ -77,7 +75,7 @@ def small_setup(seed, n=10, d=3, hidden=(5, 4)):
                         seed=seed)
     prox = build_stack(network, hyper.proximity)
     state = make_state(network, hyper, seed)
-    return network, hyper, prox, state
+    return network, hyper, prox, state, representations(state, network)
 
 
 class CountingLaplacian:
@@ -92,123 +90,121 @@ class CountingLaplacian:
 
 class TestObjective:
     def test_each_term_vanishes_in_its_zero_case(self):
-        network, hyper, prox, state = small_setup(0)
+        network, hyper, prox, state, H = small_setup(0)
         # reconstruction alone: alpha = beta = lam = 0
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim,
                            hidden_dims=hyper.hidden_dims)
-        recon_only = objective(state, network, prox, bare)
+        recon_only = objective(state, H, network, prox, bare)
         recon_direct = sum(
             float(np.sum((v.features[v.mask]
-                          - ae.decode(state.autoencoders[s], state.H[s][v.mask])) ** 2))
+                          - ae.decode(state.autoencoders[s], H[s][v.mask])) ** 2))
             for s, v in enumerate(network.views))
         assert recon_only == pytest.approx(recon_direct, rel=1e-12)
         # consistency term vanishes when H equals Y B on present rows
-        matched = EmbeddingState(state.Y, state.B,
-                                 [np.where(m[:, None], state.Y @ state.B[s], 0.0)
-                                  for s, m in enumerate(state.masks)],
-                                 state.masks, state.autoencoders, hyper)
+        matched = [np.where(m[:, None], state.Y @ state.B[s], 0.0)
+                   for s, m in enumerate(state.masks)]
         alpha_only = Hyperparams(alpha=5.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        assert objective(matched, network, prox, alpha_only) == pytest.approx(
-            objective(matched, network, prox, bare), rel=1e-12)
+        assert objective(state, matched, network, prox, alpha_only) == pytest.approx(
+            objective(state, matched, network, prox, bare), rel=1e-12)
         # proximity term vanishes for a constant-column embedding
-        const = EmbeddingState(np.ones_like(state.Y), state.B, state.H, state.masks,
+        const = EmbeddingState(np.ones_like(state.Y), state.B, state.masks,
                                state.autoencoders, hyper)
         beta_only = Hyperparams(alpha=0.0, beta=2.0, lam=0.0, dim=hyper.dim)
-        assert objective(const, network, prox, beta_only) == pytest.approx(
-            objective(const, network, prox, bare), abs=1e-8)
+        assert objective(const, H, network, prox, beta_only) == pytest.approx(
+            objective(const, H, network, prox, bare), abs=1e-8)
         # regularizer vanishes for orthonormal Y, zero B, zero weights
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((network.n, hyper.dim)))
         zero_ae = [p.replace_arrays([np.zeros_like(a) for a in p.all_arrays()])
                    for p in state.autoencoders]
         zero_state = EmbeddingState(q, [np.zeros_like(b) for b in state.B],
-                                    [np.zeros_like(h) for h in state.H],
                                     state.masks, zero_ae, hyper)
+        zero_H = [np.zeros_like(h) for h in H]
         lam_only = Hyperparams(alpha=0.0, beta=0.0, lam=3.0, dim=hyper.dim)
-        assert objective(zero_state, network, prox, lam_only) == pytest.approx(
-            objective(zero_state, network, prox, bare), abs=1e-10)
+        assert objective(zero_state, zero_H, network, prox, lam_only) == pytest.approx(
+            objective(zero_state, zero_H, network, prox, bare), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_term_by_term_oracle(self, seed):
-        network, hyper, prox, state = small_setup(seed)
-        value = objective(state, network, prox, hyper)
-        oracle = objective_oracle(state, network, prox, hyper)
+        network, hyper, prox, state, H = small_setup(seed)
+        value = objective(state, H, network, prox, hyper)
+        oracle = objective_oracle(state, H, network, prox, hyper)
         assert abs(value - oracle) / abs(oracle) < 1e-10
 
     def test_zero_tradeoffs_leave_reconstruction_only(self):
-        network, hyper, prox, state = small_setup(1)
+        network, hyper, prox, state, H = small_setup(1)
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        value = objective(state, network, prox, bare)
+        value = objective(state, H, network, prox, bare)
         recon = 0.0
         for s, v in enumerate(network.views):
-            diff = (v.features - ae.decode(state.autoencoders[s], state.H[s]))[v.mask]
+            diff = (v.features - ae.decode(state.autoencoders[s], H[s]))[v.mask]
             recon += float(np.sum(diff * diff))
         assert value == pytest.approx(recon, rel=1e-12)
 
     def test_non_finite_objective_raises(self):
-        network, hyper, prox, state = small_setup(2)
+        network, hyper, prox, state, H = small_setup(2)
         state.Y[0, 0] = np.inf
         with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning):
-            objective(state, network, prox, hyper)
+            objective(state, H, network, prox, hyper)
 
 
 class TestGradY:
     def test_orthonormal_embedding_with_zero_tradeoffs_is_stationary(self):
-        network, hyper, prox, state = small_setup(3)
+        network, hyper, prox, state, H = small_setup(3)
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((network.n, hyper.dim)))
         state.Y = q
         only_reg = Hyperparams(alpha=0.0, beta=0.0, lam=0.7, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(state, prox, only_reg))) < 1e-12
+        assert np.max(np.abs(grad_Y(state, H, prox, only_reg))) < 1e-12
 
     def test_constant_columns_kill_the_proximity_term(self):
-        network, hyper, prox, state = small_setup(4)
+        network, hyper, prox, state, H = small_setup(4)
         state.Y = np.ones_like(state.Y)
         only_beta = Hyperparams(alpha=0.0, beta=1.3, lam=0.0, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(state, prox, only_beta))) < 1e-10
+        assert np.max(np.abs(grad_Y(state, H, prox, only_beta))) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
-        network, hyper, prox, state = small_setup(seed + 5)
+        network, hyper, prox, state, H = small_setup(seed + 5)
 
         def fun(Y):
-            trial = EmbeddingState(Y, state.B, state.H, state.masks,
+            trial = EmbeddingState(Y, state.B, state.masks,
                                    state.autoencoders, hyper)
-            return objective(trial, network, prox, hyper)
+            return objective(trial, H, network, prox, hyper)
 
-        analytic = grad_Y(state, prox, hyper)
+        analytic = grad_Y(state, H, prox, hyper)
         numeric = central_difference_matrix(fun, state.Y)
         assert rel_error(analytic, numeric) < 1e-5
 
 
 class TestUpdateY:
     def test_zero_gradient_is_a_fixed_point(self):
-        network, hyper, prox, state = small_setup(6)
+        network, hyper, prox, state, H = small_setup(6)
         # all trade-offs zero: the subproblem is constant, its gradient exactly zero
         frozen = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim, y_steps=4)
-        out = update_Y(state, prox, frozen)
+        out = update_Y(state, H, prox, frozen)
         assert np.array_equal(out.Y, state.Y)
         # zero embedding is a stationary point of the orthogonality penalty
         state.Y = np.zeros_like(state.Y)
         reg_only = Hyperparams(alpha=0.0, beta=0.0, lam=0.9, dim=hyper.dim, y_steps=4)
-        out = update_Y(state, prox, reg_only)
+        out = update_Y(state, H, prox, reg_only)
         assert np.array_equal(out.Y, state.Y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_increases_the_objective(self, seed):
-        network, hyper, prox, state = small_setup(seed + 10)
-        before = objective(state, network, prox, hyper)
-        out = update_Y(state, prox, hyper)
-        assert objective(out, network, prox, hyper) <= before + 1e-12
+        network, hyper, prox, state, H = small_setup(seed + 10)
+        before = objective(state, H, network, prox, hyper)
+        out = update_Y(state, H, prox, hyper)
+        assert objective(out, H, network, prox, hyper) <= before + 1e-12
 
     @pytest.mark.parametrize("y_steps", [1, 5, 8])
     def test_applies_the_laplacian_once_per_step(self, y_steps):
-        network, hyper, prox, state = small_setup(23)
+        network, hyper, prox, state, H = small_setup(23)
         calls = []
-        update_Y(state, replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)),
+        update_Y(state, H, replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)),
                  replace(hyper, y_steps=y_steps))
         assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step
 
     def test_training_applies_the_laplacian_once_per_step_and_objective(self, monkeypatch):
-        network, hyper, _, _ = small_setup(24)
+        network, hyper, _, _, _ = small_setup(24)
         hyper = replace(hyper, max_iters=2, y_steps=5, stop_patience=10)
         calls = []
         build = trainer.build_stack
@@ -224,23 +220,25 @@ class TestUpdateY:
         assert len(calls) == 1 + 2 * (5 + 1)
 
     def test_handed_over_products_leave_the_trace_equal_to_objective(self):
-        network, hyper, _, _ = small_setup(25)
+        network, hyper, _, _, _ = small_setup(25)
         prox = build_stack(network, hyper.proximity)
         start = train(network, replace(hyper, max_iters=0))
-        assert start.objective_trace == [objective(start, network, prox, hyper)]
+        assert start.objective_trace == [
+            objective(start, representations(start, network), network, prox, hyper)]
         state = train(network, replace(hyper, max_iters=3, stop_patience=10))
-        assert state.objective_trace[-1] == objective(state, network, prox, hyper)
+        assert state.objective_trace[-1] == objective(
+            state, representations(state, network), network, prox, hyper)
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
-        network, hyper, prox, state = small_setup(7, n=8, d=2, hidden=(4, 3))
+        network, hyper, prox, state, H = small_setup(7, n=8, d=2, hidden=(4, 3))
 
         def sub_objective(Y):
             val = hyper.beta * float(np.sum(Y * (prox.laplacian @ Y)))
             gram = Y.T @ Y - np.eye(Y.shape[1])
             val += hyper.lam * float(np.sum(gram * gram))
             for s, m in enumerate(state.masks):
-                diff = state.H[s][m] - Y[m] @ state.B[s]
+                diff = H[s][m] - Y[m] @ state.B[s]
                 val += hyper.alpha * float(np.sum(diff * diff))
             return val
 
@@ -265,15 +263,15 @@ class TestUpdateY:
 
         fast = state
         for _ in range(300):
-            fast = update_Y(fast, prox, hyper)
+            fast = update_Y(fast, H, prox, hyper)
         assert sub_objective(fast.Y) <= value + 1e-6
 
 
 def ray_setup(seed, **changes):
     """Small state, its hyperparameters and everything one exact Y step reads."""
-    network, hyper, prox, state = small_setup(seed)
+    network, hyper, prox, state, H = small_setup(seed)
     hyper = replace(hyper, **changes)
-    views, L = _y_views(state), prox.laplacian
+    views, L = _y_views(state, H), prox.laplacian
     Y, LY = state.Y, L @ state.Y
     G = _y_grad(Y, LY, views, hyper)
     f = _y_value(Y, LY, views, hyper)
@@ -341,9 +339,9 @@ class TestExactStep:
 
 class TestUpdateB:
     def test_huge_ridge_drives_bases_to_zero(self):
-        network, hyper, prox, state = small_setup(8)
+        network, hyper, prox, state, H = small_setup(8)
         heavy = Hyperparams(alpha=1.0, beta=0.0, lam=1e12, dim=hyper.dim)
-        out = update_B(state, network, heavy)
+        out = update_B(state, H, heavy)
         for B in out.B:
             assert np.max(np.abs(B)) < 1e-6
 
@@ -353,32 +351,33 @@ class TestUpdateB:
         network.views[0].mask[:] = True
         hyper = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=4, hidden_dims=(3,))
         state = make_state(network, hyper, seed=3)
+        H = representations(state, network)
         state.Y = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        out = update_B(state, network, hyper)
-        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, state.H[0]),
+        out = update_B(state, H, hyper)
+        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, H[0]),
                                    atol=1e-8)
 
     def test_singular_system_with_zero_ridge_raises(self):
-        network, hyper, prox, state = small_setup(9)
+        network, hyper, prox, state, H = small_setup(9)
         state.Y = np.zeros_like(state.Y)
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim)
         with pytest.raises(ValueError, match="lam"):
-            update_B(state, network, bad)
+            update_B(state, H, bad)
 
     def test_singular_system_with_a_negligible_ridge_names_lam(self):
-        network, hyper, prox, state = small_setup(9)
+        network, hyper, prox, state, H = small_setup(9)
         state.Y = np.ones_like(state.Y)  # alpha Y^T Y + lam I rounds to a singular matrix
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=5e-324, dim=hyper.dim)
         with pytest.raises(ValueError, match=r"view \d: basis system is singular with lam = 4.94"):
-            update_B(state, network, bad)
+            update_B(state, H, bad)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_descent_to_convergence_oracle(self, seed):
-        network, hyper, prox, state = small_setup(seed + 15)
-        out = update_B(state, network, hyper)
+        network, hyper, prox, state, H = small_setup(seed + 15)
+        out = update_B(state, H, hyper)
         for s, view in enumerate(network.views):
             m = view.mask
-            Yp, Hp = state.Y[m], state.H[s][m]
+            Yp, Hp = state.Y[m], H[s][m]
 
             def grad(B):
                 return (2.0 * hyper.alpha * Yp.T @ (Yp @ B - Hp)
@@ -411,45 +410,46 @@ class TestUpdateB:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subproblem_gradient_is_zero_after_update(self, seed):
-        network, hyper, prox, state = small_setup(seed + 20)
-        out = update_B(state, network, hyper)
-        for g in grad_B(out, hyper):
+        network, hyper, prox, state, H = small_setup(seed + 20)
+        out = update_B(state, H, hyper)
+        for g in grad_B(out, H, hyper):
             assert np.max(np.abs(g)) < 1e-8
 
     def test_solves_over_the_state_masks(self):
-        network, hyper, prox, state = small_setup(12)
+        network, hyper, prox, state, H = small_setup(12)
         hidden = np.flatnonzero(state.masks[0])[0]
         state.masks[0][hidden] = False  # make_state copied the network's masks
-        out = update_B(state, network, hyper)
+        out = update_B(state, H, hyper)
         m = state.masks[0]
-        Yp, Hp = state.Y[m], state.H[0][m]
+        Yp, Hp = state.Y[m], H[0][m]
         ridge = np.linalg.solve(hyper.alpha * Yp.T @ Yp + hyper.lam * np.eye(hyper.dim),
                                 hyper.alpha * Yp.T @ Hp)
         np.testing.assert_allclose(out.B[0], ridge, rtol=1e-10, atol=1e-12)
 
 
 class TestUpdateH:
-    def test_refreshes_cached_representations_consistently(self):
-        network, hyper, prox, state = small_setup(10)
-        out = update_H(state, network, hyper)
+    def test_returns_the_representations_of_the_trained_autoencoders(self):
+        network, hyper, prox, state, H = small_setup(10)
+        out, H_new = update_H(state, network, hyper)
+        assert not all(np.array_equal(a, b) for a, b in zip(H, H_new))
         for s, view in enumerate(network.views):
             expect = ae.encode(out.autoencoders[s], view.features, view.mask)
-            assert np.array_equal(out.H[s], expect)
-            assert np.all(out.H[s][~view.mask] == 0.0)
+            assert np.array_equal(H_new[s], expect)
+            assert np.all(H_new[s][~view.mask] == 0.0)
 
     def test_never_increases_the_objective(self):
-        network, hyper, prox, state = small_setup(11)
-        state = update_B(state, network, hyper)
-        before = objective(state, network, prox, hyper)
-        out = update_H(state, network, hyper)
-        assert objective(out, network, prox, hyper) <= before + 1e-12
+        network, hyper, prox, state, H = small_setup(11)
+        state = update_B(state, H, hyper)
+        before = objective(state, H, network, prox, hyper)
+        out, H_new = update_H(state, network, hyper)
+        assert objective(out, H_new, network, prox, hyper) <= before + 1e-12
 
     def test_hidden_state_mask_row_stays_zero(self):
-        network, hyper, prox, state = small_setup(13)
+        network, hyper, prox, state, H = small_setup(13)
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
-        out = update_H(state, network, hyper)
-        assert np.all(out.H[1][hidden] == 0.0)
+        _, H_new = update_H(state, network, hyper)
+        assert np.all(H_new[1][hidden] == 0.0)
 
 
 def spectrum_matrix(rng, n, m, singular_values):
@@ -494,7 +494,7 @@ class TestWarmStart:
         kept = np.linalg.matrix_rank(stacked)
         assert oracle.shape[1] == kept < d
         Y = trainer._init_state(network, Hyperparams(dim=d, hidden_dims=(3,)),
-                                np.random.default_rng(5)).Y
+                                np.random.default_rng(5))[0].Y
         assert projector_distance(Y[:, :kept], oracle) < 1e-10
         fill = np.random.default_rng(5).standard_normal((n, d - kept)) / np.sqrt(d)
         assert np.array_equal(Y[:, kept:], fill)
@@ -504,7 +504,7 @@ class TestWarmStart:
         for view in network.views:
             view.features[:] = 0.0
         Y = trainer._init_state(network, Hyperparams(dim=4, hidden_dims=(3,)),
-                                np.random.default_rng(8)).Y
+                                np.random.default_rng(8))[0].Y
         assert np.array_equal(Y, np.random.default_rng(8).standard_normal((10, 4)) / 2.0)
 
 
@@ -540,7 +540,8 @@ class TestLineSearchHint:
         assert hints[:2] == [None, None] and None not in hints[2:]
         assert len(hints) == len(plain_hints) == 2 * (len(hinted.objective_trace) - 1)
         assert np.array_equal(hinted.Y, plain.Y)
-        assert all(np.array_equal(a, b) for a, b in zip(hinted.H, plain.H))
+        assert all(np.array_equal(a, b) for a, b in zip(representations(hinted, net),
+                                                        representations(plain, net)))
         assert hinted.objective_trace == plain.objective_trace
 
     def test_cuts_autoencoder_loss_evaluations(self, monkeypatch):
@@ -589,7 +590,8 @@ class TestHyperparams:
         {"stop_tol": math.nan}, {"stop_tol": -1e-6}, {"stop_tol": math.inf}, {"seed": -1},
         {"dim": "x"}, {"output_activation": "swish"}, {"dim": 2.5}, {"max_iters": 1.5},
         {"hidden_dims": (2.5,)}, {"hidden_dims": ("a",)}, {"dim": True}, {"alpha": False},
-        {"seed": None}])
+        {"seed": None}, {"hidden_dims": 5}, {"hidden_dims": "ab"},
+        {"proximity": {"order": 2}}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
@@ -678,27 +680,21 @@ class TestTrain:
 class TestInvariances:
     @pytest.mark.parametrize("seed", range(3))
     def test_rotation_leaves_consistency_and_proximity_terms_unchanged(self, seed):
-        network, hyper, prox, state = small_setup(seed + 25)
+        network, hyper, prox, state, H = small_setup(seed + 25)
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((hyper.dim, hyper.dim)))
-        rotated = EmbeddingState(state.Y @ Q, [Q.T @ B for B in state.B], state.H,
+        rotated = EmbeddingState(state.Y @ Q, [Q.T @ B for B in state.B],
                                  state.masks, state.autoencoders, hyper)
         for trial in (Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim),
                       Hyperparams(alpha=0.0, beta=1.0, lam=0.0, dim=hyper.dim)):
-            a = objective(state, network, prox, trial)
-            b = objective(rotated, network, prox, trial)
+            a = objective(state, H, network, prox, trial)
+            b = objective(rotated, H, network, prox, trial)
             assert abs(a - b) / max(abs(a), 1e-12) < 1e-10
-
-    def test_objective_from_params_matches_cached_state(self):
-        network, hyper, prox, state = small_setup(28)
-        fresh = objective_from_params(network, prox, state.Y, state.B,
-                                      state.autoencoders, hyper)
-        assert fresh == pytest.approx(objective(state, network, prox, hyper), rel=1e-12)
 
 
 class TestReconstructMissing:
     def test_zero_basis_gives_zero_vector(self):
-        network, hyper, prox, state = small_setup(30)
+        network, hyper, prox, state, H = small_setup(30)
         state.B[0][:] = 0.0
         assert np.array_equal(reconstruct_missing(state, 1, 0),
                               np.zeros(state.B[0].shape[1]))
@@ -707,12 +703,11 @@ class TestReconstructMissing:
         hyper = Hyperparams(dim=1, hidden_dims=(1,))
         params = ae.init_autoencoder(1, (1,), rng=np.random.default_rng(0))
         state = EmbeddingState(np.array([[3.0]]), [np.array([[2.0]])],
-                               [np.zeros((1, 1))], [np.ones(1, dtype=bool)],
-                               [params], hyper)
+                               [np.ones(1, dtype=bool)], [params], hyper)
         assert reconstruct_missing(state, 0, 0) == pytest.approx([6.0])
 
     def test_out_of_range_indices_raise(self):
-        network, hyper, prox, state = small_setup(31)
+        network, hyper, prox, state, H = small_setup(31)
         with pytest.raises(IndexError):
             reconstruct_missing(state, network.n, 0)
         with pytest.raises(IndexError):
@@ -725,11 +720,12 @@ class TestReconstructMissing:
                             hidden_dims=(8,), seed=7)
         state = train(net, hyper)
         view = 0
+        H = representations(state, net)
         mask = net.views[view].mask
         errs, scales = [], []
         for node in np.flatnonzero(mask):
             approx = reconstruct_missing(state, int(node), view)
-            actual = state.H[view][node]
+            actual = H[view][node]
             errs.append(np.linalg.norm(approx - actual))
             scales.append(np.linalg.norm(actual))
         ratio = float(np.mean(errs) / max(np.mean(scales), 1e-12))
