@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .optim import armijo_minimize, flatten, latest_point, unflatten
+from .optim import armijo_minimize, flatten, unflatten
 
 _ACT = {
     "identity": (lambda z: z, lambda a: np.ones_like(a)),
@@ -193,27 +193,22 @@ def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1, f
     """Backpropagation steps on one view's autoencoder; never increases the loss.
 
     The present rows and the subspace target are taken once, and each
-    gradient runs only the backward pass of the loss evaluation that
-    accepted its point. ``first_step`` is ``armijo_minimize``'s speed hint
-    for the first step, typically the step this function returned for the
-    same view before. Returns the trained parameters and the line search's
-    last step.
+    gradient runs only the backward pass of the forward pass that accepted
+    its point. ``first_step`` is ``armijo_minimize``'s speed hint for the
+    first step, typically the step this function returned for the same view
+    before. Returns the trained parameters and the line search's last step.
     """
     templates = params.all_arrays()
     Xp, target = _view_rows(X, mask, Y, B, alpha)
 
-    @latest_point
     def forward(vec):
         cur = params.replace_arrays(unflatten(vec, templates))
-        return cur, _view_forward(cur, Xp, target, alpha, lam)
+        loss, outputs = _view_forward(cur, Xp, target, alpha, lam)
+        return loss, (cur, outputs)
 
-    def fun(vec):
-        return forward(vec)[1][0]
+    def backward(work):  # work is the (params, outputs) of one forward pass
+        return flatten(_view_backward(*work, target, alpha, lam))
 
-    def grad(vec):
-        cur, (_, outputs) = forward(vec)
-        return flatten(_view_backward(cur, outputs, target, alpha, lam))
-
-    vec, _, step = armijo_minimize(fun, grad, flatten(templates), steps=steps, step0=lr,
+    vec, _, step = armijo_minimize(forward, backward, flatten(templates), steps=steps, step0=lr,
                                    first_step=first_step)
     return params.replace_arrays(unflatten(vec, templates)), step

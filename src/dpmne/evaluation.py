@@ -341,12 +341,14 @@ def kfold_indices(n, folds, rng):
     return np.array_split(rng.permutation(n), _check_setting("folds", folds, 2, n, integer=True))
 
 
+@one_blas_thread()
 def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
     """Pick the (alpha, beta, lam) grid point with the best mean fold micro-F1.
 
     The embedding is learned once per grid point (training never sees
     labels); only the downstream classifier is cross-validated. Ties keep
-    the earliest grid point.
+    the earliest grid point. BLAS runs at one thread, as in ``classify_f1``,
+    so the fold scores do not depend on its thread setting.
     """
     protocol = protocol or EvalProtocol()
     base_hyper = base_hyper if base_hyper is not None else Hyperparams()

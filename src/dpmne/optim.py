@@ -1,4 +1,7 @@
-"""Full-batch gradient descent with an Armijo line search, for the autoencoders."""
+"""Full-batch gradient descent with an Armijo line search, for the autoencoders.
+
+Each trial point runs one forward pass, and each gradient reads the accepted trial's pass.
+"""
 
 import numpy as np
 
@@ -23,76 +26,61 @@ def unflatten(vec, templates):
     return out
 
 
-def latest_point(forward):
-    """Memoize ``forward`` on the identity of its one argument, keeping only the last call.
-
-    ``fun`` and ``grad`` closures for ``armijo_minimize`` share a wrapped
-    forward pass, so the gradient at the accepted point reuses the work its
-    loss evaluation did. A call with any other array recomputes.
-    """
-    last_x, last_out = None, None
-
-    def cached(x):
-        nonlocal last_x, last_out
-        if x is not last_x:
-            last_x = last_out = None  # free the old point's work before computing the new one
-            last_out = forward(x)
-            last_x = x
-        return last_out
-    return cached
-
-
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 MAX_HALVINGS = 60  # grid steps a search tries before it gives up
 
 
-def _trial(fun, x, f, g, gg, step):
-    """The point ``step`` along -g, its value, and whether it passes the Armijo test."""
+def _trial(forward, x, f, g, gg, step):
+    """((x, f, pass, step), f) at ``step`` along -g if it passes the Armijo test, else (None, f)."""
     x_new = x - step * g
-    f_new = float(fun(x_new))
-    return x_new, f_new, bool(np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * gg)
+    f_new, work = forward(x_new)
+    f_new = float(f_new)
+    if np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * gg:
+        return (x_new, f_new, work, step), f_new
+    return None, f_new
 
 
-def _search(fun, x, f, g, gg, start, top, floor):
+def _search(forward, x, f, g, gg, start, top, floor):
     """Armijo step from ``start`` on the grid top * 2**-k: double while passing, else halve.
 
-    Returns (x, f, step) for the largest passing step below a failing one (or
-    ``top``). When no step from ``start`` down to ``floor`` passes, returns
-    (None, least finite value tried, None).
+    Returns (trial, least): the trial (x, f, pass, step) of the largest passing
+    step below a failing one (or ``top``), or None with the least finite value
+    tried when no step from ``start`` down to ``floor`` passes.
     """
-    step = start
-    x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
-    if passed:
-        best = x_new, f_new, step
-        while step < top:
-            step *= 2.0
-            x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
-            if not passed:
-                fun(best[0])  # the gradient is taken at the point ``fun`` saw last
-                break
-            best = x_new, f_new, step
-        return best
-    least = np.inf
-    while not passed:
+    step, least = start, np.inf
+    best, f_new = _trial(forward, x, f, g, gg, step)
+    while best is not None and step < top:  # only the best passing trial's pass stays alive
+        step *= 2.0
+        trial, _ = _trial(forward, x, f, g, gg, step)
+        if trial is None:
+            break
+        best = trial
+    while best is None:
         if np.isfinite(f_new):
             least = min(least, f_new)
         if step <= floor:
-            return None, least, None
+            break
         step *= 0.5
-        x_new, f_new, passed = _trial(fun, x, f, g, gg, step)
-    return x_new, f_new, step
+        best, f_new = _trial(forward, x, f, g, gg, step)
+    return best, least
 
 
-def armijo_minimize(fun, grad, x0, steps, step0=1.0, gtol=0.0, first_step=None):
-    """Run ``steps`` descent steps on ``fun`` with an Armijo line search.
+def armijo_minimize(forward, backward, x0, steps, step0=1.0, gtol=0.0, first_step=None):
+    """Run ``steps`` descent steps with an Armijo line search.
+
+    ``forward(x)`` returns (value, pass) and ``backward(pass)`` the gradient
+    at that pass's point. Each trial point is evaluated once; the gradient
+    of the next step reads the accepted trial's pass. A pass is dropped once
+    its gradient is taken or its trial fails, and while the search doubles
+    only the best passing trial's pass is kept.
 
     Each step searches the grid t * 2**-k below the carried-over step size t
     (``step0`` at first, then twice the last accepted step), halving from t
     until the Armijo sufficient-decrease test passes, for at most
-    ``MAX_HALVINGS`` trials. The returned objective value never exceeds
-    ``fun(x0)``: a step is only taken when it decreases the objective, and a
-    step whose achievable decrease is below machine precision terminates the
-    loop instead of failing.
+    ``MAX_HALVINGS`` trials. The returned objective value never exceeds the
+    value at ``x0``: a step is only taken when it decreases the objective,
+    and a step whose achievable decrease is below machine precision
+    terminates the loop instead of failing.
 
     ``first_step`` is a speed hint for the first step only, such as the step
     a search on a nearby problem returned. The first step starts at the hint
@@ -105,14 +93,11 @@ def armijo_minimize(fun, grad, x0, steps, step0=1.0, gtol=0.0, first_step=None):
     above the hint, so every grid step is tried once and the stationary exit
     and the error are those of the search without a hint.
 
-    ``grad(x)`` is only called with the array object most recently passed
-    to ``fun`` (x0 converted to float64, or the accepted trial), so ``fun``
-    and ``grad`` may share that point's forward pass (see ``latest_point``).
-
     Returns (x, f, last_step).
     """
     x = np.asarray(x0, dtype=np.float64)
-    f = float(fun(x))
+    f, work = forward(x)
+    f = float(f)
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
     t = start = float(step0)
@@ -120,25 +105,24 @@ def armijo_minimize(fun, grad, x0, steps, step0=1.0, gtol=0.0, first_step=None):
     while first_step is not None and start > first_step and start > floor:
         start *= 0.5
     for _ in range(int(steps)):
-        g = np.asarray(grad(x), dtype=np.float64)
+        g = np.asarray(backward(work), dtype=np.float64)
+        work = accepted = None  # the pass is spent: free it before the trials run
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("gradient has non-finite entries")
         gg = float(g @ g)
         if gg == 0.0 or np.max(np.abs(g)) <= gtol:
             break
-        x_new, f_new, trial = _search(fun, x, f, g, gg, start, t, floor)
-        if x_new is None and start < t:  # nothing at or below the hint passes: try above it
-            least = f_new
-            x_new, f_new, trial = _search(fun, x, f, g, gg, t, t, 2.0 * start)
-            if x_new is None:
-                f_new = min(least, f_new)
-        if x_new is None:
-            if f_new <= f + 1e-12 * max(1.0, abs(f)):
+        accepted, least = _search(forward, x, f, g, gg, start, t, floor)
+        if accepted is None and start < t:  # nothing at or below the hint passes: try above it
+            accepted, above = _search(forward, x, f, g, gg, t, t, 2.0 * start)
+            least = min(least, above)
+        if accepted is None:
+            if least <= f + 1e-12 * max(1.0, abs(f)):
                 break  # no decrease beyond rounding error: stationary point
             raise RuntimeError(
                 "line search failed: no decrease after "
                 f"{MAX_HALVINGS} halvings (objective {f:.6e})")
-        x, f = x_new, f_new
+        x, f, work, trial = accepted
         t = start = 2.0 * trial
         floor = t * 0.5 ** (MAX_HALVINGS - 1)
     return x, f, t

@@ -157,17 +157,6 @@ def grad_Y(state, H, prox, hyper):
     return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, H), hyper)
 
 
-def grad_B(state, H, hyper):
-    """Per-view gradients of the basis subproblem (consistency + ridge)."""
-    grads = []
-    for s in range(len(state.B)):
-        m = state.masks[s]
-        Yp = state.Y[m]
-        residual = Yp @ state.B[s] - H[s][m]
-        grads.append(2.0 * hyper.alpha * (Yp.T @ residual) + 2.0 * hyper.lam * state.B[s])
-    return grads
-
-
 def _ray_coefficients(Y, G, LY, LG, views, hyper, f):
     """Coefficients c0..c4 of the quartic f(tau) = ``_y_value`` at Y - tau G.
 
@@ -360,8 +349,9 @@ def train(network, hyper=None, init_state=None):
     """Alternate the Y, B and autoencoder updates until stalled or exhausted.
 
     Expects a validated network; masked feature rows are never read. Returns
-    the final state with one objective value recorded per completed outer
-    iteration (plus the starting value). Fixing the seed fixes the output:
+    the final state, which carries this run's ``hyper`` (also on a resume),
+    with one objective value recorded per completed outer iteration (plus
+    the starting value). Fixing the seed fixes the output:
     BLAS runs on one thread meanwhile, so its thread setting does not split
     sums differently, and the caller's setting is restored on return.
     """
@@ -398,7 +388,7 @@ def train(network, hyper=None, init_state=None):
             stalled = stalled + 1 if rel_drop < hyper.stop_tol else 0
             if stalled >= hyper.stop_patience:
                 break
-        return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
+        return replace(state, hyper=hyper, objective_trace=trace, iter_seconds=iter_seconds)
 
 
 def reconstruct_missing(state, node, view):

@@ -8,22 +8,27 @@ from dpmne import optim
 from dpmne.graph_model import MultiplexNetwork, ViewData, validate
 
 
-def recording_armijo(calls):
-    """``armijo_minimize`` that appends "f" per loss and "g" per gradient call to ``calls``.
+def point_pass(fun, grad):
+    """``(forward, backward)`` for ``armijo_minimize`` from a plain ``fun`` and ``grad``.
 
-    The wrapped callables receive the optimizer's own arrays, so a closure
-    keyed on their identity behaves as without the wrapper.
+    The pass is the point itself, so ``backward`` hands the optimizer's own
+    array to ``grad`` and checks such as ``x is x0`` keep working.
     """
-    def armijo(fun, grad, x0, *args, **kwargs):
-        def recorded_fun(x):
+    return (lambda x: (fun(x), x)), grad
+
+
+def recording_armijo(calls):
+    """``armijo_minimize`` that appends "f" per forward and "g" per backward call to ``calls``."""
+    def armijo(forward, backward, x0, *args, **kwargs):
+        def recorded_forward(x):
             calls.append("f")
-            return fun(x)
+            return forward(x)
 
-        def recorded_grad(x):
+        def recorded_backward(work):
             calls.append("g")
-            return grad(x)
+            return backward(work)
 
-        return optim.armijo_minimize(recorded_fun, recorded_grad, x0, *args, **kwargs)
+        return optim.armijo_minimize(recorded_forward, recorded_backward, x0, *args, **kwargs)
     return armijo
 
 

@@ -20,8 +20,7 @@ from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.optim import flatten, unflatten
 from dpmne.proximity import ProximityConfig, ProximityLaplacian, default_weights
 from dpmne.quantizer import binarize_sign, itq, procrustes_rotation
-from dpmne.trainer import (EmbeddingState, Hyperparams, grad_B, grad_Y, objective, train,
-                           update_B)
+from dpmne.trainer import EmbeddingState, Hyperparams, grad_Y, objective, train, update_B
 
 from conftest import random_network
 from oracles import aggregate_and_laplacian, high_order_proximity, objective_from_params
@@ -83,17 +82,6 @@ def test_criterion_01_gradient_correctness():
 
         worst = max(worst, rel_error(grad_Y(state, H, prox, hyper).ravel(),
                                      central_diff(with_Y, state.Y.ravel())))
-
-        analytic_B = grad_B(state, H, hyper)
-        for s in range(2):
-            def with_B(vec, s=s):
-                B = list(state.B)
-                B[s] = vec.reshape(state.B[s].shape)
-                trial = EmbeddingState(state.Y, B, state.masks, state.autoencoders, hyper)
-                return objective(trial, H, network, prox, hyper)
-
-            worst = max(worst, rel_error(analytic_B[s].ravel(),
-                                         central_diff(with_B, state.B[s].ravel())))
 
         for s, view in enumerate(network.views):
             params = state.autoencoders[s]

@@ -7,7 +7,7 @@ from dpmne.autoencoder import (AutoencoderParams, decode, encode, init_autoencod
                                train_view_autoencoder, view_loss, view_loss_and_grads)
 from dpmne.optim import armijo_minimize, flatten, unflatten
 
-from conftest import recording_armijo
+from conftest import point_pass, recording_armijo
 
 
 def straight_line_forward(params, X):
@@ -177,8 +177,9 @@ class TestTrainViewAutoencoder:
             return params.replace_arrays(unflatten(v, templates))
 
         vec, _, _ = armijo_minimize(
-            lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
-            lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1]),
+            *point_pass(
+                lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
+                lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1])),
             flatten(templates), steps=8, step0=0.5)
         out, _ = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8, lr=0.5)
         assert np.array_equal(flatten(out.all_arrays()), vec)

@@ -278,6 +278,27 @@ for value in (report.micro_f1, report.micro_f1_std, report.macro_f1, report.macr
 """
 
 
+# the shape at which the fold fits' bits depended on the OpenBLAS thread count
+# while cross_validate ran outside one_blas_thread; at n=2000 with 30 features
+# and dim 32 they did not
+CROSS_VALIDATE_DETERMINISM_SCRIPT = """
+import hashlib
+from dpmne import evaluation
+from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.trainer import Hyperparams
+fit = evaluation.fit_logistic_regression
+
+def recorded(*args, **kwargs):
+    W = fit(*args, **kwargs)
+    print(hashlib.sha256(W.tobytes()).hexdigest())
+    return W
+evaluation.fit_logistic_regression = recorded
+net = synth_generate(SynthConfig(n=2500, communities=10, t=2, feature_dim=150, seed=3))
+hyper = Hyperparams(dim=128, hidden_dims=(8,), max_iters=0)
+evaluation.cross_validate(net, [(1.0, 0.1, 0.01)], folds=5, base_hyper=hyper)
+"""
+
+
 def digests_under_openblas_threads(script):
     """Output lines of ``script`` run in a child with 1, then 2, OpenBLAS threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -307,6 +328,12 @@ def test_knn_fill_is_independent_of_openblas_threads():
 def test_classification_fits_are_independent_of_openblas_threads():
     digests = digests_under_openblas_threads(CLASSIFY_DETERMINISM_SCRIPT)
     assert len(digests["1"]) == 6  # the weights of two fits, micro and macro F1 with stds
+    assert digests["1"] == digests["2"]
+
+
+def test_cross_validation_fits_are_independent_of_openblas_threads():
+    digests = digests_under_openblas_threads(CROSS_VALIDATE_DETERMINISM_SCRIPT)
+    assert len(digests["1"]) == 5  # the weights of each fold's fit
     assert digests["1"] == digests["2"]
 
 

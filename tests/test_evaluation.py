@@ -24,7 +24,7 @@ from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
 
-from conftest import make_view, random_network
+from conftest import make_view, point_pass, random_network
 from dpmne.graph_model import MultiplexNetwork, ViewData
 
 
@@ -76,8 +76,8 @@ def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
     row-major logits, stopped by ``gtol`` or after ``max_steps`` steps."""
     shape = (X.shape[1] + 1, num_classes)
     vec, _, _ = armijo_minimize(
-        lambda v: row_major_logreg_loss(v.reshape(shape), X, y, l2),
-        lambda v: row_major_logreg_grad(v.reshape(shape), X, y, l2).ravel(),
+        *point_pass(lambda v: row_major_logreg_loss(v.reshape(shape), X, y, l2),
+                    lambda v: row_major_logreg_grad(v.reshape(shape), X, y, l2).ravel()),
         np.zeros(shape).ravel(), steps=max_steps, step0=1.0, gtol=gtol)
     return vec.reshape(shape)
 

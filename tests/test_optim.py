@@ -1,9 +1,20 @@
-"""The Armijo line search's first-step hint against the search without one."""
+"""The Armijo line search of ``optim.armijo_minimize``.
+
+Each trial point runs one forward pass, the next gradient reads the pass of
+the accepted trial, and at most one earlier pass is alive when a forward pass
+runs (none while the search halves). The first-step hint accepts the same
+steps as the search without one. Tests pass a plain ``fun`` and ``grad``
+through ``conftest.point_pass``, whose pass is the point itself.
+"""
+
+import weakref
 
 import numpy as np
 import pytest
 
-from dpmne.optim import armijo_minimize
+from dpmne.optim import ARMIJO_C, armijo_minimize
+
+from conftest import point_pass
 
 
 def quadratic(seed, dim=6):
@@ -20,23 +31,45 @@ def quadratic(seed, dim=6):
 
 
 def logged(fun, grad):
-    """``fun`` and ``grad`` that append ("f", x) and ("g", x) per call to a log."""
+    """``forward`` and ``backward`` that append ("f", x) and ("g", pass) per call to a log."""
     log = []
+    forward, backward = point_pass(fun, grad)
 
     def f(x):
         log.append(("f", x))
-        return fun(x)
+        return forward(x)
 
-    def g(x):
-        log.append(("g", x))
-        return grad(x)
+    def g(work):
+        log.append(("g", work))
+        return backward(work)
     return f, g, log
 
 
 def first_step_trials(log, x0, g0):
-    """The steps ``fun`` was tried at before the second gradient."""
+    """The steps ``forward`` was tried at before the second gradient."""
     second_grad = [i for i, (kind, _) in enumerate(log) if kind == "g"][1]
     return [float((x0 - x)[0] / g0[0]) for kind, x in log[1:second_grad] if kind == "f"]
+
+
+def gradient_reads(log, fun, grad):
+    """(pass the gradient read, trial the search accepted) for every step but the last.
+
+    The accepted trial is the passing trial of the largest step, taken from
+    the logged values, not from the search.
+    """
+    reads, current, trials = [], log[0][1], []
+    for kind, x in log[1:]:
+        if kind == "f":
+            trials.append(x)
+        elif trials:  # the first gradient, at x0, follows no trial
+            g = grad(current)
+            gg = float(g @ g)
+            steps = [float((current - t)[0] / g[0]) for t in trials]
+            passing = [(s, t) for s, t in zip(steps, trials)
+                       if fun(t) <= fun(current) - ARMIJO_C * s * gg]
+            reads.append((x, max(passing, key=lambda p: p[0])[1]))
+            current, trials = x, []
+    return reads
 
 
 def same_result(a, b):
@@ -49,8 +82,9 @@ class TestFirstStepHint:
     @pytest.mark.parametrize("step0", [0.4, 1e-4])  # the test passes at 1e-4: doubling stops there
     def test_accepts_the_same_steps_as_halving_from_step0(self, seed, hint, step0):
         fun, grad, x0 = quadratic(seed)
-        plain = armijo_minimize(fun, grad, x0, steps=6, step0=step0)
-        hinted = armijo_minimize(fun, grad, x0, steps=6, step0=step0, first_step=hint)
+        plain = armijo_minimize(*point_pass(fun, grad), x0, steps=6, step0=step0)
+        hinted = armijo_minimize(*point_pass(fun, grad), x0, steps=6, step0=step0,
+                                 first_step=hint)
         assert same_result(hinted, plain)
 
     def test_a_hint_above_step0_is_capped(self):
@@ -75,18 +109,19 @@ class TestFirstStepHint:
         trials = first_step_trials(log, x0, grad(x0))
         np.testing.assert_allclose(trials, plain_trials[2:], rtol=1e-12)
 
-    def test_a_passing_hint_doubles_and_the_gradient_reads_the_last_point(self):
+    def test_a_passing_hint_doubles_and_each_gradient_reads_the_accepted_pass(self):
         fun, grad, x0 = quadratic(3)
-        plain = armijo_minimize(fun, grad, x0, steps=3, step0=0.4)
+        plain = armijo_minimize(*point_pass(fun, grad), x0, steps=3, step0=0.4)
         f, g, log = logged(fun, grad)
         hinted = armijo_minimize(f, g, x0, steps=3, step0=0.4, first_step=1e-6)
         assert same_result(hinted, plain)
         trials = first_step_trials(log, x0, grad(x0))
-        # doubling up to the first failure, then the accepted point once more
-        assert trials[-1] == trials[-3] and trials[-2] == pytest.approx(2 * trials[-1], rel=1e-12)
-        for i, (kind, x) in enumerate(log):
-            if kind == "g" and i > 0:
-                assert log[i - 1][0] == "f" and log[i - 1][1] is x
+        # doubling up to the first failure, and no point evaluated twice
+        assert trials == sorted(trials) and trials[-1] == pytest.approx(2 * trials[-2], rel=1e-12)
+        points = [x for kind, x in log if kind == "f"]
+        assert len({x.tobytes() for x in points}) == len(points)
+        reads = gradient_reads(log, fun, grad)
+        assert len(reads) == 2 and all(read is accepted for read, accepted in reads)
 
     def test_nothing_passing_below_the_hint_falls_back_to_step0(self):
         # the test passes only for steps of at least 0.3: no grid step below 0.4 passes
@@ -99,8 +134,9 @@ class TestFirstStepHint:
                 return f0
             return f0 - 1e9 if np.linalg.norm(x - x0) >= 0.3 * np.linalg.norm(g0) else f0 + 1.0
 
-        plain = armijo_minimize(far_only, grad, x0, steps=1, step0=0.4)
-        hinted = armijo_minimize(far_only, grad, x0, steps=1, step0=0.4, first_step=0.05)
+        plain = armijo_minimize(*point_pass(far_only, grad), x0, steps=1, step0=0.4)
+        hinted = armijo_minimize(*point_pass(far_only, grad), x0, steps=1, step0=0.4,
+                                 first_step=0.05)
         assert same_result(hinted, plain)
         assert plain[2] == 0.8
 
@@ -112,9 +148,9 @@ class TestFirstStepHint:
             return f0 if x is x0 else f0 + 1.0
 
         with pytest.raises(RuntimeError) as plain:
-            armijo_minimize(worse, grad, x0, steps=1, step0=0.4)
+            armijo_minimize(*point_pass(worse, grad), x0, steps=1, step0=0.4)
         with pytest.raises(RuntimeError) as hinted:
-            armijo_minimize(worse, grad, x0, steps=1, step0=0.4, first_step=1e-3)
+            armijo_minimize(*point_pass(worse, grad), x0, steps=1, step0=0.4, first_step=1e-3)
         assert str(hinted.value) == str(plain.value)
 
     def test_no_representable_decrease_exits_as_stationary(self):
@@ -124,8 +160,8 @@ class TestFirstStepHint:
         def flat(x):  # every trial a rounding error above the start
             return f0 if x is x0 else f0 + 1e-13
 
-        plain = armijo_minimize(flat, grad, x0, steps=3, step0=0.4)
-        hinted = armijo_minimize(flat, grad, x0, steps=3, step0=0.4, first_step=1e-3)
+        plain = armijo_minimize(*point_pass(flat, grad), x0, steps=3, step0=0.4)
+        hinted = armijo_minimize(*point_pass(flat, grad), x0, steps=3, step0=0.4, first_step=1e-3)
         assert same_result(hinted, plain)
         assert np.array_equal(hinted[0], x0) and hinted[2] == 0.4
 
@@ -148,7 +184,7 @@ class TestFirstStepHint:
 
         f, _, log = logged(never_lower, grad)
         hinted = outcome(f, first_step=hint)
-        plain = outcome(never_lower)
+        plain = outcome(point_pass(never_lower, grad)[0])
         if isinstance(plain, str):
             assert hinted == plain and "no decrease after 60 halvings" in plain
         else:
@@ -166,5 +202,52 @@ class TestStationaryExit:
         def flat(x):  # every trial a few ulps above the start
             return f0 if x is x0 else f0 + 4 * np.spacing(f0)
 
-        x, f, step = armijo_minimize(flat, lambda x: g0, x0, steps=3, step0=0.4)
+        x, f, step = armijo_minimize(*point_pass(flat, lambda x: g0), x0, steps=3, step0=0.4)
         assert x is x0 and f == f0 and step == 0.4
+
+
+class TestLivePasses:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("hint", [None, 1e-6, 0.05, 1e3])
+    def test_at_most_one_earlier_pass_is_alive_and_none_while_halving(self, seed, hint):
+        fun, grad, x0 = quadratic(seed)
+        alive = 0
+        log = []  # ("f", x, passes alive as it runs) per forward, ("g", x, None) per backward
+
+        class Pass:
+            def __init__(self, x):
+                self.x = x
+
+        def dropped():
+            nonlocal alive
+            alive -= 1
+
+        def forward(x):
+            nonlocal alive
+            log.append(("f", x, alive))
+            work = Pass(x)
+            alive += 1
+            weakref.finalize(work, dropped)
+            return fun(x), work
+
+        def backward(work):
+            log.append(("g", work.x, None))
+            return grad(work.x)
+
+        armijo_minimize(forward, backward, x0, steps=6, step0=0.4, first_step=hint)
+        assert log[0][2] == 0
+        doubled = halved = 0
+        current, last = x0, None  # the gradient's point, and the step of the step's last trial
+        for kind, x, live in log[1:]:
+            if kind == "g":
+                current, last = x, None
+                continue
+            step = float((current - x)[0] / grad(current)[0])
+            if last is None or step < last:  # a step's first trial, or halving
+                assert live == 0
+                halved += last is not None
+            else:  # doubling: only the best passing trial's pass
+                assert live <= 1
+                doubled += 1
+            last = step
+        assert halved > 0 and (doubled > 0) == (hint == 1e-6)

@@ -10,9 +10,9 @@ from dpmne.autoencoder import train_view_autoencoder
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
-from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_B,
-                           grad_Y, objective, reconstruct_missing, representations, train,
-                           update_B, update_H, update_Y)
+from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_Y,
+                           objective, reconstruct_missing, representations, train, update_B,
+                           update_H, update_Y)
 
 from conftest import random_network
 from oracles import svd_warm_start
@@ -408,13 +408,6 @@ class TestUpdateB:
             assert np.max(np.abs(out.B[s] - B_ref)) < 1e-6
             assert np.max(np.abs(grad(out.B[s]))) < 1e-8
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_subproblem_gradient_is_zero_after_update(self, seed):
-        network, hyper, prox, state, H = small_setup(seed + 20)
-        out = update_B(state, H, hyper)
-        for g in grad_B(out, H, hyper):
-            assert np.max(np.abs(g)) < 1e-8
-
     def test_solves_over_the_state_masks(self):
         network, hyper, prox, state, H = small_setup(12)
         hidden = np.flatnonzero(state.masks[0])[0]
@@ -635,6 +628,17 @@ class TestTrain:
         trace = resumed.objective_trace
         assert trace[:4] == first.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+    def test_a_resumed_run_reports_its_own_hyperparameters(self, tmp_path):
+        net = synth_generate(SynthConfig(n=30, communities=3, t=2, feature_dim=6, seed=4))
+        first = train(net, Hyperparams(dim=4, hidden_dims=(5,), h_steps=5, y_steps=5,
+                                       max_iters=2, seed=1))
+        run = replace(first.hyper, h_steps=7, y_steps=2, max_iters=3, seed=9)
+        resumed = train(net, run, init_state=first)
+        path = str(tmp_path / "state.npz")
+        checkpoint(resumed, path)
+        assert resumed.hyper == run and restore(path).hyper == run
+        assert first.hyper.h_steps == 5 and len(resumed.objective_trace) == 6
 
     @pytest.mark.parametrize("change", [
         {"alpha": 2.0}, {"beta": 0.5}, {"lam": 0.1},
