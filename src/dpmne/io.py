@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import AutoencoderParams, _layer_widths
-from .graph_model import MultiplexNetwork, ViewData, validate
+from .graph_model import MultiplexNetwork, ViewData, _check_setting, validate
 from .proximity import ProximityConfig
 from .quantizer import pack_codes
 from .trainer import EmbeddingState, Hyperparams
@@ -127,19 +127,28 @@ def load_network(manifest_path):
     fmt = entries.get("format")
     if fmt != str(MANIFEST_FORMAT):
         raise ManifestError(f"{manifest_path}: unsupported format {fmt!r}")
+
+    def count(key):
+        """The value of ``key`` if it is an integer >= 1, else one ManifestError naming the key."""
+        try:
+            value = int(entries[key])
+        except ValueError:
+            value = entries[key]  # not an integer: _check_setting rejects the text
+        try:
+            return _check_setting(key, value, 1, integer=True)
+        except ValueError as exc:
+            raise ManifestError(f"{manifest_path}: {exc}") from None
+
     try:
-        n = int(entries["n"])
-        t = int(entries["t"])
+        n, t = count("n"), count("t")
     except KeyError as exc:
         raise ManifestError(f"{manifest_path}: missing required key {exc}")
-    except ValueError:
-        raise ManifestError(f"{manifest_path}: n and t must be integers")
 
     views = []
     for s in range(t):
         prefix = f"view.{s}."
         try:
-            dim = int(entries[prefix + "dim"])
+            dim = count(prefix + "dim")
             feat_path = os.path.join(base, entries[prefix + "features"])
             edge_path = os.path.join(base, entries[prefix + "edges"])
             mask_path = os.path.join(base, entries[prefix + "mask"])

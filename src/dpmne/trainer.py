@@ -15,11 +15,14 @@ objective is handed to the next Y block, which starts from the same Y.
 Y starts in the span of the top left singular vectors of the stacked present
 features, taken from a truncated eigensolve of the smaller Gram matrix. Each
 autoencoder's line search starts from the step its search of the previous
-iteration returned; ``armijo_minimize`` states when that accepts the same
-steps as a search from ``h_lr``.
+iteration in the same ``train`` call returned; ``armijo_minimize`` states
+when that accepts the same steps as a search from ``h_lr``. The blocks read
+their settings from ``state.hyper``, and early stopping reads the objective
+trace, so a state is exactly what ``io.checkpoint`` writes.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,11 +75,10 @@ class Hyperparams:
 
 @dataclass
 class EmbeddingState:
-    """Everything the trainer iterates on, plus the recorded objective trace.
+    """Everything the trainer iterates on and the objective trace: what ``io.checkpoint`` writes.
 
-    The per-view representations H are not stored: they are the encoders
-    applied to the present features (``representations``). ``train`` holds
-    them while it runs and passes them to the blocks.
+    The representations H are not stored: they are the encoders applied to
+    the present features (``representations``), which ``train`` passes on.
     """
     Y: np.ndarray             # (n, dim) shared embedding
     B: list                   # per-view (dim, code_dim) bases
@@ -85,9 +87,16 @@ class EmbeddingState:
     hyper: Hyperparams
     objective_trace: list = field(default_factory=list)
     iter_seconds: list = field(default_factory=list)
-    # per-view step each autoencoder's last line search returned: the next
-    # search's first-step hint; never checkpointed, so a resume starts at h_lr
-    h_last_step: list = None
+
+
+@contextmanager
+def _overflow_names(block):
+    """Turn an overflow or invalid value inside into one FloatingPointError naming ``block``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{block}: {exc}; rescale the features") from None
 
 
 def _orth_penalty(Y):
@@ -133,30 +142,31 @@ def _y_grad(Y, LY, views, hyper):
     return G
 
 
-def objective(state, H, network, prox, hyper, LY=None):
+def objective(state, H, network, prox, LY=None):
     """Value of the full training objective at the current state and representations ``H``.
 
     ``LY``, the Laplacian applied to ``state.Y``, is computed when not given.
     """
     LY = prox.laplacian @ state.Y if LY is None else LY
-    total = _y_value(state.Y, LY, _y_views(state, H), hyper)
+    total = _y_value(state.Y, LY, _y_views(state, H), state.hyper)
     ridge = 0.0
     for s, view in enumerate(network.views):
         m = state.masks[s]
         Xt = ae.decode(state.autoencoders[s], H[s][m])
         total += float(np.sum((view.features[m] - Xt) ** 2))
         ridge += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
-    total += hyper.lam * ridge
+    total += state.hyper.lam * ridge
     if not np.isfinite(total):
         raise FloatingPointError("objective is not finite")
     return total
 
 
-def grad_Y(state, H, prox, hyper):
+def grad_Y(state, H, prox):
     """Exact gradient of the objective's Y-dependent terms."""
-    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, H), hyper)
+    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, H), state.hyper)
 
 
+@_overflow_names("Y block")
 def _ray_coefficients(Y, G, LY, LG, views, hyper, f):
     """Coefficients c0..c4 of the quartic f(tau) = ``_y_value`` at Y - tau G.
 
@@ -198,7 +208,7 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def update_Y(state, H, prox, hyper, LY=None):
+def update_Y(state, H, prox, LY=None):
     """Exact steps along the negative gradient of Y; the Y subproblem never increases.
 
     L Y (``LY``, computed when not given) is carried through the steps as
@@ -206,11 +216,12 @@ def update_Y(state, H, prox, hyper, LY=None):
     carried product's rounding never outlives the call. Each step moves to
     the best stationary point of the quartic along -G (``_ray_coefficients``,
     ``_best_step``) and is kept only if ``_y_value`` there is below the
-    current value; otherwise the block stops at the current Y.
+    current value; otherwise the block stops at the current Y. Coefficients
+    that overflow raise a FloatingPointError naming the Y block.
     """
+    hyper = state.hyper
     views = _y_views(state, H)
-    L = prox.laplacian
-    Y = state.Y
+    L, Y = prox.laplacian, state.Y
     LY = L @ Y if LY is None else LY
     f = _y_value(Y, LY, views, hyper)
     if not np.isfinite(f):
@@ -231,8 +242,9 @@ def update_Y(state, H, prox, hyper, LY=None):
     return replace(state, Y=Y)
 
 
-def update_B(state, H, hyper):
+def update_B(state, H):
     """Closed-form ridge solve for every view's basis matrix."""
+    hyper = state.hyper
     d = state.Y.shape[1]
     new_B = []
     for s, m in enumerate(state.masks):
@@ -248,25 +260,25 @@ def update_B(state, H, hyper):
     return replace(state, B=new_B)
 
 
-def update_H(state, network, hyper):
-    """Train each view's autoencoder; returns the new state and its representations H.
+def update_H(state, network, hints):
+    """Train each view's autoencoder; returns the new state, its representations H and hints.
 
-    Each view's line search starts from the step its previous search
-    returned (``state.h_last_step``), or from ``h_lr`` when there is none.
+    View s's line search starts from ``hints[s]``, the step its previous
+    search returned, or from ``h_lr`` when ``hints`` is None. The returned
+    hints are the steps these searches returned.
     """
-    hints = state.h_last_step or [None] * len(network.views)
+    hyper = state.hyper
 
     def train_one(s):
         X, m = network.views[s].features, state.masks[s]
         params, step = ae.train_view_autoencoder(
             state.autoencoders[s], X, m, state.Y, state.B[s], hyper.alpha, hyper.lam,
-            steps=hyper.h_steps, lr=hyper.h_lr, first_step=hints[s])
+            steps=hyper.h_steps, lr=hyper.h_lr, first_step=None if hints is None else hints[s])
         return params, ae.encode(params, X, m), step
 
     results = map_views(train_one, range(len(network.views)))
-    state = replace(state, autoencoders=[r[0] for r in results],
-                    h_last_step=[r[2] for r in results])
-    return state, [r[1] for r in results]
+    state = replace(state, autoencoders=[r[0] for r in results])
+    return state, [r[1] for r in results], [r[2] for r in results]
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)
@@ -286,7 +298,8 @@ def _leading_left_singular_vectors(X, k):
     orthogonal to about eps / _GRAM_RTOL.
     """
     n, m = X.shape
-    gram = X @ X.T if n <= m else X.T @ X
+    with _overflow_names("warm start"):
+        gram = X @ X.T if n <= m else X.T @ X
     size = gram.shape[0]
     k = min(k, size)
     lam, vec = scipy.linalg.eigh(gram, subset_by_index=[size - k, size - 1])
@@ -297,32 +310,22 @@ def _leading_left_singular_vectors(X, k):
     return (X @ vec[:, :rank]) / np.sqrt(lam[:rank])
 
 
-def _init_state(network, hyper, rng):
-    """The starting state and its representations H."""
+def _init_state(network, hyper):
+    """The starting state and its representations H; ``hyper.seed`` seeds every draw."""
+    rng = np.random.default_rng(hyper.seed)
     n, d = network.n, hyper.dim
-    # warm start: top singular directions of the concatenated present features
+    # warm start: top singular directions of the present features, then random columns
     stacked = np.hstack([np.where(view.mask[:, None], view.features, 0.0)
                          for view in network.views])
-    Y = np.zeros((n, d))
-    filled = 0
-    if np.any(stacked):
-        U = _leading_left_singular_vectors(stacked, d)
-        filled = U.shape[1]
-        Y[:, :filled] = U
-    if filled < d:
-        Y[:, filled:] = rng.standard_normal((n, d - filled)) / np.sqrt(d)
-
-    autoencoders = [
-        ae.init_autoencoder(view.dim, hyper.hidden_dims, hyper.activation,
-                            hyper.output_activation, rng)
-        for view in network.views
-    ]
+    U = _leading_left_singular_vectors(stacked, d) if np.any(stacked) else np.zeros((n, 0))
+    Y = np.hstack([U, rng.standard_normal((n, d - U.shape[1])) / np.sqrt(d)])
+    autoencoders = [ae.init_autoencoder(view.dim, hyper.hidden_dims, hyper.activation,
+                                        hyper.output_activation, rng) for view in network.views]
     masks = [view.mask.copy() for view in network.views]
-    code_dim = autoencoders[0].code_dim
-    B = [np.zeros((d, code_dim)) for _ in network.views]
+    B = [np.zeros((d, params.code_dim)) for params in autoencoders]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
     H = representations(state, network)
-    return update_B(state, H, hyper), H
+    return update_B(state, H), H
 
 
 def _check_resume(state, network, hyper):
@@ -351,44 +354,41 @@ def train(network, hyper=None, init_state=None):
     Expects a validated network; masked feature rows are never read. Returns
     the final state, which carries this run's ``hyper`` (also on a resume),
     with one objective value recorded per completed outer iteration (plus
-    the starting value). Fixing the seed fixes the output:
-    BLAS runs on one thread meanwhile, so its thread setting does not split
-    sums differently, and the caller's setting is restored on return.
+    the starting value). Before each iteration the run stops if each of the
+    trace's last ``stop_patience`` relative drops, those of a resumed trace
+    included, is below ``stop_tol``. The autoencoders' line-search hints
+    start at None on every call. Fixing the seed fixes the output: BLAS runs
+    on one thread meanwhile, so its thread setting does not split sums
+    differently, and the caller's setting is restored on return.
     """
     hyper = hyper if hyper is not None else Hyperparams()
     worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
     with one_blas_thread():
         if init_state is None:
-            state, H = _init_state(network, hyper, np.random.default_rng(hyper.seed))
+            state, H = _init_state(network, hyper)
         else:
             _check_resume(init_state, network, hyper)
-            state = replace(init_state, h_last_step=None)
+            state = replace(init_state, hyper=hyper)
             H = representations(state, network)  # the same call that update_H made
         prox = build_stack(network, hyper.proximity)
         # the objective's L Y is handed to the next update_Y: B and H leave Y as it is
-        LY = None
-        trace = list(state.objective_trace)
-        if not trace:
-            LY = prox.laplacian @ state.Y
-            trace.append(objective(state, H, network, prox, hyper, LY))
+        LY = prox.laplacian @ state.Y
+        trace = list(state.objective_trace) or [objective(state, H, network, prox, LY)]
         iter_seconds = list(state.iter_seconds)
-
-        stalled = 0
+        hints = None
         for _ in range(hyper.max_iters):
-            tic = time.perf_counter()
-            state = update_Y(state, H, prox, hyper, LY)
-            state = update_B(state, H, hyper)
-            state, H = update_H(state, network, hyper)
-            LY = prox.laplacian @ state.Y
-            value = objective(state, H, network, prox, hyper, LY)
-            iter_seconds.append(time.perf_counter() - tic)
-            previous = trace[-1]
-            trace.append(value)
-            rel_drop = (previous - value) / max(abs(previous), 1e-300)
-            stalled = stalled + 1 if rel_drop < hyper.stop_tol else 0
-            if stalled >= hyper.stop_patience:
+            tail = trace[-hyper.stop_patience - 1:]
+            drops = [(a - b) / max(abs(a), 1e-300) for a, b in zip(tail, tail[1:])]
+            if len(drops) == hyper.stop_patience and all(d < hyper.stop_tol for d in drops):
                 break
-        return replace(state, hyper=hyper, objective_trace=trace, iter_seconds=iter_seconds)
+            tic = time.perf_counter()
+            state = update_Y(state, H, prox, LY)
+            state = update_B(state, H)
+            state, H, hints = update_H(state, network, hints)
+            LY = prox.laplacian @ state.Y
+            trace.append(objective(state, H, network, prox, LY))
+            iter_seconds.append(time.perf_counter() - tic)
+        return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
 
 
 def reconstruct_missing(state, node, view):

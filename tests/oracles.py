@@ -55,7 +55,7 @@ def objective_from_params(network, prox, Y, B, autoencoders, hyper):
     H = [ae.encode(autoencoders[s], view.features, view.mask)
          for s, view in enumerate(network.views)]
     state = EmbeddingState(Y, list(B), masks, list(autoencoders), hyper)
-    return objective(state, H, network, prox, hyper)
+    return objective(state, H, network, prox)
 
 
 def svd_warm_start(X, k):

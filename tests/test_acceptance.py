@@ -78,9 +78,9 @@ def test_criterion_01_gradient_correctness():
         def with_Y(vec):
             trial = EmbeddingState(vec.reshape(state.Y.shape), state.B,
                                    state.masks, state.autoencoders, hyper)
-            return objective(trial, H, network, prox, hyper)
+            return objective(trial, H, network, prox)
 
-        worst = max(worst, rel_error(grad_Y(state, H, prox, hyper).ravel(),
+        worst = max(worst, rel_error(grad_Y(state, H, prox).ravel(),
                                      central_diff(with_Y, state.Y.ravel())))
 
         for s, view in enumerate(network.views):
@@ -126,7 +126,7 @@ def test_criterion_03_closed_form_basis_optimality():
     worst_grad = 0.0
     for seed in range(20):
         network, prox, state, H, hyper = random_instance(seed + 100)
-        out = update_B(state, H, hyper)
+        out = update_B(state, H)
         for s, view in enumerate(network.views):
             m = view.mask
             Yp, Hp = state.Y[m], H[s][m]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, rest
                       save_embeddings, save_network)
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.quantizer import unpack_codes
-from dpmne.trainer import Hyperparams, objective, representations, train
+from dpmne.trainer import EmbeddingState, Hyperparams, objective, representations, train
 
 from conftest import networks
 
@@ -30,6 +31,19 @@ def rewrite_meta(path, edit):
         arrays = dict(archive)
     arrays["meta"] = np.array(json.dumps(edit(json.loads(str(arrays["meta"])))))
     np.savez(path, **arrays)
+
+
+def same_value(a, b):
+    """Equal values of one type: arrays to the byte, lists and dataclasses item by item."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_value, a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same_value(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    return type(a) is type(b) and a == b
 
 
 def read_all(directory):
@@ -234,6 +248,19 @@ class TestTableFormat:
         with pytest.raises(ManifestError, match=where):
             load_network(manifest)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n", "-1"), ("n", "0"), ("n", "1e3"), ("n", "x"), ("t", "0"), ("t", "-2"),
+        ("view.0.dim", "0"), ("view.0.dim", "-3"), ("view.0.dim", "x")])
+    def test_bad_manifest_count_raises_one_error_naming_the_key(self, tmp_path, key, value):
+        manifest = save_network(small_net(), tmp_path)
+        path = tmp_path / "manifest.txt"
+        path.write_text(re.sub(rf"^{re.escape(key)}=.*$", f"{key}={value}", path.read_text(),
+                               count=1, flags=re.M))
+        got = value if value.lstrip("-").isdigit() else repr(value)
+        with pytest.raises(ManifestError, match=rf"^{re.escape(manifest)}: {re.escape(key)} "
+                                                rf"must be an integer >= 1, got {re.escape(got)}$"):
+            load_network(manifest)
+
 
 class TestEmbeddingExport:
     def test_tsv_has_node_ids_and_full_precision(self, tmp_path):
@@ -268,11 +295,20 @@ class TestCheckpoint:
         checkpoint(state, path)
         back = restore(path)
         prox = build_stack(net, hyper.proximity)
-        a = objective(state, representations(state, net), net, prox, hyper)
-        b = objective(back, representations(back, net), net, prox, back.hyper)
+        a = objective(state, representations(state, net), net, prox)
+        b = objective(back, representations(back, net), net, prox)
         assert abs(a - b) < 1e-12
         assert back.hyper == hyper
         assert back.objective_trace == state.objective_trace
+
+    def test_every_state_field_survives_a_checkpoint(self, tmp_path):
+        net = small_net(7)
+        state = train(net, Hyperparams(dim=3, max_iters=2, hidden_dims=(5, 2), seed=7,
+                                       proximity=ProximityConfig(order=2, weights=(1.0, 0.5))))
+        checkpoint(state, tmp_path / "ckpt.npz")
+        back = restore(tmp_path / "ckpt.npz")
+        for field in dataclasses.fields(EmbeddingState):
+            assert same_value(getattr(state, field.name), getattr(back, field.name)), field.name
 
     def test_training_resumes_deterministically_from_restore(self, tmp_path):
         net = small_net(6)

@@ -1,13 +1,15 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
 from dpmne import trainer
 from dpmne.autoencoder import train_view_autoencoder
-from dpmne.graph_model import SynthConfig, synth_generate
+from dpmne.graph_model import MultiplexNetwork, SynthConfig, ViewData, synth_generate
 from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_Y,
@@ -91,10 +93,13 @@ class CountingLaplacian:
 class TestObjective:
     def test_each_term_vanishes_in_its_zero_case(self):
         network, hyper, prox, state, H = small_setup(0)
+
+        def value(st, H, settings):
+            return objective(replace(st, hyper=settings), H, network, prox)
         # reconstruction alone: alpha = beta = lam = 0
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim,
                            hidden_dims=hyper.hidden_dims)
-        recon_only = objective(state, H, network, prox, bare)
+        recon_only = value(state, H, bare)
         recon_direct = sum(
             float(np.sum((v.features[v.mask]
                           - ae.decode(state.autoencoders[s], H[s][v.mask])) ** 2))
@@ -104,14 +109,13 @@ class TestObjective:
         matched = [np.where(m[:, None], state.Y @ state.B[s], 0.0)
                    for s, m in enumerate(state.masks)]
         alpha_only = Hyperparams(alpha=5.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        assert objective(state, matched, network, prox, alpha_only) == pytest.approx(
-            objective(state, matched, network, prox, bare), rel=1e-12)
+        assert value(state, matched, alpha_only) == pytest.approx(
+            value(state, matched, bare), rel=1e-12)
         # proximity term vanishes for a constant-column embedding
         const = EmbeddingState(np.ones_like(state.Y), state.B, state.masks,
                                state.autoencoders, hyper)
         beta_only = Hyperparams(alpha=0.0, beta=2.0, lam=0.0, dim=hyper.dim)
-        assert objective(const, H, network, prox, beta_only) == pytest.approx(
-            objective(const, H, network, prox, bare), abs=1e-8)
+        assert value(const, H, beta_only) == pytest.approx(value(const, H, bare), abs=1e-8)
         # regularizer vanishes for orthonormal Y, zero B, zero weights
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((network.n, hyper.dim)))
         zero_ae = [p.replace_arrays([np.zeros_like(a) for a in p.all_arrays()])
@@ -120,20 +124,20 @@ class TestObjective:
                                     state.masks, zero_ae, hyper)
         zero_H = [np.zeros_like(h) for h in H]
         lam_only = Hyperparams(alpha=0.0, beta=0.0, lam=3.0, dim=hyper.dim)
-        assert objective(zero_state, zero_H, network, prox, lam_only) == pytest.approx(
-            objective(zero_state, zero_H, network, prox, bare), abs=1e-10)
+        assert value(zero_state, zero_H, lam_only) == pytest.approx(
+            value(zero_state, zero_H, bare), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_term_by_term_oracle(self, seed):
         network, hyper, prox, state, H = small_setup(seed)
-        value = objective(state, H, network, prox, hyper)
+        value = objective(state, H, network, prox)
         oracle = objective_oracle(state, H, network, prox, hyper)
         assert abs(value - oracle) / abs(oracle) < 1e-10
 
     def test_zero_tradeoffs_leave_reconstruction_only(self):
         network, hyper, prox, state, H = small_setup(1)
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        value = objective(state, H, network, prox, bare)
+        value = objective(replace(state, hyper=bare), H, network, prox)
         recon = 0.0
         for s, v in enumerate(network.views):
             diff = (v.features - ae.decode(state.autoencoders[s], H[s]))[v.mask]
@@ -144,7 +148,7 @@ class TestObjective:
         network, hyper, prox, state, H = small_setup(2)
         state.Y[0, 0] = np.inf
         with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning):
-            objective(state, H, network, prox, hyper)
+            objective(state, H, network, prox)
 
 
 class TestGradY:
@@ -153,13 +157,13 @@ class TestGradY:
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((network.n, hyper.dim)))
         state.Y = q
         only_reg = Hyperparams(alpha=0.0, beta=0.0, lam=0.7, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(state, H, prox, only_reg))) < 1e-12
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_reg), H, prox))) < 1e-12
 
     def test_constant_columns_kill_the_proximity_term(self):
         network, hyper, prox, state, H = small_setup(4)
         state.Y = np.ones_like(state.Y)
         only_beta = Hyperparams(alpha=0.0, beta=1.3, lam=0.0, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(state, H, prox, only_beta))) < 1e-10
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_beta), H, prox))) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
@@ -168,9 +172,9 @@ class TestGradY:
         def fun(Y):
             trial = EmbeddingState(Y, state.B, state.masks,
                                    state.autoencoders, hyper)
-            return objective(trial, H, network, prox, hyper)
+            return objective(trial, H, network, prox)
 
-        analytic = grad_Y(state, H, prox, hyper)
+        analytic = grad_Y(state, H, prox)
         numeric = central_difference_matrix(fun, state.Y)
         assert rel_error(analytic, numeric) < 1e-5
 
@@ -180,27 +184,27 @@ class TestUpdateY:
         network, hyper, prox, state, H = small_setup(6)
         # all trade-offs zero: the subproblem is constant, its gradient exactly zero
         frozen = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim, y_steps=4)
-        out = update_Y(state, H, prox, frozen)
+        out = update_Y(replace(state, hyper=frozen), H, prox)
         assert np.array_equal(out.Y, state.Y)
         # zero embedding is a stationary point of the orthogonality penalty
         state.Y = np.zeros_like(state.Y)
         reg_only = Hyperparams(alpha=0.0, beta=0.0, lam=0.9, dim=hyper.dim, y_steps=4)
-        out = update_Y(state, H, prox, reg_only)
+        out = update_Y(replace(state, hyper=reg_only), H, prox)
         assert np.array_equal(out.Y, state.Y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_increases_the_objective(self, seed):
         network, hyper, prox, state, H = small_setup(seed + 10)
-        before = objective(state, H, network, prox, hyper)
-        out = update_Y(state, H, prox, hyper)
-        assert objective(out, H, network, prox, hyper) <= before + 1e-12
+        before = objective(state, H, network, prox)
+        out = update_Y(state, H, prox)
+        assert objective(out, H, network, prox) <= before + 1e-12
 
     @pytest.mark.parametrize("y_steps", [1, 5, 8])
     def test_applies_the_laplacian_once_per_step(self, y_steps):
         network, hyper, prox, state, H = small_setup(23)
         calls = []
-        update_Y(state, H, replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)),
-                 replace(hyper, y_steps=y_steps))
+        update_Y(replace(state, hyper=replace(hyper, y_steps=y_steps)), H,
+                 replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)))
         assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step
 
     def test_training_applies_the_laplacian_once_per_step_and_objective(self, monkeypatch):
@@ -224,10 +228,10 @@ class TestUpdateY:
         prox = build_stack(network, hyper.proximity)
         start = train(network, replace(hyper, max_iters=0))
         assert start.objective_trace == [
-            objective(start, representations(start, network), network, prox, hyper)]
+            objective(start, representations(start, network), network, prox)]
         state = train(network, replace(hyper, max_iters=3, stop_patience=10))
         assert state.objective_trace[-1] == objective(
-            state, representations(state, network), network, prox, hyper)
+            state, representations(state, network), network, prox)
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
@@ -263,7 +267,7 @@ class TestUpdateY:
 
         fast = state
         for _ in range(300):
-            fast = update_Y(fast, H, prox, hyper)
+            fast = update_Y(fast, H, prox)
         assert sub_objective(fast.Y) <= value + 1e-6
 
 
@@ -341,7 +345,7 @@ class TestUpdateB:
     def test_huge_ridge_drives_bases_to_zero(self):
         network, hyper, prox, state, H = small_setup(8)
         heavy = Hyperparams(alpha=1.0, beta=0.0, lam=1e12, dim=hyper.dim)
-        out = update_B(state, H, heavy)
+        out = update_B(replace(state, hyper=heavy), H)
         for B in out.B:
             assert np.max(np.abs(B)) < 1e-6
 
@@ -353,7 +357,7 @@ class TestUpdateB:
         state = make_state(network, hyper, seed=3)
         H = representations(state, network)
         state.Y = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        out = update_B(state, H, hyper)
+        out = update_B(state, H)
         np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, H[0]),
                                    atol=1e-8)
 
@@ -362,19 +366,19 @@ class TestUpdateB:
         state.Y = np.zeros_like(state.Y)
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim)
         with pytest.raises(ValueError, match="lam"):
-            update_B(state, H, bad)
+            update_B(replace(state, hyper=bad), H)
 
     def test_singular_system_with_a_negligible_ridge_names_lam(self):
         network, hyper, prox, state, H = small_setup(9)
         state.Y = np.ones_like(state.Y)  # alpha Y^T Y + lam I rounds to a singular matrix
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=5e-324, dim=hyper.dim)
         with pytest.raises(ValueError, match=r"view \d: basis system is singular with lam = 4.94"):
-            update_B(state, H, bad)
+            update_B(replace(state, hyper=bad), H)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_descent_to_convergence_oracle(self, seed):
         network, hyper, prox, state, H = small_setup(seed + 15)
-        out = update_B(state, H, hyper)
+        out = update_B(state, H)
         for s, view in enumerate(network.views):
             m = view.mask
             Yp, Hp = state.Y[m], H[s][m]
@@ -412,7 +416,7 @@ class TestUpdateB:
         network, hyper, prox, state, H = small_setup(12)
         hidden = np.flatnonzero(state.masks[0])[0]
         state.masks[0][hidden] = False  # make_state copied the network's masks
-        out = update_B(state, H, hyper)
+        out = update_B(state, H)
         m = state.masks[0]
         Yp, Hp = state.Y[m], H[0][m]
         ridge = np.linalg.solve(hyper.alpha * Yp.T @ Yp + hyper.lam * np.eye(hyper.dim),
@@ -423,7 +427,7 @@ class TestUpdateB:
 class TestUpdateH:
     def test_returns_the_representations_of_the_trained_autoencoders(self):
         network, hyper, prox, state, H = small_setup(10)
-        out, H_new = update_H(state, network, hyper)
+        out, H_new, _ = update_H(state, network, None)
         assert not all(np.array_equal(a, b) for a, b in zip(H, H_new))
         for s, view in enumerate(network.views):
             expect = ae.encode(out.autoencoders[s], view.features, view.mask)
@@ -432,16 +436,16 @@ class TestUpdateH:
 
     def test_never_increases_the_objective(self):
         network, hyper, prox, state, H = small_setup(11)
-        state = update_B(state, H, hyper)
-        before = objective(state, H, network, prox, hyper)
-        out, H_new = update_H(state, network, hyper)
-        assert objective(out, H_new, network, prox, hyper) <= before + 1e-12
+        state = update_B(state, H)
+        before = objective(state, H, network, prox)
+        out, H_new, _ = update_H(state, network, None)
+        assert objective(out, H_new, network, prox) <= before + 1e-12
 
     def test_hidden_state_mask_row_stays_zero(self):
         network, hyper, prox, state, H = small_setup(13)
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
-        _, H_new = update_H(state, network, hyper)
+        _, H_new, _ = update_H(state, network, None)
         assert np.all(H_new[1][hidden] == 0.0)
 
 
@@ -486,8 +490,7 @@ class TestWarmStart:
         oracle = svd_warm_start(stacked, d)
         kept = np.linalg.matrix_rank(stacked)
         assert oracle.shape[1] == kept < d
-        Y = trainer._init_state(network, Hyperparams(dim=d, hidden_dims=(3,)),
-                                np.random.default_rng(5))[0].Y
+        Y = trainer._init_state(network, Hyperparams(dim=d, hidden_dims=(3,), seed=5))[0].Y
         assert projector_distance(Y[:, :kept], oracle) < 1e-10
         fill = np.random.default_rng(5).standard_normal((n, d - kept)) / np.sqrt(d)
         assert np.array_equal(Y[:, kept:], fill)
@@ -496,8 +499,7 @@ class TestWarmStart:
         network = random_network(3, n=10, t=2)
         for view in network.views:
             view.features[:] = 0.0
-        Y = trainer._init_state(network, Hyperparams(dim=4, hidden_dims=(3,)),
-                                np.random.default_rng(8))[0].Y
+        Y = trainer._init_state(network, Hyperparams(dim=4, hidden_dims=(3,), seed=8))[0].Y
         assert np.array_equal(Y, np.random.default_rng(8).standard_normal((10, 4)) / 2.0)
 
 
@@ -516,6 +518,27 @@ def hint_recorder(monkeypatch, hints, drop=False):
 def hint_network(seed):
     return synth_generate(SynthConfig(n=60, communities=3, t=2, pdr=0.3, feature_dim=12,
                                       seed=seed))
+
+
+def wide_hint_input():
+    """Wide enough that the accepted steps lie several halvings below h_lr."""
+    net = synth_generate(SynthConfig(n=120, communities=4, t=2, pdr=0.3, feature_dim=60, seed=4))
+    return net, Hyperparams(dim=8, max_iters=4, hidden_dims=(64, 16), seed=4)
+
+
+def resume_from_disk(net, state, hyper, path):
+    """Checkpoint ``state`` to ``path``, restore it and train on from the restored state."""
+    checkpoint(state, str(path))
+    return train(net, hyper, init_state=restore(str(path)))
+
+
+def same_run(a, b):
+    """Equal bytes in Y, the bases, the autoencoders and the objective trace."""
+    arrays = [(a.Y, b.Y), (np.asarray(a.objective_trace), np.asarray(b.objective_trace))]
+    arrays += list(zip(a.B, b.B))
+    for p, q in zip(a.autoencoders, b.autoencoders):
+        arrays += list(zip(p.all_arrays(), q.all_arrays()))
+    return all(x.tobytes() == y.tobytes() for x, y in arrays)
 
 
 class TestLineSearchHint:
@@ -538,10 +561,7 @@ class TestLineSearchHint:
         assert hinted.objective_trace == plain.objective_trace
 
     def test_cuts_autoencoder_loss_evaluations(self, monkeypatch):
-        # wide enough that the accepted steps lie several halvings below h_lr
-        net = synth_generate(SynthConfig(n=120, communities=4, t=2, pdr=0.3, feature_dim=60,
-                                         seed=4))
-        hyper = Hyperparams(dim=8, max_iters=4, hidden_dims=(64, 16), seed=4)
+        net, hyper = wide_hint_input()
         forward = ae._view_forward
         counts = []
 
@@ -560,17 +580,23 @@ class TestLineSearchHint:
         net = hint_network(5)
         hyper = Hyperparams(dim=6, max_iters=2, hidden_dims=(10, 4), seed=5)
         first = train(net, hyper)
-        assert len(first.h_last_step) == 2
-        checkpoint(first, str(tmp_path / "state.npz"))
-        back = restore(str(tmp_path / "state.npz"))
-        assert back.h_last_step is None
         hints = []
         hint_recorder(monkeypatch, hints)
         resumed = train(net, hyper, init_state=first)
+        live_hints = list(hints)
+        hints.clear()
+        from_disk = resume_from_disk(net, first, hyper, tmp_path / "state.npz")
+        assert live_hints == hints and len(hints) == 4
         assert hints[:2] == [None, None] and None not in hints[2:]
-        from_disk = train(net, hyper, init_state=back)
-        assert np.array_equal(resumed.Y, from_disk.Y)
-        assert resumed.objective_trace == from_disk.objective_trace
+        assert same_run(resumed, from_disk)
+
+    def test_a_resume_mid_run_is_the_uninterrupted_run(self, tmp_path):
+        net, hyper = wide_hint_input()
+        hyper = replace(hyper, stop_tol=0.0)
+        half = train(net, replace(hyper, max_iters=2))
+        resumed = resume_from_disk(net, half, replace(hyper, max_iters=2), tmp_path / "s.npz")
+        assert len(resumed.objective_trace) == 5
+        assert same_run(resumed, train(net, hyper))
 
 
 class TestHyperparams:
@@ -660,6 +686,30 @@ class TestTrain:
             with pytest.raises(ValueError, match=problem):
                 train(synth_generate(other), hyper, init_state=first)
 
+    @pytest.mark.parametrize("config, hyper", [
+        (SynthConfig(n=60, communities=3, t=2, pdr=0.2, feature_dim=6, seed=1),
+         Hyperparams(dim=4, max_iters=400, hidden_dims=(5,), seed=1, stop_tol=1e-3)),
+        (SynthConfig(n=20, communities=2, t=1, feature_dim=4, seed=5),
+         Hyperparams(dim=2, max_iters=500, hidden_dims=(2,), y_steps=0, h_steps=0, seed=5))])
+    def test_a_resume_stops_where_the_uninterrupted_run_stops(self, config, hyper, tmp_path):
+        # the stored trace's stalled drops count toward the patience of the resumed run
+        net = synth_generate(config)
+        full = train(net, hyper)
+        iterations = len(full.objective_trace) - 1
+        assert iterations < hyper.max_iters
+        before = train(net, replace(hyper, max_iters=iterations - 1))
+        resumed = resume_from_disk(net, before, hyper, tmp_path / "state.npz")
+        assert len(resumed.objective_trace) - 1 == iterations
+        assert same_run(resumed, full)
+
+    def test_a_stopped_run_resumes_only_with_a_looser_rule(self):
+        net = synth_generate(SynthConfig(n=20, communities=2, t=1, feature_dim=4, seed=5))
+        hyper = Hyperparams(dim=2, max_iters=500, hidden_dims=(2,), y_steps=0, h_steps=0, seed=5)
+        stopped = train(net, hyper)
+        assert train(net, hyper, init_state=stopped).objective_trace == stopped.objective_trace
+        longer = train(net, replace(hyper, stop_patience=5), init_state=stopped)
+        assert len(longer.objective_trace) - 1 == 5
+
     def test_early_stop_cuts_the_iteration_budget(self):
         # zero inner steps make every block a no-op, so the trace stalls at once
         # and the patience rule must stop the run after exactly 3 iterations
@@ -681,6 +731,21 @@ class TestTrain:
         assert baseline.objective_trace == poisoned.objective_trace
 
 
+class TestLargeFeatures:
+    @pytest.mark.parametrize("activation, value, block", [
+        ("identity", 1e100, "Y block"), ("relu", 1e100, "Y block"), ("tanh", 1e160, "warm start")])
+    @pytest.mark.parametrize("runtime_warnings", ["error", "ignore"])
+    def test_an_overflow_raises_one_error_naming_the_block(self, activation, value, block,
+                                                           runtime_warnings):
+        # finite features whose products overflow: no LAPACK or scipy input error escapes
+        view = ViewData(np.array([[value], [1.0]]), np.ones(2, dtype=bool), sp.csr_matrix((2, 2)))
+        hyper = Hyperparams(dim=1, hidden_dims=(1,), activation=activation, max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter(runtime_warnings, RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=f"^{block}: overflow encountered"):
+                train(MultiplexNetwork(2, [view]), hyper)
+
+
 class TestInvariances:
     @pytest.mark.parametrize("seed", range(3))
     def test_rotation_leaves_consistency_and_proximity_terms_unchanged(self, seed):
@@ -691,8 +756,8 @@ class TestInvariances:
                                  state.masks, state.autoencoders, hyper)
         for trial in (Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim),
                       Hyperparams(alpha=0.0, beta=1.0, lam=0.0, dim=hyper.dim)):
-            a = objective(state, H, network, prox, trial)
-            b = objective(rotated, H, network, prox, trial)
+            a = objective(replace(state, hyper=trial), H, network, prox)
+            b = objective(replace(rotated, hyper=trial), H, network, prox)
             assert abs(a - b) / max(abs(a), 1e-12) < 1e-10
 
 
