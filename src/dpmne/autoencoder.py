@@ -189,14 +189,12 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     return loss, _view_backward(params, outputs, target, alpha, lam)
 
 
-def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1, first_step=None):
-    """Backpropagation steps on one view's autoencoder; never increases the loss.
+def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5):
+    """Backpropagation steps on one view's autoencoder; returns the trained parameters.
 
-    The present rows and the subspace target are taken once, and each
-    gradient runs only the backward pass of the forward pass that accepted
-    its point. ``first_step`` is ``armijo_minimize``'s speed hint for the
-    first step, typically the step this function returned for the same view
-    before. Returns the trained parameters and the line search's last step.
+    The loss never increases. The present rows and the subspace target are
+    taken once, and each gradient runs only the backward pass of the forward
+    pass that accepted its point.
     """
     templates = params.all_arrays()
     Xp, target = _view_rows(X, mask, Y, B, alpha)
@@ -209,6 +207,5 @@ def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, lr=0.1, f
     def backward(work):  # work is the (params, outputs) of one forward pass
         return flatten(_view_backward(*work, target, alpha, lam))
 
-    vec, _, step = armijo_minimize(forward, backward, flatten(templates), steps=steps, step0=lr,
-                                   first_step=first_step)
-    return params.replace_arrays(unflatten(vec, templates)), step
+    vec, _ = armijo_minimize(forward, backward, flatten(templates), steps=steps)
+    return params.replace_arrays(unflatten(vec, templates))

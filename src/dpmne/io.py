@@ -214,7 +214,8 @@ def save_embeddings(matrix, path, fmt="tsv"):
 
 def _hyper_from_json(blob):
     data = json.loads(blob)
-    data.pop("y_lr", None)  # older checkpoints store the Y block's retired Armijo step
+    for retired in ("y_lr", "h_lr"):  # older checkpoints store the retired Armijo start steps
+        data.pop(retired, None)
     # a null proximity, stored by older releases for Hyperparams(proximity=None), is the default
     return Hyperparams(proximity=ProximityConfig(**(data.pop("proximity") or {})), **data)
 

@@ -14,11 +14,10 @@ objective is handed to the next Y block, which starts from the same Y.
 
 Y starts in the span of the top left singular vectors of the stacked present
 features, taken from a truncated eigensolve of the smaller Gram matrix. Each
-autoencoder's line search starts from the step its search of the previous
-iteration in the same ``train`` call returned; ``armijo_minimize`` states
-when that accepts the same steps as a search from ``h_lr``. The blocks read
-their settings from ``state.hyper``, and early stopping reads the objective
-trace, so a state is exactly what ``io.checkpoint`` writes.
+autoencoder's line search starts at a unit-length step, so nothing carries
+over from one ``update_H`` call to the next. The blocks read their settings
+from ``state.hyper``, and early stopping reads the objective trace, so a
+state is exactly what ``io.checkpoint`` writes and a resume is exact.
 """
 
 import time
@@ -45,7 +44,6 @@ class Hyperparams:
     max_iters: int = 60       # outer coordinate-descent iterations
     y_steps: int = 5          # gradient steps on Y per outer iteration
     h_steps: int = 5          # backprop steps per autoencoder per outer iteration
-    h_lr: float = 0.1         # initial line-search step for the autoencoders
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
     output_activation: str = "sigmoid"
@@ -61,7 +59,6 @@ class Hyperparams:
                                    ("y_steps", 0, True), ("h_steps", 0, True), ("seed", 0, True),
                                    ("dim", 1, True), ("stop_patience", 1, True)):
             setattr(self, name, _check_setting(name, getattr(self, name), low, integer=integer))
-        self.h_lr = _check_setting("h_lr", self.h_lr, 0, low_open=True)
         self.hidden_dims = _check_settings("hidden_dims", self.hidden_dims, 1, integer=True)
         if not self.hidden_dims:
             raise ValueError("hidden_dims must hold at least one width, got ()")
@@ -260,25 +257,18 @@ def update_B(state, H):
     return replace(state, B=new_B)
 
 
-def update_H(state, network, hints):
-    """Train each view's autoencoder; returns the new state, its representations H and hints.
-
-    View s's line search starts from ``hints[s]``, the step its previous
-    search returned, or from ``h_lr`` when ``hints`` is None. The returned
-    hints are the steps these searches returned.
-    """
+def update_H(state, network):
+    """Train each view's autoencoder; returns the new state and its representations H."""
     hyper = state.hyper
 
     def train_one(s):
         X, m = network.views[s].features, state.masks[s]
-        params, step = ae.train_view_autoencoder(
-            state.autoencoders[s], X, m, state.Y, state.B[s], hyper.alpha, hyper.lam,
-            steps=hyper.h_steps, lr=hyper.h_lr, first_step=None if hints is None else hints[s])
-        return params, ae.encode(params, X, m), step
+        params = ae.train_view_autoencoder(state.autoencoders[s], X, m, state.Y, state.B[s],
+                                           hyper.alpha, hyper.lam, steps=hyper.h_steps)
+        return params, ae.encode(params, X, m)
 
     results = map_views(train_one, range(len(network.views)))
-    state = replace(state, autoencoders=[r[0] for r in results])
-    return state, [r[1] for r in results], [r[2] for r in results]
+    return replace(state, autoencoders=[r[0] for r in results]), [r[1] for r in results]
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)
@@ -356,8 +346,7 @@ def train(network, hyper=None, init_state=None):
     with one objective value recorded per completed outer iteration (plus
     the starting value). Before each iteration the run stops if each of the
     trace's last ``stop_patience`` relative drops, those of a resumed trace
-    included, is below ``stop_tol``. The autoencoders' line-search hints
-    start at None on every call. Fixing the seed fixes the output: BLAS runs
+    included, is below ``stop_tol``. Fixing the seed fixes the output: BLAS runs
     on one thread meanwhile, so its thread setting does not split sums
     differently, and the caller's setting is restored on return.
     """
@@ -375,7 +364,6 @@ def train(network, hyper=None, init_state=None):
         LY = prox.laplacian @ state.Y
         trace = list(state.objective_trace) or [objective(state, H, network, prox, LY)]
         iter_seconds = list(state.iter_seconds)
-        hints = None
         for _ in range(hyper.max_iters):
             tail = trace[-hyper.stop_patience - 1:]
             drops = [(a - b) / max(abs(a), 1e-300) for a, b in zip(tail, tail[1:])]
@@ -384,7 +372,7 @@ def train(network, hyper=None, init_state=None):
             tic = time.perf_counter()
             state = update_Y(state, H, prox, LY)
             state = update_B(state, H)
-            state, H, hints = update_H(state, network, hints)
+            state, H = update_H(state, network)
             LY = prox.laplacian @ state.Y
             trace.append(objective(state, H, network, prox, LY))
             iter_seconds.append(time.perf_counter() - tic)

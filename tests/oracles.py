@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
+from dpmne.optim import ARMIJO_C, MAX_HALVINGS
 from dpmne.proximity import ProximityConfig, ProximityStack, proximity_adjacency
 from dpmne.trainer import EmbeddingState, objective
 
@@ -63,3 +64,57 @@ def svd_warm_start(X, k):
     U, S, _ = np.linalg.svd(X, full_matrices=False)
     keep = min(k, int(np.sum(S > 1e-12 * S[0])))
     return U[:, :keep]
+
+
+def row_major_logreg_loss(W, X, y, l2=1.0):
+    """Classifier loss with row-major (rows, classes) logits, as first written."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    logits = Xb @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(logits).sum(axis=1))
+    nll = float(np.sum(log_norm - logits[np.arange(len(y)), y]))
+    return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
+
+
+def row_major_logreg_grad(W, X, y, l2=1.0):
+    """Gradient of ``row_major_logreg_loss`` with respect to W."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    logits = Xb @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(y)), y] -= 1.0
+    G = Xb.T @ probs
+    G[:-1] += l2 * W[:-1]
+    return G
+
+
+def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
+    """The classifier as first written: gradient descent with Armijo steps on
+    row-major logits, stopped by ``gtol`` or after ``max_steps`` steps.
+
+    Each step's first trial is 1.0 at first and then twice the last accepted
+    step; the search halves until the Armijo test passes.
+    """
+    W = np.zeros((X.shape[1] + 1, num_classes))
+    f, step = row_major_logreg_loss(W, X, y, l2), 1.0
+    for _ in range(max_steps):
+        G = row_major_logreg_grad(W, X, y, l2)
+        gg = float(G.ravel() @ G.ravel())
+        if gg == 0.0 or np.max(np.abs(G)) <= gtol:
+            break
+        least = np.inf
+        for _ in range(MAX_HALVINGS):
+            W_new = W - step * G
+            f_new = row_major_logreg_loss(W_new, X, y, l2)
+            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * gg:
+                break
+            if np.isfinite(f_new):
+                least = min(least, f_new)
+            step *= 0.5
+        else:
+            if least <= f + 1e-12 * max(1.0, abs(f)):
+                break
+            raise RuntimeError("line search failed")
+        W, f, step = W_new, f_new, 2.0 * step
+    return W

@@ -148,7 +148,7 @@ class TestTrainViewAutoencoder:
 
     def test_zero_steps_leaves_params_unchanged(self):
         params, X, mask, Y, B = small_problem(4)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=0)
+        out = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=0)
         for before, after in zip(params.all_arrays(), out.all_arrays()):
             assert np.array_equal(before, after)
 
@@ -156,7 +156,7 @@ class TestTrainViewAutoencoder:
     def test_loss_never_increases(self, seed):
         params, X, mask, Y, B = small_problem(seed + 20)
         before = view_loss(params, X, mask, Y, B, alpha=1.0, lam=0.01)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=8, lr=0.5)
+        out = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=8)
         after = view_loss(out, X, mask, Y, B, alpha=1.0, lam=0.01)
         assert after <= before + 1e-12
 
@@ -176,12 +176,12 @@ class TestTrainViewAutoencoder:
         def unpack(v):
             return params.replace_arrays(unflatten(v, templates))
 
-        vec, _, _ = armijo_minimize(
+        vec, _ = armijo_minimize(
             *point_pass(
                 lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
                 lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1])),
-            flatten(templates), steps=8, step0=0.5)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8, lr=0.5)
+            flatten(templates), steps=8)
+        out = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8)
         assert np.array_equal(flatten(out.all_arrays()), vec)
 
     def test_each_point_runs_one_forward_pass(self, monkeypatch):
@@ -195,7 +195,7 @@ class TestTrainViewAutoencoder:
 
         monkeypatch.setattr(ae, "_view_forward", counted_forward)
         monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
-        train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=6, lr=0.5)
+        train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=6)
         assert calls.count("g") > 0
         assert calls.count("forward") == calls.count("f")
 

@@ -104,7 +104,7 @@ class TestTrain:
         assert err.startswith("dpmne-error\tValueError\tseed") and err.count("\n") == 1
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("flag", ["--h-lr", "--lambda"])
+    @pytest.mark.parametrize("flag", ["--beta", "--lambda"])
     def test_infinite_setting_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,
                                                               flag):
         out = tmp_path / "r"
@@ -112,6 +112,16 @@ class TestTrain:
                            "--out", str(out))
         assert code == 1
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_retired_h_lr_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
+        # the autoencoders' line search has no step setting: it starts at a unit-length step
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--manifest", dataset, *TRAIN_FLAGS, "--h-lr", "0.1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --h-lr 0.1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_bad_thread_cap_fails_with_one_value_error_line(self, dataset, tmp_path, capsys,

@@ -20,11 +20,11 @@ from dpmne.evaluation import (EvalProtocol, classify_f1, cluster_accuracy,
                               kmeans, knn_impute, matched_accuracy, micro_macro_f1,
                               pdr_sweep, predict_logistic)
 from dpmne.graph_model import SynthConfig, synth_generate
-from dpmne.optim import armijo_minimize
 from dpmne.proximity import ProximityConfig
 from dpmne.trainer import Hyperparams, train
 
-from conftest import make_view, point_pass, random_network
+from conftest import make_view, random_network
+from oracles import armijo_logreg_oracle, row_major_logreg_grad, row_major_logreg_loss
 from dpmne.graph_model import MultiplexNetwork, ViewData
 
 
@@ -46,40 +46,6 @@ def f1_from_counts_oracle(y_true, y_pred, num_classes):
         den = 2 * tp[c] + fp[c] + fn[c]
         per_class.append(2 * tp[c] / den if den else 0.0)
     return micro, sum(per_class) / num_classes
-
-
-def row_major_logreg_loss(W, X, y, l2=1.0):
-    """Classifier loss with row-major (rows, classes) logits, as first written."""
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    logits = Xb @ W
-    logits -= logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(logits).sum(axis=1))
-    nll = float(np.sum(log_norm - logits[np.arange(len(y)), y]))
-    return nll + 0.5 * l2 * float(np.sum(W[:-1] ** 2))
-
-
-def row_major_logreg_grad(W, X, y, l2=1.0):
-    """Gradient of ``row_major_logreg_loss`` with respect to W."""
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    logits = Xb @ W
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(len(y)), y] -= 1.0
-    G = Xb.T @ probs
-    G[:-1] += l2 * W[:-1]
-    return G
-
-
-def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
-    """The classifier as first written: gradient descent with Armijo steps on
-    row-major logits, stopped by ``gtol`` or after ``max_steps`` steps."""
-    shape = (X.shape[1] + 1, num_classes)
-    vec, _, _ = armijo_minimize(
-        *point_pass(lambda v: row_major_logreg_loss(v.reshape(shape), X, y, l2),
-                    lambda v: row_major_logreg_grad(v.reshape(shape), X, y, l2).ravel()),
-        np.zeros(shape).ravel(), steps=max_steps, step0=1.0, gtol=gtol)
-    return vec.reshape(shape)
 
 
 def knn_warning(fallbacks):

@@ -463,6 +463,25 @@ class TestCheckpoint:
             {**json.loads(meta["hyper"]), "y_lr": 1.0})})
         assert restore(path).hyper == hyper
 
+    def test_checkpoint_with_retired_h_lr_restores_and_resumes(self, tmp_path):
+        # format-2 checkpoints written while the autoencoders' search had a first step store it
+        net = small_net(12)
+        hyper = Hyperparams(dim=3, max_iters=4, hidden_dims=(5, 2), seed=12, stop_tol=0.0)
+        half = train(net, replace(hyper, max_iters=2))
+        path = tmp_path / "ckpt.npz"
+        checkpoint(half, path)
+        rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
+            {**json.loads(meta["hyper"]), "h_lr": 0.1})})
+        with np.load(path) as archive:
+            meta = json.loads(str(archive["meta"]))
+        assert meta["format"] == 2 and json.loads(meta["hyper"])["h_lr"] == 0.1
+        back = restore(path)
+        assert back.hyper == replace(hyper, max_iters=2)
+        resumed = train(net, replace(hyper, max_iters=2), init_state=back)
+        uninterrupted = train(net, hyper)
+        assert resumed.objective_trace == uninterrupted.objective_trace
+        assert np.array_equal(resumed.Y, uninterrupted.Y)
+
     def test_bad_checkpoint_format_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, meta=np.array('{"format": 99}'))

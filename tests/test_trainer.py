@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
 from dpmne import trainer
-from dpmne.autoencoder import train_view_autoencoder
 from dpmne.graph_model import MultiplexNetwork, SynthConfig, ViewData, synth_generate
 from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
@@ -427,7 +426,7 @@ class TestUpdateB:
 class TestUpdateH:
     def test_returns_the_representations_of_the_trained_autoencoders(self):
         network, hyper, prox, state, H = small_setup(10)
-        out, H_new, _ = update_H(state, network, None)
+        out, H_new = update_H(state, network)
         assert not all(np.array_equal(a, b) for a, b in zip(H, H_new))
         for s, view in enumerate(network.views):
             expect = ae.encode(out.autoencoders[s], view.features, view.mask)
@@ -438,14 +437,14 @@ class TestUpdateH:
         network, hyper, prox, state, H = small_setup(11)
         state = update_B(state, H)
         before = objective(state, H, network, prox)
-        out, H_new, _ = update_H(state, network, None)
+        out, H_new = update_H(state, network)
         assert objective(out, H_new, network, prox) <= before + 1e-12
 
     def test_hidden_state_mask_row_stays_zero(self):
         network, hyper, prox, state, H = small_setup(13)
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
-        _, H_new, _ = update_H(state, network, None)
+        _, H_new = update_H(state, network)
         assert np.all(H_new[1][hidden] == 0.0)
 
 
@@ -503,29 +502,6 @@ class TestWarmStart:
         assert np.array_equal(Y, np.random.default_rng(8).standard_normal((10, 4)) / 2.0)
 
 
-def hint_recorder(monkeypatch, hints, drop=False):
-    """Route ``train_view_autoencoder`` calls through a recorder of their first-step hints.
-
-    With ``drop`` the hint is recorded but not passed on, so every search
-    starts at ``h_lr``.
-    """
-    def recorded(*args, first_step=None, **kwargs):
-        hints.append(first_step)
-        return train_view_autoencoder(*args, first_step=None if drop else first_step, **kwargs)
-    monkeypatch.setattr(ae, "train_view_autoencoder", recorded)
-
-
-def hint_network(seed):
-    return synth_generate(SynthConfig(n=60, communities=3, t=2, pdr=0.3, feature_dim=12,
-                                      seed=seed))
-
-
-def wide_hint_input():
-    """Wide enough that the accepted steps lie several halvings below h_lr."""
-    net = synth_generate(SynthConfig(n=120, communities=4, t=2, pdr=0.3, feature_dim=60, seed=4))
-    return net, Hyperparams(dim=8, max_iters=4, hidden_dims=(64, 16), seed=4)
-
-
 def resume_from_disk(net, state, hyper, path):
     """Checkpoint ``state`` to ``path``, restore it and train on from the restored state."""
     checkpoint(state, str(path))
@@ -541,58 +517,11 @@ def same_run(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in arrays)
 
 
-class TestLineSearchHint:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("max_iters", [2, 8])
-    def test_training_is_bitwise_equal_to_training_without_it(self, seed, max_iters,
-                                                              monkeypatch):
-        net = hint_network(seed)
-        hyper = Hyperparams(dim=6, max_iters=max_iters, hidden_dims=(10, 4), seed=seed)
-        hints, plain_hints = [], []
-        hint_recorder(monkeypatch, hints)
-        hinted = train(net, hyper)
-        hint_recorder(monkeypatch, plain_hints, drop=True)
-        plain = train(net, hyper)
-        assert hints[:2] == [None, None] and None not in hints[2:]
-        assert len(hints) == len(plain_hints) == 2 * (len(hinted.objective_trace) - 1)
-        assert np.array_equal(hinted.Y, plain.Y)
-        assert all(np.array_equal(a, b) for a, b in zip(representations(hinted, net),
-                                                        representations(plain, net)))
-        assert hinted.objective_trace == plain.objective_trace
-
-    def test_cuts_autoencoder_loss_evaluations(self, monkeypatch):
-        net, hyper = wide_hint_input()
-        forward = ae._view_forward
-        counts = []
-
-        def counted(*args):
-            counts[-1] += 1
-            return forward(*args)
-        monkeypatch.setattr(ae, "_view_forward", counted)
-        for drop in (False, True):
-            counts.append(0)
-            hint_recorder(monkeypatch, [], drop=drop)
-            train(net, hyper)
-        hinted, plain = counts
-        assert hinted < 0.95 * plain  # 128 against 144
-
-    def test_a_resume_starts_at_h_lr(self, monkeypatch, tmp_path):
-        net = hint_network(5)
-        hyper = Hyperparams(dim=6, max_iters=2, hidden_dims=(10, 4), seed=5)
-        first = train(net, hyper)
-        hints = []
-        hint_recorder(monkeypatch, hints)
-        resumed = train(net, hyper, init_state=first)
-        live_hints = list(hints)
-        hints.clear()
-        from_disk = resume_from_disk(net, first, hyper, tmp_path / "state.npz")
-        assert live_hints == hints and len(hints) == 4
-        assert hints[:2] == [None, None] and None not in hints[2:]
-        assert same_run(resumed, from_disk)
-
+class TestResume:
     def test_a_resume_mid_run_is_the_uninterrupted_run(self, tmp_path):
-        net, hyper = wide_hint_input()
-        hyper = replace(hyper, stop_tol=0.0)
+        net = synth_generate(SynthConfig(n=120, communities=4, t=2, pdr=0.3, feature_dim=60,
+                                         seed=4))
+        hyper = Hyperparams(dim=8, max_iters=4, hidden_dims=(64, 16), seed=4, stop_tol=0.0)
         half = train(net, replace(hyper, max_iters=2))
         resumed = resume_from_disk(net, half, replace(hyper, max_iters=2), tmp_path / "s.npz")
         assert len(resumed.objective_trace) == 5
@@ -603,9 +532,9 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         {"alpha": -1.0}, {"beta": -1.0}, {"lam": -0.5}, {"alpha": float("nan")},
         {"dim": 0}, {"max_iters": -1}, {"y_steps": -1}, {"h_steps": -2},
-        {"hidden_dims": ()}, {"hidden_dims": (4, 0)}, {"h_lr": -0.1},
-        {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf}, {"h_lr": math.inf},
-        {"h_lr": math.nan}, {"stop_patience": -3}, {"stop_patience": 0},
+        {"hidden_dims": ()}, {"hidden_dims": (4, 0)},
+        {"alpha": math.inf}, {"beta": math.inf}, {"lam": math.inf},
+        {"stop_patience": -3}, {"stop_patience": 0},
         {"stop_tol": math.nan}, {"stop_tol": -1e-6}, {"stop_tol": math.inf}, {"seed": -1},
         {"dim": "x"}, {"output_activation": "swish"}, {"dim": 2.5}, {"max_iters": 1.5},
         {"hidden_dims": (2.5,)}, {"hidden_dims": ("a",)}, {"dim": True}, {"alpha": False},
