@@ -118,3 +118,33 @@ def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
             raise RuntimeError("line search failed")
         W, f, step = W_new, f_new, 2.0 * step
     return W
+
+
+def unit_step_armijo_trials(fun, grad, x0, steps):
+    """The points ``optim.armijo_minimize`` tries, from its rule as the README states it.
+
+    The first trial is the step 1/||g0|| along -g0, each later search starts
+    at twice the step accepted before it, and a search halves until the
+    Armijo test passes. Returns the trial points in order and the final
+    (x, f). The stationary exit and the failure are left out: a search that
+    passes no trial raises.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    f, trials, t = float(fun(x)), [], None
+    for _ in range(steps):
+        g = np.asarray(grad(x), dtype=np.float64)
+        gg = float(g @ g)
+        if gg == 0.0:
+            break
+        t = 1.0 / np.sqrt(gg) if t is None else 2.0 * t
+        for _ in range(MAX_HALVINGS):
+            x_new = x - t * g
+            f_new = float(fun(x_new))
+            trials.append(x_new)
+            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gg:
+                break
+            t *= 0.5
+        else:
+            raise RuntimeError("line search failed")
+        x, f = x_new, f_new
+    return trials, x, f

@@ -4,17 +4,22 @@ Each trial point runs one forward pass, the next gradient reads the pass of
 the accepted trial, and no earlier pass is alive when a forward pass runs.
 The first trial is a unit-length step, so scaling the loss by a power of two
 changes no point the search visits. Tests pass a plain ``fun`` and ``grad``
-through ``conftest.point_pass``, whose pass is the point itself.
+through ``conftest.point_pass``, whose pass is the point itself, and most run
+on four losses: a separable quadratic, a logistic loss, a non-convex double
+well and the per-view autoencoder loss.
 """
 
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from dpmne.optim import MAX_HALVINGS, armijo_minimize
+from dpmne.autoencoder import init_autoencoder, view_loss, view_loss_and_grads
+from dpmne.optim import MAX_HALVINGS, armijo_minimize, flatten, unflatten
 
 from conftest import point_pass
+from oracles import unit_step_armijo_trials
 
 
 def quadratic(seed, dim=6):
@@ -28,6 +33,59 @@ def quadratic(seed, dim=6):
     def grad(x):
         return scales * x
     return fun, grad, rng.standard_normal(dim)
+
+
+def logistic(seed, dim=6, rows=40):
+    """L2-regularised logistic loss on random labels: convex, and no quadratic."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, dim)) * rng.uniform(0.5, 20.0, dim)
+    y = rng.choice([-1.0, 1.0], rows)
+
+    def fun(x):
+        return float(np.sum(np.logaddexp(0.0, -y * (A @ x)))) + 0.5 * float(x @ x)
+
+    def grad(x):
+        return A.T @ (-y * expit(-y * (A @ x))) + x
+    return fun, grad, rng.standard_normal(dim)
+
+
+def double_well(seed, dim=6):
+    """f(x) = Σ sᵢ (xᵢ² - 1)² + ½ ||M x||²: non-convex, with coupled coordinates."""
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 50.0, dim)
+    M = rng.standard_normal((dim, dim))
+
+    def fun(x):
+        return float(np.sum(scales * (x * x - 1.0) ** 2)) + 0.5 * float(np.sum((M @ x) ** 2))
+
+    def grad(x):
+        return 4.0 * scales * x * (x * x - 1.0) + M.T @ (M @ x)
+    return fun, grad, rng.standard_normal(dim)
+
+
+def autoencoder(seed, rows=12, features=5):
+    """The per-view autoencoder loss over its flat parameters, some rows masked."""
+    rng = np.random.default_rng(seed)
+    params = init_autoencoder(features, hidden_dims=(4, 3), rng=rng)
+    templates = params.all_arrays()
+    X = rng.uniform(0.0, 1.0, (rows, features))
+    mask = rng.uniform(size=rows) < 0.8
+    Y, B = rng.standard_normal((rows, 2)), rng.standard_normal((2, 3))
+
+    def unpack(x):
+        return params.replace_arrays(unflatten(x, templates))
+
+    def fun(x):
+        return view_loss(unpack(x), X, mask, Y, B, alpha=0.5, lam=0.01)
+
+    def grad(x):
+        return flatten(view_loss_and_grads(unpack(x), X, mask, Y, B, alpha=0.5, lam=0.01)[1])
+    return fun, grad, flatten(templates)
+
+
+PROBLEMS = {"quadratic": quadratic, "logistic": logistic, "double_well": double_well,
+            "autoencoder": autoencoder}
+each_problem = pytest.mark.parametrize("problem", PROBLEMS)
 
 
 def logged(fun, grad):
@@ -46,7 +104,10 @@ def logged(fun, grad):
 
 
 def searches(log, grad):
-    """Per step: the steps tried along -g from the point of the gradient before them."""
+    """Per step: the steps tried along -g from the point of the gradient before them.
+
+    Each step is read off the coordinate where |g| is largest.
+    """
     out, current = [], None
     for kind, x in log[1:]:
         if kind == "g":
@@ -54,14 +115,16 @@ def searches(log, grad):
             out.append([])
         else:
             g = grad(current)
-            out[-1].append(float((current - x)[0] / g[0]))
+            i = int(np.argmax(np.abs(g)))
+            out[-1].append(float((current - x)[i] / g[i]))
     return [steps for steps in out if steps]
 
 
 class TestSearch:
+    @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    def test_first_trial_is_a_unit_length_step_then_twice_the_accepted_one(self, seed):
-        fun, grad, x0 = quadratic(seed)
+    def test_first_trial_is_a_unit_length_step_then_twice_the_accepted_one(self, problem, seed):
+        fun, grad, x0 = PROBLEMS[problem](seed)
         f, g, log = logged(fun, grad)
         armijo_minimize(f, g, x0, steps=6)
         tried = searches(log, grad)
@@ -72,8 +135,9 @@ class TestSearch:
         for steps in tried:
             np.testing.assert_allclose(steps[1:], np.multiply(steps[:-1], 0.5), rtol=1e-9)
 
-    def test_each_gradient_reads_the_pass_of_the_accepted_trial(self):
-        fun, grad, x0 = quadratic(3)
+    @each_problem
+    def test_each_gradient_reads_the_pass_of_the_accepted_trial(self, problem):
+        fun, grad, x0 = PROBLEMS[problem](3)
         f, g, log = logged(fun, grad)
         x, value = armijo_minimize(f, g, x0, steps=5)
         assert log[1] == ("g", log[0][1])
@@ -82,6 +146,17 @@ class TestSearch:
                 assert kind == "f" and read is trial
         last_trial = [x for kind, x in log if kind == "f"][-1]
         assert x is last_trial and value == fun(x)
+
+    @each_problem
+    @pytest.mark.parametrize("seed", range(6))
+    def test_visits_the_points_of_the_stated_rule(self, problem, seed):
+        fun, grad, x0 = PROBLEMS[problem](seed)
+        f, g, log = logged(fun, grad)
+        x, value = armijo_minimize(f, g, x0, steps=8)
+        trials, expected_x, expected_value = unit_step_armijo_trials(fun, grad, x0, steps=8)
+        assert [x.tobytes() for kind, x in log[1:] if kind == "f"] == [t.tobytes() for t in trials]
+        assert x.tobytes() == expected_x.tobytes() and value == expected_value
+        assert value < fun(x0)
 
     @pytest.mark.parametrize("excess", [1.0, 1e-13])  # no decrease; a rounding error above f0
     def test_no_decrease_tries_each_halving_once(self, excess):
@@ -112,10 +187,11 @@ def rounding_above(f0, x0):
 class TestScaleInvariance:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [-20, 20])
-    @pytest.mark.parametrize("stationary", [False, True])
-    def test_a_power_of_two_times_the_loss_visits_the_same_points(self, seed, k, stationary):
+    @pytest.mark.parametrize("problem", [*PROBLEMS, "stationary"])
+    def test_a_power_of_two_times_the_loss_visits_the_same_points(self, seed, k, problem):
         # the loss stays above 1 at both scales, so the stationary tolerance scales too
-        fun, grad, x0 = quadratic(seed)
+        stationary = problem == "stationary"
+        fun, grad, x0 = PROBLEMS["quadratic" if stationary else problem](seed)
         fun = rounding_above(2.0 ** 22, x0) if stationary else (lambda x, f=fun: 2.0 ** 22 + f(x))
 
         def run(scale):
@@ -141,9 +217,10 @@ class TestStationaryExit:
 
 
 class TestLivePasses:
+    @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, seed):
-        fun, grad, x0 = quadratic(seed)
+    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed):
+        fun, grad, x0 = PROBLEMS[problem](seed)
         alive = 0
         log = []  # ("f", passes alive as it runs) per forward, ("g", None) per backward
 
