@@ -190,11 +190,13 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
 
 
 def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5):
-    """Backpropagation steps on one view's autoencoder; returns the trained parameters.
+    """``steps`` L-BFGS steps on one view's autoencoder; returns the trained parameters.
 
-    The loss never increases. The present rows and the subspace target are
-    taken once, and each gradient runs only the backward pass of the forward
-    pass that accepted its point.
+    The gradients come from backpropagation, and ``optim.armijo_minimize``
+    turns them into L-BFGS directions with a history of this call's steps
+    only. The loss never increases. The present rows and the subspace target
+    are taken once, and each gradient runs only the backward pass of the
+    forward pass that accepted its point.
     """
     templates = params.all_arrays()
     Xp, target = _view_rows(X, mask, Y, B, alpha)

@@ -1,4 +1,4 @@
-"""Full-batch gradient descent with an Armijo line search, for the autoencoders.
+"""Full-batch L-BFGS descent with an Armijo line search, for the autoencoders.
 
 Each trial point runs one forward pass, and each gradient reads the accepted trial's pass.
 """
@@ -28,24 +28,52 @@ def unflatten(vec, templates):
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 MAX_HALVINGS = 60  # trials a search makes before it gives up
+CURVATURE_TOL = 1e-10  # a pair is kept when s'y > CURVATURE_TOL ||s|| ||y||
+
+
+def _lbfgs_direction(g, pairs):
+    """The L-BFGS estimate of the inverse Hessian times ``g``, by the two-loop recursion.
+
+    ``pairs`` holds (s, y, s'y) per kept step, oldest first, and the initial
+    estimate is (s'y / y'y) I from the newest pair. Without a pair the
+    direction is the unit vector g / ||g||.
+    """
+    if not pairs:
+        return g / np.sqrt(float(g @ g))
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q -= a * y
+        alphas.append(a)
+    _, y, sy = pairs[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    return q
 
 
 def armijo_minimize(forward, backward, x0, steps):
-    """Run ``steps`` descent steps with an Armijo line search; returns (x, f).
+    """Run ``steps`` L-BFGS descent steps with an Armijo line search; returns (x, f).
 
     ``forward(x)`` returns (value, pass) and ``backward(pass)`` the gradient
     at that pass's point. Each trial point is evaluated once; the gradient
     of the next step reads the accepted trial's pass. A pass is dropped once
     its gradient is taken or its trial fails.
 
-    The first trial is the unit-length step t = 1/||g0|| along the first
-    gradient; each later step starts at twice the step accepted before it.
-    A search halves its step until the Armijo sufficient-decrease test
-    passes, for at most ``MAX_HALVINGS`` trials. Scaling the objective by a
-    power of two scales every step inversely, so the points visited stay
-    the same. The returned value never exceeds the value at ``x0``: a step
-    is only taken when it decreases the objective, and a step whose
-    achievable decrease is below machine precision terminates the loop
+    Each step moves along -d, where d = ``_lbfgs_direction(g, pairs)`` and
+    ``pairs`` holds the (s, y) of this call's earlier steps: s the step taken
+    and y the change of the gradient over it. A pair is kept only when
+    s'y > ``CURVATURE_TOL`` ||s|| ||y||, so at most ``steps`` - 1 are held,
+    and none outlives the call. With no pair kept, d = g/||g||, so the first
+    trial is the unit-length step. Should rounding leave g'd <= 0, the step
+    takes that unit-length direction too. Every search starts at t = 1 and
+    halves t until the Armijo test f(x - t d) <= f(x) - c t g'd passes, for
+    at most ``MAX_HALVINGS`` trials. Scaling the objective by a power of two
+    scales g, y and the inverse-Hessian estimate exactly, so the points
+    visited stay the same. The returned value never exceeds the value at
+    ``x0``: a step is only taken when it decreases the objective, and a step
+    whose achievable decrease is below machine precision terminates the loop
     instead of failing.
     """
     x = np.asarray(x0, dtype=np.float64)
@@ -53,22 +81,30 @@ def armijo_minimize(forward, backward, x0, steps):
     f = float(f)
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
-    t = None
+    pairs, s, g_prev = [], None, None
     for _ in range(int(steps)):
         g = np.asarray(backward(work), dtype=np.float64)
         work = None  # the pass is spent: free it before the trials run
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("gradient has non-finite entries")
-        gg = float(g @ g)
-        if gg == 0.0:
+        if s is not None:
+            y = g - g_prev
+            sy = float(s @ y)
+            if sy > CURVATURE_TOL * np.sqrt(float(s @ s)) * np.sqrt(float(y @ y)):
+                pairs.append((s, y, sy))
+        if float(g @ g) == 0.0:
             break
-        t = 1.0 / np.sqrt(gg) if t is None else 2.0 * t
-        least = np.inf
+        d = _lbfgs_direction(g, pairs)
+        gd = float(g @ d)
+        if not gd > 0.0:
+            d = _lbfgs_direction(g, [])
+            gd = float(g @ d)
+        t, least = 1.0, np.inf
         for _ in range(MAX_HALVINGS):
-            x_new = x - t * g
+            x_new = x - t * d
             f_new, work = forward(x_new)
             f_new = float(f_new)
-            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gg:
+            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gd:
                 break
             work = None
             if np.isfinite(f_new):
@@ -80,5 +116,6 @@ def armijo_minimize(forward, backward, x0, steps):
             raise RuntimeError(
                 "line search failed: no decrease after "
                 f"{MAX_HALVINGS} halvings (objective {f:.6e})")
+        s, g_prev = x_new - x, g
         x, f = x_new, f_new
     return x, f

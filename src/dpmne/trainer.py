@@ -2,9 +2,9 @@
 
 The shared embedding Y, the per-view bases B and the per-view autoencoders
 are trained by alternation: exact steps along the negative gradient on Y, an
-exact closed-form solve for each B, and backpropagation steps with an Armijo
-line search on each autoencoder. Every block is non-increasing, so the
-recorded objective trace is monotone.
+exact closed-form solve for each B, and L-BFGS steps with an Armijo line
+search on each autoencoder's backpropagated loss. Every block is
+non-increasing, so the recorded objective trace is monotone.
 
 Along a ray Y - tau G the Y subproblem is a quartic in tau (the graph and
 consistency terms are quadratic, the orthogonality penalty quartic), so one
@@ -14,10 +14,11 @@ objective is handed to the next Y block, which starts from the same Y.
 
 Y starts in the span of the top left singular vectors of the stacked present
 features, taken from a truncated eigensolve of the smaller Gram matrix. Each
-autoencoder's line search starts at a unit-length step, so nothing carries
-over from one ``update_H`` call to the next. The blocks read their settings
-from ``state.hyper``, and early stopping reads the objective trace, so a
-state is exactly what ``io.checkpoint`` writes and a resume is exact.
+autoencoder's L-BFGS history lives for one ``update_H`` call and its first
+trial is a unit-length step, so nothing carries over from one call to the
+next. The blocks read their settings from ``state.hyper``, and early
+stopping reads the objective trace, so a state is exactly what
+``io.checkpoint`` writes and a resume is exact.
 """
 
 import time
@@ -43,7 +44,7 @@ class Hyperparams:
     dim: int = 128            # embedding dimension
     max_iters: int = 60       # outer coordinate-descent iterations
     y_steps: int = 5          # gradient steps on Y per outer iteration
-    h_steps: int = 5          # backprop steps per autoencoder per outer iteration
+    h_steps: int = 5          # L-BFGS steps per autoencoder per outer iteration
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
     output_activation: str = "sigmoid"

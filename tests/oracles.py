@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
-from dpmne.optim import ARMIJO_C, MAX_HALVINGS
+from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_HALVINGS
 from dpmne.proximity import ProximityConfig, ProximityStack, proximity_adjacency
 from dpmne.trainer import EmbeddingState, objective
 
@@ -123,14 +123,76 @@ def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
 def unit_step_armijo_trials(fun, grad, x0, steps):
     """The points ``optim.armijo_minimize`` tries, from its rule as the README states it.
 
-    The first trial is the step 1/||g0|| along -g0, each later search starts
-    at twice the step accepted before it, and a search halves until the
-    Armijo test passes. Returns the trial points in order and the final
-    (x, f). The stationary exit and the failure are left out: a search that
-    passes no trial raises.
+    Each step moves along -d: d is g/||g|| while no (s, y) pair is kept or
+    when the recursion's g'd is not positive, and the two-loop recursion over
+    the kept pairs otherwise. A pair is kept when
+    s'y > CURVATURE_TOL ||s|| ||y||. Each search tries t = 1, 1/2, 1/4, ...
+    until the Armijo test on g'd passes. Returns the trial points in order
+    and the final (x, f). The stationary exit and the failure are left out:
+    a search that passes no trial raises.
     """
     x = np.asarray(x0, dtype=np.float64)
-    f, trials, t = float(fun(x)), [], None
+    f, trials, ss, ys, previous = float(fun(x)), [], [], [], None
+    for _ in range(steps):
+        g = np.asarray(grad(x), dtype=np.float64)
+        if previous is not None:
+            s, y = x - previous[0], g - previous[1]
+            if float(s @ y) > CURVATURE_TOL * np.sqrt(float(s @ s)) * np.sqrt(float(y @ y)):
+                ss.append(s)
+                ys.append(y)
+        gg = float(g @ g)
+        if gg == 0.0:
+            break
+        d = g / np.sqrt(gg)
+        if ss:
+            q, alphas = g.copy(), []
+            for s, y in zip(ss[::-1], ys[::-1]):
+                alphas.append(float(s @ q) / float(s @ y))
+                q = q - alphas[-1] * y
+            q = q * (float(ss[-1] @ ys[-1]) / float(ys[-1] @ ys[-1]))
+            for s, y, a in zip(ss, ys, alphas[::-1]):
+                q = q + (a - float(y @ q) / float(s @ y)) * s
+            if float(g @ q) > 0.0:
+                d = q
+        gd, t = float(g @ d), 1.0
+        for _ in range(MAX_HALVINGS):
+            x_new = x - t * d
+            f_new = float(fun(x_new))
+            trials.append(x_new)
+            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gd:
+                break
+            t *= 0.5
+        else:
+            raise RuntimeError("line search failed")
+        previous = x, g
+        x, f = x_new, f_new
+    return trials, x, f
+
+
+def bfgs_inverse_hessian(ss, ys):
+    """The dense BFGS inverse-Hessian estimate from (s, y) pairs, oldest first.
+
+    It starts at (s'y / y'y) I of the newest pair and applies
+    H <- (I - rho s y') H (I - rho y s') + rho s s', rho = 1 / s'y, per pair.
+    """
+    s, y = ss[-1], ys[-1]
+    H = float(s @ y) / float(y @ y) * np.eye(s.size)
+    for s, y in zip(ss, ys):
+        rho = 1.0 / float(s @ y)
+        V = np.eye(s.size) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return H
+
+
+def doubling_armijo_descent(fun, grad, x0, steps):
+    """Gradient descent by the autoencoders' earlier rule; returns the final (x, f).
+
+    The first trial is the step 1/||g0|| along -g0, each later search starts
+    at twice the step accepted before it, and a search halves until the
+    Armijo test passes.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    f, t = float(fun(x)), None
     for _ in range(steps):
         g = np.asarray(grad(x), dtype=np.float64)
         gg = float(g @ g)
@@ -140,11 +202,10 @@ def unit_step_armijo_trials(fun, grad, x0, steps):
         for _ in range(MAX_HALVINGS):
             x_new = x - t * g
             f_new = float(fun(x_new))
-            trials.append(x_new)
             if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gg:
                 break
             t *= 0.5
         else:
             raise RuntimeError("line search failed")
         x, f = x_new, f_new
-    return trials, x, f
+    return x, f

@@ -1,8 +1,9 @@
-"""The Armijo line search of ``optim.armijo_minimize``.
+"""The L-BFGS line search of ``optim.armijo_minimize``.
 
 Each trial point runs one forward pass, the next gradient reads the pass of
 the accepted trial, and no earlier pass is alive when a forward pass runs.
-The first trial is a unit-length step, so scaling the loss by a power of two
+The first trial is a unit-length step and every later search starts at
+t = 1 along the two-loop direction, so scaling the loss by a power of two
 changes no point the search visits. Tests pass a plain ``fun`` and ``grad``
 through ``conftest.point_pass``, whose pass is the point itself, and most run
 on four losses: a separable quadratic, a logistic loss, a non-convex double
@@ -16,10 +17,11 @@ import pytest
 from scipy.special import expit
 
 from dpmne.autoencoder import init_autoencoder, view_loss, view_loss_and_grads
-from dpmne.optim import MAX_HALVINGS, armijo_minimize, flatten, unflatten
+from dpmne import optim
+from dpmne.optim import CURVATURE_TOL, MAX_HALVINGS, armijo_minimize, flatten, unflatten
 
 from conftest import point_pass
-from oracles import unit_step_armijo_trials
+from oracles import bfgs_inverse_hessian, doubling_armijo_descent, unit_step_armijo_trials
 
 
 def quadratic(seed, dim=6):
@@ -83,6 +85,16 @@ def autoencoder(seed, rows=12, features=5):
     return fun, grad, flatten(templates)
 
 
+def concave():
+    """f(x) = -½||x||² + ||x||⁴/400 from near the origin: concave where ||x|| < 5.7, so s'y < 0."""
+    def fun(x):
+        return -0.5 * float(x @ x) + float(x @ x) ** 2 / 400.0
+
+    def grad(x):
+        return x * (float(x @ x) / 100.0 - 1.0)
+    return fun, grad, np.array([0.01, 0.005])
+
+
 PROBLEMS = {"quadratic": quadratic, "logistic": logistic, "double_well": double_well,
             "autoencoder": autoencoder}
 each_problem = pytest.mark.parametrize("problem", PROBLEMS)
@@ -103,37 +115,45 @@ def logged(fun, grad):
     return f, g, log
 
 
-def searches(log, grad):
-    """Per step: the steps tried along -g from the point of the gradient before them.
+def halving_start(problem, seed):
+    """A problem started eight times nearer the origin, where some search halves in 8 steps."""
+    fun, grad, x0 = PROBLEMS[problem](seed)
+    return fun, grad, x0 / 8.0
 
-    Each step is read off the coordinate where |g| is largest.
-    """
-    out, current = [], None
+
+def searches(log):
+    """Per step: the point whose gradient began it and the trial points that followed."""
+    out = []
     for kind, x in log[1:]:
         if kind == "g":
-            current = x
-            out.append([])
+            out.append((x, []))
         else:
-            g = grad(current)
-            i = int(np.argmax(np.abs(g)))
-            out[-1].append(float((current - x)[i] / g[i]))
-    return [steps for steps in out if steps]
+            out[-1][1].append(x)
+    return [(x, trials) for x, trials in out if trials]
 
 
 class TestSearch:
     @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    def test_first_trial_is_a_unit_length_step_then_twice_the_accepted_one(self, problem, seed):
-        fun, grad, x0 = PROBLEMS[problem](seed)
+    def test_first_trials_are_unit_steps_along_the_bfgs_direction_then_halve(self, problem, seed):
+        fun, grad, x0 = halving_start(problem, seed)
         f, g, log = logged(fun, grad)
-        armijo_minimize(f, g, x0, steps=6)
-        tried = searches(log, grad)
-        assert len(tried) == 6 and any(len(steps) > 1 for steps in tried)
-        assert tried[0][0] == pytest.approx(1.0 / np.linalg.norm(grad(x0)), rel=1e-12)
-        for before, steps in zip(tried, tried[1:]):
-            assert steps[0] == pytest.approx(2.0 * before[-1], rel=1e-9)
-        for steps in tried:
-            np.testing.assert_allclose(steps[1:], np.multiply(steps[:-1], 0.5), rtol=1e-9)
+        armijo_minimize(f, g, x0, steps=8)
+        tried = searches(log)
+        assert len(tried) == 8 and any(len(trials) > 1 for _, trials in tried)
+        ss, ys = [], []
+        for k, (x, trials) in enumerate(tried):
+            gx = grad(x)
+            if k:
+                s, y = x - tried[k - 1][0], gx - grad(tried[k - 1][0])
+                if s @ y > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+                    ss.append(s)
+                    ys.append(y)
+            # the unit-length step while no pair is kept, then the dense BFGS estimate
+            d = bfgs_inverse_hessian(ss, ys) @ gx if ss else gx / np.linalg.norm(gx)
+            for halvings, trial in enumerate(trials):
+                np.testing.assert_allclose(x - trial, 0.5 ** halvings * d, rtol=1e-6,
+                                           atol=1e-12 * np.max(np.abs(x)))
 
     @each_problem
     def test_each_gradient_reads_the_pass_of_the_accepted_trial(self, problem):
@@ -178,6 +198,59 @@ class TestSearch:
         np.testing.assert_allclose(tried, [unit * 0.5 ** k for k in range(MAX_HALVINGS)],
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("problem, kept", [("quadratic", True), ("concave", False)])
+    def test_keeps_a_pair_only_with_positive_curvature(self, problem, kept, monkeypatch):
+        fun, grad, x0 = concave() if problem == "concave" else PROBLEMS[problem](0)
+        held = []
+        direction = optim._lbfgs_direction
+
+        def recorded(g, pairs):
+            held.append([sy for _, _, sy in pairs])
+            return direction(g, pairs)
+
+        monkeypatch.setattr(optim, "_lbfgs_direction", recorded)
+        x, value = armijo_minimize(*point_pass(fun, grad), x0, steps=4)
+        assert value < fun(x0)
+        assert [len(products) for products in held] == ([0, 1, 2, 3] if kept else [0, 0, 0, 0])
+        assert all(sy > 0.0 for products in held for sy in products)
+
+    def test_a_direction_that_does_not_descend_gives_the_unit_length_step(self, monkeypatch):
+        fun, grad, x0 = PROBLEMS["quadratic"](1)
+        direction = optim._lbfgs_direction
+        monkeypatch.setattr(optim, "_lbfgs_direction",
+                            lambda g, pairs: -g if pairs else direction(g, pairs))
+        f, g, log = logged(fun, grad)
+        x, value = armijo_minimize(f, g, x0, steps=4)
+        assert value < fun(x0)
+        for point, trials in searches(log):
+            gx = grad(point)
+            np.testing.assert_allclose(point - trials[0], gx / np.linalg.norm(gx), rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(point)))
+
+
+class TestDirection:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_two_loop_recursion_is_the_dense_bfgs_estimate_times_the_gradient(self, seed, count):
+        rng = np.random.default_rng(seed)
+        dim = 7
+        A = rng.standard_normal((dim, dim))
+        A = A @ A.T + 0.1 * np.eye(dim)  # y = A s gives s'y > 0
+        ss = [rng.standard_normal(dim) for _ in range(count)]
+        ys = [A @ s for s in ss]
+        g = rng.standard_normal(dim)
+        d = optim._lbfgs_direction(g, [(s, y, float(s @ y)) for s, y in zip(ss, ys)])
+        np.testing.assert_allclose(d, bfgs_inverse_hessian(ss, ys) @ g, rtol=1e-9, atol=1e-12)
+
+
+class TestAgainstGradientDescent:
+    @pytest.mark.parametrize("problem", ["quadratic", "autoencoder"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ends_below_the_doubling_gradient_rule(self, problem, seed):
+        fun, grad, x0 = PROBLEMS[problem](seed)
+        _, value = armijo_minimize(*point_pass(fun, grad), x0, steps=8)
+        assert value < doubling_armijo_descent(fun, grad, x0, steps=8)[1]
+
 
 def rounding_above(f0, x0):
     """A loss that is ``f0`` at ``x0`` and a few ulps above it everywhere else."""
@@ -191,7 +264,7 @@ class TestScaleInvariance:
     def test_a_power_of_two_times_the_loss_visits_the_same_points(self, seed, k, problem):
         # the loss stays above 1 at both scales, so the stationary tolerance scales too
         stationary = problem == "stationary"
-        fun, grad, x0 = PROBLEMS["quadratic" if stationary else problem](seed)
+        fun, grad, x0 = halving_start("quadratic" if stationary else problem, seed)
         fun = rounding_above(2.0 ** 22, x0) if stationary else (lambda x, f=fun: 2.0 ** 22 + f(x))
 
         def run(scale):
@@ -220,7 +293,7 @@ class TestLivePasses:
     @each_problem
     @pytest.mark.parametrize("seed", range(4))
     def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed):
-        fun, grad, x0 = PROBLEMS[problem](seed)
+        fun, grad, x0 = halving_start(problem, seed)
         alive = 0
         log = []  # ("f", passes alive as it runs) per forward, ("g", None) per backward
 
@@ -244,7 +317,7 @@ class TestLivePasses:
             log.append(("g", None))
             return grad(work.x)
 
-        armijo_minimize(forward, backward, x0, steps=6)
+        armijo_minimize(forward, backward, x0, steps=8)
         forwards = [live for kind, live in log if kind == "f"]
-        assert len(forwards) > 7  # some step halved
+        assert len(forwards) > 9  # some step halved
         assert forwards == [0] * len(forwards)

@@ -674,6 +674,16 @@ class TestLargeFeatures:
             with pytest.raises(FloatingPointError, match=f"^{block}: overflow encountered"):
                 train(MultiplexNetwork(2, [view]), hyper)
 
+    @pytest.mark.parametrize("value", [6.9e8, 1.9e8])
+    def test_one_huge_feature_trains_down_within_two_iterations(self, value):
+        # the step the autoencoder needs lies far above the unit-length first step
+        view = ViewData(np.array([[value]]), np.ones(1, dtype=bool), sp.csr_matrix((1, 1)))
+        hyper = Hyperparams(dim=1, hidden_dims=(1,), activation="tanh",
+                            output_activation="identity", max_iters=2)
+        trace = train(MultiplexNetwork(1, [view]), hyper).objective_trace
+        assert trace[0] == pytest.approx(value ** 2, rel=1e-6)
+        assert trace[2] < 1e-12 * trace[0]
+
 
 class TestInvariances:
     @pytest.mark.parametrize("seed", range(3))
