@@ -127,42 +127,67 @@ def decode(params, H):
     return _forward(params, H, range(len(params.weights) // 2, len(params.weights)))[-1]
 
 
-def _view_rows(X, mask, Y, B, alpha):
-    """Present feature rows and their subspace target rows (None when ``alpha`` is 0)."""
-    X = np.asarray(X, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    target = None
-    if alpha != 0.0:
-        if Y is None or B is None:
-            raise ValueError("alpha != 0 requires the embedding Y and basis B")
-        target = (Y @ B)[mask]
-    return X[mask], target
+def _present_rows(X, mask):
+    """The feature rows of the present nodes, as a float64 copy."""
+    return np.asarray(X, dtype=np.float64)[np.asarray(mask, dtype=bool)]
 
 
-def _view_forward(params, Xp, target, alpha, lam):
-    """Forward pass over the present rows ``Xp`` and the per-view loss.
+def _view_target(mask, Y, B, alpha):
+    """The subspace target rows (Y B) of the present nodes; None when ``alpha`` is 0."""
+    if alpha == 0.0:
+        return None
+    if Y is None or B is None:
+        raise ValueError("alpha != 0 requires the embedding Y and basis B")
+    return (Y @ B)[np.asarray(mask, dtype=bool)]
 
-    Returns the loss and the outputs of every layer (input first, code at
-    index K = ``len(params.weights) // 2``).
+
+@dataclass(eq=False)
+class ViewPass:
+    """One forward pass of a view's autoencoder over the present feature rows.
+
+    ``outputs`` holds every layer's output, the rows themselves first and
+    the code at index K = ``len(params.weights) // 2``; ``recon`` is the
+    squared reconstruction error summed over the rows. Neither depends on
+    Y or B, so one pass prices its point for any target.
     """
-    outputs = _forward(params, Xp, range(len(params.weights)))
-    loss = float(np.sum((outputs[0] - outputs[-1]) ** 2))
+    params: AutoencoderParams
+    outputs: list
+    recon: float
+
+    @property
+    def rows(self):
+        return self.outputs[0]
+
+    @property
+    def code(self):
+        return self.outputs[len(self.params.weights) // 2]
+
+
+def _view_forward(params, rows):
+    """The forward pass of ``params`` over the present feature ``rows``."""
+    outputs = _forward(params, rows, range(len(params.weights)))
+    return ViewPass(params, outputs, float(np.sum((outputs[0] - outputs[-1]) ** 2)))
+
+
+def _view_loss(vpass, target, alpha, lam):
+    """The per-view loss at a pass: reconstruction error, pull toward ``target`` and ridge."""
+    loss = vpass.recon
     if target is not None:
-        loss += alpha * float(np.sum((outputs[len(params.weights) // 2] - target) ** 2))
-    loss += lam * params.weight_sq_norm()
-    return loss, outputs
+        loss += alpha * float(np.sum((vpass.code - target) ** 2))
+    loss += lam * vpass.params.weight_sq_norm()
+    return loss
 
 
-def _view_backward(params, outputs, target, alpha, lam):
-    """Gradients of ``_view_forward``'s loss from its layer outputs, in ``all_arrays`` order."""
-    weights = params.weights
+def _view_backward(vpass, target, alpha, lam):
+    """Gradients of ``_view_loss`` at a pass, in ``all_arrays`` order."""
+    weights, outputs = vpass.params.weights, vpass.outputs
     code = len(weights) // 2
     grad_w, grad_b = [None] * len(weights), [None] * len(weights)
     d_out = 2.0 * (outputs[-1] - outputs[0])
     for k in range(len(weights) - 1, -1, -1):
         if k == code - 1 and target is not None:
             d_out = d_out + 2.0 * alpha * (outputs[code] - target)
-        dZ = d_out * _layer_activation(params, k)[1](outputs[k + 1])
+        dZ = d_out * _layer_activation(vpass.params, k)[1](outputs[k + 1])
         grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
         grad_b[k] = dZ.sum(axis=0)
         if k:  # no gradient is needed with respect to the input features
@@ -172,8 +197,8 @@ def _view_backward(params, outputs, target, alpha, lam):
 
 def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     """Per-view training objective; a forward pass only (see ``view_loss_and_grads``)."""
-    Xp, target = _view_rows(X, mask, Y, B, alpha)
-    return _view_forward(params, Xp, target, alpha, lam)[0]
+    target = _view_target(mask, Y, B, alpha)
+    return _view_loss(_view_forward(params, _present_rows(X, mask)), target, alpha, lam)
 
 
 def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
@@ -184,30 +209,50 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     subspace Y B on present rows, plus ``lam`` times the squared norm of
     all weight matrices. Gradients come back in ``all_arrays`` order.
     """
-    Xp, target = _view_rows(X, mask, Y, B, alpha)
-    loss, outputs = _view_forward(params, Xp, target, alpha, lam)
-    return loss, _view_backward(params, outputs, target, alpha, lam)
+    target = _view_target(mask, Y, B, alpha)
+    vpass = _view_forward(params, _present_rows(X, mask))
+    return _view_loss(vpass, target, alpha, lam), _view_backward(vpass, target, alpha, lam)
 
 
-def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5):
-    """``steps`` L-BFGS steps on one view's autoencoder; returns the trained parameters.
+def _priced(vpass, target, alpha, lam):
+    """(loss, pass): a pass as the line search takes its starting point."""
+    return _view_loss(vpass, target, alpha, lam), vpass
+
+
+def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, start=None):
+    """``steps`` L-BFGS steps on one view's autoencoder; returns (parameters, their pass).
 
     The gradients come from backpropagation, and ``optim.armijo_minimize``
     turns them into L-BFGS directions with a history of this call's steps
-    only. The loss never increases. The present rows and the subspace target
-    are taken once, and each gradient runs only the backward pass of the
-    forward pass that accepted its point.
+    only. The loss never increases. The subspace target is taken once, and
+    each gradient runs only the backward pass of the forward pass that
+    accepted its point. The returned ``ViewPass`` is that of the trained
+    parameters: the next call can start from it, and its code and
+    reconstruction error are the view's representations and its share of
+    the objective.
+
+    ``start``, when given, is a pass of ``params`` over the present rows of
+    X, such as the previous call returned. The call then takes the rows
+    from it and only reprices it under the new target, so it runs no
+    forward pass at the start. The pass is handed on to the search, and no
+    frame of this call keeps it alive while the search runs.
     """
     templates = params.all_arrays()
-    Xp, target = _view_rows(X, mask, Y, B, alpha)
+    target = _view_target(mask, Y, B, alpha)
+    rows = _present_rows(X, mask) if start is None else start.rows
+    start = [] if start is None else [start]  # handed to the search below, not kept here
 
     def forward(vec):
-        cur = params.replace_arrays(unflatten(vec, templates))
-        loss, outputs = _view_forward(cur, Xp, target, alpha, lam)
-        return loss, (cur, outputs)
+        vpass = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
+        return _view_loss(vpass, target, alpha, lam), vpass
 
-    def backward(work):  # work is the (params, outputs) of one forward pass
-        return flatten(_view_backward(*work, target, alpha, lam))
+    def backward(vpass):
+        return flatten(_view_backward(vpass, target, alpha, lam))
 
-    vec, _ = armijo_minimize(forward, backward, flatten(templates), steps=steps)
-    return params.replace_arrays(unflatten(vec, templates))
+    vec, _, last = armijo_minimize(
+        forward, backward, flatten(templates), steps=steps,
+        start=_priced(start.pop(), target, alpha, lam) if start else None)
+    trained = params.replace_arrays(unflatten(vec, templates))
+    if last is None:  # the search ended at a point whose pass it had dropped
+        last = _view_forward(trained, rows)
+    return trained, last

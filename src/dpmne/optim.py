@@ -1,6 +1,9 @@
 """Full-batch L-BFGS descent with an Armijo line search, for the autoencoders.
 
-Each trial point runs one forward pass, and each gradient reads the accepted trial's pass.
+Each trial point runs one forward pass, and each gradient reads the accepted
+trial's pass. The caller may hand in the pass of the starting point, and gets
+back the pass of the point returned, so that a point is evaluated once even
+across calls.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ def unflatten(vec, templates):
 
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
-MAX_HALVINGS = 60  # trials a search makes before it gives up
+MAX_TRIALS = 60  # trials a search makes before it gives up
 CURVATURE_TOL = 1e-10  # a pair is kept when s'y > CURVATURE_TOL ||s|| ||y||
 
 
@@ -53,13 +56,33 @@ def _lbfgs_direction(g, pairs):
     return q
 
 
-def armijo_minimize(forward, backward, x0, steps):
-    """Run ``steps`` L-BFGS descent steps with an Armijo line search; returns (x, f).
+def _backtrack(t, f, gd, f_new):
+    """The next trial step after the finite trial at ``t`` fails the Armijo test.
+
+    It is the minimizer of the quadratic through f(x), slope -g'd at t = 0
+    and f(x - t d), clamped to [t/10, t/2] (Nocedal & Wright, *Numerical
+    Optimization*, section 3.5). The failed test keeps the quadratic's
+    curvature positive; a rounded-away one gives t/2. Scaling f and g'd by
+    a power of two leaves the step unchanged.
+    """
+    step = t * (gd * t) / (2.0 * (f_new - f + gd * t))
+    if not step < t / 2.0:
+        return t / 2.0
+    return max(step, t / 10.0)
+
+
+def armijo_minimize(forward, backward, x0, steps, start=None):
+    """Run ``steps`` L-BFGS descent steps with an Armijo line search; returns (x, f, pass).
 
     ``forward(x)`` returns (value, pass) and ``backward(pass)`` the gradient
-    at that pass's point. Each trial point is evaluated once; the gradient
-    of the next step reads the accepted trial's pass. A pass is dropped once
-    its gradient is taken or its trial fails.
+    at that pass's point. ``start``, when given, is ``forward(x0)``'s
+    (value, pass), so the search runs no forward pass at ``x0``. Each trial
+    point is evaluated once; the gradient of the next step reads the
+    accepted trial's pass. A pass is dropped once its gradient is taken or
+    its trial fails, the handed-in one too, so the returned pass is that of
+    the last accepted trial, or the start's when no step ran. It is None
+    when the search ended at a point whose gradient it had already taken:
+    a zero gradient, or the stationary exit below.
 
     Each step moves along -d, where d = ``_lbfgs_direction(g, pairs)`` and
     ``pairs`` holds the (s, y) of this call's earlier steps: s the step taken
@@ -67,17 +90,19 @@ def armijo_minimize(forward, backward, x0, steps):
     s'y > ``CURVATURE_TOL`` ||s|| ||y||, so at most ``steps`` - 1 are held,
     and none outlives the call. With no pair kept, d = g/||g||, so the first
     trial is the unit-length step. Should rounding leave g'd <= 0, the step
-    takes that unit-length direction too. Every search starts at t = 1 and
-    halves t until the Armijo test f(x - t d) <= f(x) - c t g'd passes, for
-    at most ``MAX_HALVINGS`` trials. Scaling the objective by a power of two
-    scales g, y and the inverse-Hessian estimate exactly, so the points
-    visited stay the same. The returned value never exceeds the value at
-    ``x0``: a step is only taken when it decreases the objective, and a step
-    whose achievable decrease is below machine precision terminates the loop
-    instead of failing.
+    takes that unit-length direction too. Every search starts at t = 1. A
+    finite trial that fails the Armijo test f(x - t d) <= f(x) - c t g'd is
+    followed by the trial at ``_backtrack``'s step, a non-finite one by the
+    trial at t/2, for at most ``MAX_TRIALS`` trials. Scaling the objective
+    by a power of two scales g, y and the inverse-Hessian estimate exactly,
+    so the points visited stay the same. The returned value never exceeds
+    the value at ``x0``: a step is only taken when it decreases the
+    objective, and a step whose achievable decrease is below machine
+    precision terminates the loop instead of failing.
     """
     x = np.asarray(x0, dtype=np.float64)
-    f, work = forward(x)
+    f, work = forward(x) if start is None else start
+    start = None  # from here on the search alone holds the starting pass
     f = float(f)
     if not np.isfinite(f):
         raise FloatingPointError("objective is not finite at the starting point")
@@ -100,7 +125,7 @@ def armijo_minimize(forward, backward, x0, steps):
             d = _lbfgs_direction(g, [])
             gd = float(g @ d)
         t, least = 1.0, np.inf
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_TRIALS):
             x_new = x - t * d
             f_new, work = forward(x_new)
             f_new = float(f_new)
@@ -109,13 +134,15 @@ def armijo_minimize(forward, backward, x0, steps):
             work = None
             if np.isfinite(f_new):
                 least = min(least, f_new)
-            t *= 0.5
+                t = _backtrack(t, f, gd, f_new)
+            else:
+                t *= 0.5
         else:
             if least <= f + 1e-12 * max(1.0, abs(f)):
                 break  # no decrease beyond rounding error: stationary point
             raise RuntimeError(
                 "line search failed: no decrease after "
-                f"{MAX_HALVINGS} halvings (objective {f:.6e})")
+                f"{MAX_TRIALS} trials (objective {f:.6e})")
         s, g_prev = x_new - x, g
         x, f = x_new, f_new
-    return x, f
+    return x, f, work

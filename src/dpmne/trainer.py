@@ -15,10 +15,14 @@ objective is handed to the next Y block, which starts from the same Y.
 Y starts in the span of the top left singular vectors of the stacked present
 features, taken from a truncated eigensolve of the smaller Gram matrix. Each
 autoencoder's L-BFGS history lives for one ``update_H`` call and its first
-trial is a unit-length step, so nothing carries over from one call to the
-next. The blocks read their settings from ``state.hyper``, and early
-stopping reads the objective trace, so a state is exactly what
-``io.checkpoint`` writes and a resume is exact.
+trial is a unit-length step. What ``train`` carries from one call to the
+next is each view's forward pass at the trained parameters (``ae.ViewPass``),
+which depends only on the parameters and the present rows: its code is H,
+the objective reads its reconstruction error, and the next call starts its
+search from it, so each accepted point costs one forward pass. The blocks
+read their settings from ``state.hyper``, and early stopping reads the
+objective trace, so a state is exactly what ``io.checkpoint`` writes; a
+resume recomputes the passes and is exact.
 """
 
 import time
@@ -76,7 +80,8 @@ class EmbeddingState:
     """Everything the trainer iterates on and the objective trace: what ``io.checkpoint`` writes.
 
     The representations H are not stored: they are the encoders applied to
-    the present features (``representations``), which ``train`` passes on.
+    the present features (``representations``); ``train`` takes them from
+    its forward passes and passes them on.
     """
     Y: np.ndarray             # (n, dim) shared embedding
     B: list                   # per-view (dim, code_dim) bases
@@ -140,18 +145,26 @@ def _y_grad(Y, LY, views, hyper):
     return G
 
 
-def objective(state, H, network, prox, LY=None):
+def objective(state, H, network, prox, LY=None, passes=None):
     """Value of the full training objective at the current state and representations ``H``.
 
     ``LY``, the Laplacian applied to ``state.Y``, is computed when not given.
+    ``passes``, when given, holds per view the forward pass of the state's
+    autoencoder over its present rows (``update_H``'s third result), whose
+    reconstruction error is then read instead of decoding ``H`` again.
+    Without them this is the oracle the handed-over values are checked
+    against.
     """
     LY = prox.laplacian @ state.Y if LY is None else LY
     total = _y_value(state.Y, LY, _y_views(state, H), state.hyper)
     ridge = 0.0
     for s, view in enumerate(network.views):
-        m = state.masks[s]
-        Xt = ae.decode(state.autoencoders[s], H[s][m])
-        total += float(np.sum((view.features[m] - Xt) ** 2))
+        if passes is None:
+            m = state.masks[s]
+            Xt = ae.decode(state.autoencoders[s], H[s][m])
+            total += float(np.sum((view.features[m] - Xt) ** 2))
+        else:
+            total += passes[s].recon
         ridge += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
     total += state.hyper.lam * ridge
     if not np.isfinite(total):
@@ -258,18 +271,35 @@ def update_B(state, H):
     return replace(state, B=new_B)
 
 
-def update_H(state, network):
-    """Train each view's autoencoder; returns the new state and its representations H."""
+def _take(items, i):
+    """``items[i]``, leaving None in its place so that the list no longer holds it."""
+    item, items[i] = items[i], None
+    return item
+
+
+def update_H(state, network, passes=None):
+    """Train each view's autoencoder; returns the new state, its representations H and its passes.
+
+    The passes are, per view, the forward pass of the trained autoencoder
+    over the present rows (``ae.ViewPass``); H is their code, zero on masked
+    rows. ``passes``, when given, holds the state's own passes, as the
+    previous call returned them: each view's search then starts from its
+    pass instead of running a forward pass, and takes the present rows from
+    it. Each is taken out of the list as it is handed over, so the search
+    alone holds it and drops it after its first gradient.
+    """
     hyper = state.hyper
 
     def train_one(s):
-        X, m = network.views[s].features, state.masks[s]
-        params = ae.train_view_autoencoder(state.autoencoders[s], X, m, state.Y, state.B[s],
-                                           hyper.alpha, hyper.lam, steps=hyper.h_steps)
-        return params, ae.encode(params, X, m)
+        return ae.train_view_autoencoder(
+            state.autoencoders[s], network.views[s].features, state.masks[s], state.Y,
+            state.B[s], hyper.alpha, hyper.lam, steps=hyper.h_steps,
+            start=None if passes is None else _take(passes, s))
 
     results = map_views(train_one, range(len(network.views)))
-    return replace(state, autoencoders=[r[0] for r in results]), [r[1] for r in results]
+    new_passes = [vpass for _, vpass in results]
+    state = replace(state, autoencoders=[params for params, _ in results])
+    return state, _pass_representations(state, new_passes), new_passes
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)
@@ -301,8 +331,26 @@ def _leading_left_singular_vectors(X, k):
     return (X @ vec[:, :rank]) / np.sqrt(lam[:rank])
 
 
+def _first_passes(state, network):
+    """Per view, the forward pass of the state's autoencoder over its present rows.
+
+    These rows are the only copy of them that a training takes; every later
+    pass reads them.
+    """
+    return [ae._view_forward(params, ae._present_rows(view.features, m))
+            for params, view, m in zip(state.autoencoders, network.views, state.masks)]
+
+
+def _pass_representations(state, passes):
+    """The representations H that ``passes`` give: each view's code, zero on masked rows."""
+    H = [np.zeros((m.shape[0], vpass.code.shape[1])) for vpass, m in zip(passes, state.masks)]
+    for Hs, vpass, m in zip(H, passes, state.masks):
+        Hs[m] = vpass.code
+    return H
+
+
 def _init_state(network, hyper):
-    """The starting state and its representations H; ``hyper.seed`` seeds every draw."""
+    """The starting state, its representations H and its passes; ``hyper.seed`` seeds every draw."""
     rng = np.random.default_rng(hyper.seed)
     n, d = network.n, hyper.dim
     # warm start: top singular directions of the present features, then random columns
@@ -315,8 +363,9 @@ def _init_state(network, hyper):
     masks = [view.mask.copy() for view in network.views]
     B = [np.zeros((d, params.code_dim)) for params in autoencoders]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
-    H = representations(state, network)
-    return update_B(state, H), H
+    passes = _first_passes(state, network)
+    H = _pass_representations(state, passes)
+    return update_B(state, H), H, passes
 
 
 def _check_resume(state, network, hyper):
@@ -355,15 +404,16 @@ def train(network, hyper=None, init_state=None):
     worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
     with one_blas_thread():
         if init_state is None:
-            state, H = _init_state(network, hyper)
+            state, H, passes = _init_state(network, hyper)
         else:
             _check_resume(init_state, network, hyper)
             state = replace(init_state, hyper=hyper)
-            H = representations(state, network)  # the same call that update_H made
+            passes = _first_passes(state, network)  # the passes the interrupted run held
+            H = _pass_representations(state, passes)
         prox = build_stack(network, hyper.proximity)
         # the objective's L Y is handed to the next update_Y: B and H leave Y as it is
         LY = prox.laplacian @ state.Y
-        trace = list(state.objective_trace) or [objective(state, H, network, prox, LY)]
+        trace = list(state.objective_trace) or [objective(state, H, network, prox, LY, passes)]
         iter_seconds = list(state.iter_seconds)
         for _ in range(hyper.max_iters):
             tail = trace[-hyper.stop_patience - 1:]
@@ -373,9 +423,9 @@ def train(network, hyper=None, init_state=None):
             tic = time.perf_counter()
             state = update_Y(state, H, prox, LY)
             state = update_B(state, H)
-            state, H = update_H(state, network)
+            state, H, passes = update_H(state, network, passes)
             LY = prox.laplacian @ state.Y
-            trace.append(objective(state, H, network, prox, LY))
+            trace.append(objective(state, H, network, prox, LY, passes))
             iter_seconds.append(time.perf_counter() - tic)
         return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
 

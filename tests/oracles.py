@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
-from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_HALVINGS
+from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS
 from dpmne.proximity import ProximityConfig, ProximityStack, proximity_adjacency
 from dpmne.trainer import EmbeddingState, objective
 
@@ -104,7 +104,7 @@ def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
         if gg == 0.0 or np.max(np.abs(G)) <= gtol:
             break
         least = np.inf
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_TRIALS):
             W_new = W - step * G
             f_new = row_major_logreg_loss(W_new, X, y, l2)
             if np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * gg:
@@ -120,16 +120,27 @@ def armijo_logreg_oracle(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
     return W
 
 
+def interpolated_step(t, f, gd, f_t):
+    """The step after the trial at ``t`` fails with the finite value ``f_t``.
+
+    It is the minimizer of q(a) = f - gd a + c a^2 with q(t) = f_t, so
+    c = (f_t - f + gd t) / t^2, clamped to [t/10, t/2].
+    """
+    minimizer = t * (gd * t) / (2.0 * (f_t - f + gd * t))
+    return min(max(minimizer, t / 10.0), t / 2.0)
+
+
 def unit_step_armijo_trials(fun, grad, x0, steps):
     """The points ``optim.armijo_minimize`` tries, from its rule as the README states it.
 
     Each step moves along -d: d is g/||g|| while no (s, y) pair is kept or
     when the recursion's g'd is not positive, and the two-loop recursion over
     the kept pairs otherwise. A pair is kept when
-    s'y > CURVATURE_TOL ||s|| ||y||. Each search tries t = 1, 1/2, 1/4, ...
-    until the Armijo test on g'd passes. Returns the trial points in order
-    and the final (x, f). The stationary exit and the failure are left out:
-    a search that passes no trial raises.
+    s'y > CURVATURE_TOL ||s|| ||y||. Each search tries t = 1 first. After a
+    finite trial value fails the Armijo test on g'd, the next t is
+    ``interpolated_step``; after a non-finite one it is t/2. Returns the
+    trial points in order and the final (x, f). The stationary exit and the
+    failure are left out: a search that passes no trial raises.
     """
     x = np.asarray(x0, dtype=np.float64)
     f, trials, ss, ys, previous = float(fun(x)), [], [], [], None
@@ -155,13 +166,13 @@ def unit_step_armijo_trials(fun, grad, x0, steps):
             if float(g @ q) > 0.0:
                 d = q
         gd, t = float(g @ d), 1.0
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_TRIALS):
             x_new = x - t * d
             f_new = float(fun(x_new))
             trials.append(x_new)
             if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gd:
                 break
-            t *= 0.5
+            t = interpolated_step(t, f, gd, f_new) if np.isfinite(f_new) else t / 2.0
         else:
             raise RuntimeError("line search failed")
         previous = x, g
@@ -199,7 +210,7 @@ def doubling_armijo_descent(fun, grad, x0, steps):
         if gg == 0.0:
             break
         t = 1.0 / np.sqrt(gg) if t is None else 2.0 * t
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_TRIALS):
             x_new = x - t * g
             f_new = float(fun(x_new))
             if np.isfinite(f_new) and f_new <= f - ARMIJO_C * t * gg:

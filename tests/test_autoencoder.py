@@ -148,7 +148,7 @@ class TestTrainViewAutoencoder:
 
     def test_zero_steps_leaves_params_unchanged(self):
         params, X, mask, Y, B = small_problem(4)
-        out = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=0)
+        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=0)
         for before, after in zip(params.all_arrays(), out.all_arrays()):
             assert np.array_equal(before, after)
 
@@ -156,7 +156,7 @@ class TestTrainViewAutoencoder:
     def test_loss_never_increases(self, seed):
         params, X, mask, Y, B = small_problem(seed + 20)
         before = view_loss(params, X, mask, Y, B, alpha=1.0, lam=0.01)
-        out = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=8)
+        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=8)
         after = view_loss(out, X, mask, Y, B, alpha=1.0, lam=0.01)
         assert after <= before + 1e-12
 
@@ -176,12 +176,12 @@ class TestTrainViewAutoencoder:
         def unpack(v):
             return params.replace_arrays(unflatten(v, templates))
 
-        vec, _ = armijo_minimize(
+        vec, _, _ = armijo_minimize(
             *point_pass(
                 lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
                 lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1])),
             flatten(templates), steps=8)
-        out = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8)
+        out, _ = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8)
         assert np.array_equal(flatten(out.all_arrays()), vec)
 
     def test_each_point_runs_one_forward_pass(self, monkeypatch):
@@ -198,6 +198,55 @@ class TestTrainViewAutoencoder:
         train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=6)
         assert calls.count("g") > 0
         assert calls.count("forward") == calls.count("f")
+
+    @pytest.mark.parametrize("steps", [0, 1, 6])
+    def test_returns_the_pass_of_the_trained_parameters(self, steps):
+        params, X, mask, Y, B = small_problem(32)
+        out, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=steps)
+        fresh = ae._view_forward(out, X[mask])
+        assert vpass.recon == fresh.recon
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(vpass.outputs, fresh.outputs))
+        assert vpass.code.tobytes() == encode(out, X, mask)[mask].tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, 6])
+    def test_a_start_pass_saves_the_first_forward_pass_and_changes_no_byte(self, steps,
+                                                                          monkeypatch):
+        params, X, mask, Y, B = small_problem(33)
+        trained, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=3)
+        B = B + 0.1  # a new target: the start is repriced, not recomputed
+        results, trials = {}, {}
+        for handed in (False, True):
+            calls = []
+            monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
+            results[handed] = train_view_autoencoder(trained, X, mask, Y, B, 1.0, 0.01,
+                                                     steps=steps, start=vpass if handed else None)
+            trials[handed] = calls.count("f")
+        (fresh, fresh_pass), (out, last) = results[False], results[True]
+        assert [a.tobytes() for a in out.all_arrays()] == [a.tobytes() for a in fresh.all_arrays()]
+        assert last.recon == fresh_pass.recon
+        assert last.rows is vpass.rows  # the present rows are taken once
+        assert (last is vpass) == (steps == 0)
+        assert trials[True] == trials[False] - 1
+
+    def test_a_search_that_drops_its_last_pass_gets_one_fresh_pass(self, monkeypatch):
+        params, X, mask, Y, B = small_problem(34)
+        calls = []
+        forward = ae._view_forward
+
+        def counted_forward(*args):
+            calls.append("forward")
+            return forward(*args)
+
+        def dropping_armijo(*args, **kwargs):
+            x, f, _ = armijo_minimize(*args, **kwargs)
+            calls.append("returned")
+            return x, f, None
+
+        monkeypatch.setattr(ae, "_view_forward", counted_forward)
+        monkeypatch.setattr(ae, "armijo_minimize", dropping_armijo)
+        out, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=4)
+        assert calls[-2:] == ["returned", "forward"]
+        assert vpass.recon == forward(out, X[mask]).recon
 
     def test_loss_invariant_under_node_permutation(self):
         params, X, mask, Y, B = small_problem(6)

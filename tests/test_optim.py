@@ -1,13 +1,16 @@
 """The L-BFGS line search of ``optim.armijo_minimize``.
 
 Each trial point runs one forward pass, the next gradient reads the pass of
-the accepted trial, and no earlier pass is alive when a forward pass runs.
-The first trial is a unit-length step and every later search starts at
-t = 1 along the two-loop direction, so scaling the loss by a power of two
-changes no point the search visits. Tests pass a plain ``fun`` and ``grad``
-through ``conftest.point_pass``, whose pass is the point itself, and most run
-on four losses: a separable quadratic, a logistic loss, a non-convex double
-well and the per-view autoencoder loss.
+the accepted trial, and no earlier pass is alive when a forward pass runs; a
+handed-in starting pass replaces the forward pass at x0, and the pass of the
+returned point comes back. The first trial is a unit-length step and every
+later search starts at t = 1 along the two-loop direction; a rejected trial
+is followed by the clamped minimizer of the interpolating quadratic, so
+scaling the loss by a power of two changes no point the search visits.
+Tests pass a plain ``fun`` and ``grad`` through ``conftest.point_pass``,
+whose pass is the point itself, and most run on four losses: a separable
+quadratic, a logistic loss, a non-convex double well and the per-view
+autoencoder loss.
 """
 
 import weakref
@@ -18,10 +21,11 @@ from scipy.special import expit
 
 from dpmne.autoencoder import init_autoencoder, view_loss, view_loss_and_grads
 from dpmne import optim
-from dpmne.optim import CURVATURE_TOL, MAX_HALVINGS, armijo_minimize, flatten, unflatten
+from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS, armijo_minimize, flatten, unflatten
 
 from conftest import point_pass
-from oracles import bfgs_inverse_hessian, doubling_armijo_descent, unit_step_armijo_trials
+from oracles import (bfgs_inverse_hessian, doubling_armijo_descent, interpolated_step,
+                     unit_step_armijo_trials)
 
 
 def quadratic(seed, dim=6):
@@ -115,8 +119,8 @@ def logged(fun, grad):
     return f, g, log
 
 
-def halving_start(problem, seed):
-    """A problem started eight times nearer the origin, where some search halves in 8 steps."""
+def backtracking_start(problem, seed):
+    """A problem started eight times nearer the origin, where some search backtracks in 8 steps."""
     fun, grad, x0 = PROBLEMS[problem](seed)
     return fun, grad, x0 / 8.0
 
@@ -135,8 +139,9 @@ def searches(log):
 class TestSearch:
     @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    def test_first_trials_are_unit_steps_along_the_bfgs_direction_then_halve(self, problem, seed):
-        fun, grad, x0 = halving_start(problem, seed)
+    def test_first_trials_are_unit_steps_along_the_bfgs_direction_then_interpolate(
+            self, problem, seed):
+        fun, grad, x0 = backtracking_start(problem, seed)
         f, g, log = logged(fun, grad)
         armijo_minimize(f, g, x0, steps=8)
         tried = searches(log)
@@ -151,35 +156,69 @@ class TestSearch:
                     ys.append(y)
             # the unit-length step while no pair is kept, then the dense BFGS estimate
             d = bfgs_inverse_hessian(ss, ys) @ gx if ss else gx / np.linalg.norm(gx)
-            for halvings, trial in enumerate(trials):
-                np.testing.assert_allclose(x - trial, 0.5 ** halvings * d, rtol=1e-6,
+            t = 1.0
+            for trial in trials:
+                np.testing.assert_allclose(x - trial, t * d, rtol=1e-6,
                                            atol=1e-12 * np.max(np.abs(x)))
+                t = interpolated_step(t, fun(x), float(gx @ d), fun(trial))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_on_a_quadratic_the_second_trial_is_the_minimizer_along_the_ray(self, seed):
+        fun, grad, x0 = quadratic(seed)
+        scales = grad(np.ones_like(x0))
+        landed = 0
+        for start in (x0, x0 / 4.0, x0 / 16.0):
+            f, g, log = logged(fun, grad)
+            armijo_minimize(f, g, start, steps=8)
+            for x, trials in searches(log):
+                if len(trials) < 2:
+                    continue
+                d = x - trials[0]  # every search tries t = 1 first
+                best = float(grad(x) @ d) / float(d @ (scales * d))
+                if 0.1 <= best <= 0.5:
+                    np.testing.assert_allclose(x - trials[1], best * d, rtol=1e-10)
+                    landed += 1
+        assert landed > 0
 
     @each_problem
     def test_each_gradient_reads_the_pass_of_the_accepted_trial(self, problem):
         fun, grad, x0 = PROBLEMS[problem](3)
         f, g, log = logged(fun, grad)
-        x, value = armijo_minimize(f, g, x0, steps=5)
+        x, value, work = armijo_minimize(f, g, x0, steps=5)
         assert log[1] == ("g", log[0][1])
         for (kind, trial), (next_kind, read) in zip(log[1:], log[2:]):
             if next_kind == "g":
                 assert kind == "f" and read is trial
         last_trial = [x for kind, x in log if kind == "f"][-1]
-        assert x is last_trial and value == fun(x)
+        assert x is last_trial and work is last_trial and value == fun(x)
+
+    @each_problem
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_a_handed_start_replaces_the_first_forward_pass(self, problem, steps):
+        fun, grad, x0 = PROBLEMS[problem](2)
+        f, g, log = logged(fun, grad)
+        x, value, work = armijo_minimize(f, g, x0, steps=steps)
+        f, g, handed_log = logged(fun, grad)
+        start_pass = np.array(x0)  # the pass is the point: a twin of x0, not x0 itself
+        handed = armijo_minimize(f, g, x0, steps=steps, start=(fun(x0), start_pass))
+        assert handed_log == [] if steps == 0 else handed_log[0] == ("g", start_pass)
+        assert [x.tobytes() for _, x in handed_log[1:]] == [x.tobytes() for _, x in log[2:]]
+        assert handed[0].tobytes() == x.tobytes() and handed[1] == value
+        assert handed[2] is (start_pass if steps == 0 else handed_log[-1][1])
 
     @each_problem
     @pytest.mark.parametrize("seed", range(6))
     def test_visits_the_points_of_the_stated_rule(self, problem, seed):
         fun, grad, x0 = PROBLEMS[problem](seed)
         f, g, log = logged(fun, grad)
-        x, value = armijo_minimize(f, g, x0, steps=8)
+        x, value, _ = armijo_minimize(f, g, x0, steps=8)
         trials, expected_x, expected_value = unit_step_armijo_trials(fun, grad, x0, steps=8)
         assert [x.tobytes() for kind, x in log[1:] if kind == "f"] == [t.tobytes() for t in trials]
         assert x.tobytes() == expected_x.tobytes() and value == expected_value
         assert value < fun(x0)
 
     @pytest.mark.parametrize("excess", [1.0, 1e-13])  # no decrease; a rounding error above f0
-    def test_no_decrease_tries_each_halving_once(self, excess):
+    def test_no_decrease_tries_each_stated_step_once(self, excess):
         x0, g0, f0 = np.zeros(3), np.array([1.0, -2.0, 0.5]), 1.0
 
         def never_lower(x):
@@ -187,16 +226,18 @@ class TestSearch:
 
         f, g, log = logged(never_lower, lambda x: g0)
         if excess == 1.0:
-            with pytest.raises(RuntimeError, match=f"no decrease after {MAX_HALVINGS} halvings"):
+            with pytest.raises(RuntimeError, match=f"no decrease after {MAX_TRIALS} trials"):
                 armijo_minimize(f, g, x0, steps=3)
         else:
-            x, value = armijo_minimize(f, g, x0, steps=3)
-            assert x is x0 and value == f0
-        # x0 = 0 makes each trial point exactly -step * g0
-        tried = [float(-x[0] / g0[0]) for kind, x in log[1:] if kind == "f"]
+            x, value, work = armijo_minimize(f, g, x0, steps=3)
+            assert x is x0 and value == f0 and work is None
+        # x0 = 0 makes each trial point exactly -t * g0 / ||g0||
         unit = 1.0 / np.linalg.norm(g0)
-        np.testing.assert_allclose(tried, [unit * 0.5 ** k for k in range(MAX_HALVINGS)],
-                                   rtol=1e-12)
+        tried = [float(-x[0] / g0[0]) / unit for kind, x in log[1:] if kind == "f"]
+        expected, gd = [1.0], float(np.linalg.norm(g0))
+        while len(expected) < MAX_TRIALS:
+            expected.append(interpolated_step(expected[-1], f0, gd, f0 + excess))
+        np.testing.assert_allclose(tried, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("problem, kept", [("quadratic", True), ("concave", False)])
     def test_keeps_a_pair_only_with_positive_curvature(self, problem, kept, monkeypatch):
@@ -209,7 +250,7 @@ class TestSearch:
             return direction(g, pairs)
 
         monkeypatch.setattr(optim, "_lbfgs_direction", recorded)
-        x, value = armijo_minimize(*point_pass(fun, grad), x0, steps=4)
+        x, value, _ = armijo_minimize(*point_pass(fun, grad), x0, steps=4)
         assert value < fun(x0)
         assert [len(products) for products in held] == ([0, 1, 2, 3] if kept else [0, 0, 0, 0])
         assert all(sy > 0.0 for products in held for sy in products)
@@ -220,7 +261,7 @@ class TestSearch:
         monkeypatch.setattr(optim, "_lbfgs_direction",
                             lambda g, pairs: -g if pairs else direction(g, pairs))
         f, g, log = logged(fun, grad)
-        x, value = armijo_minimize(f, g, x0, steps=4)
+        x, value, _ = armijo_minimize(f, g, x0, steps=4)
         assert value < fun(x0)
         for point, trials in searches(log):
             gx = grad(point)
@@ -248,7 +289,7 @@ class TestAgainstGradientDescent:
     @pytest.mark.parametrize("seed", range(6))
     def test_ends_below_the_doubling_gradient_rule(self, problem, seed):
         fun, grad, x0 = PROBLEMS[problem](seed)
-        _, value = armijo_minimize(*point_pass(fun, grad), x0, steps=8)
+        _, value, _ = armijo_minimize(*point_pass(fun, grad), x0, steps=8)
         assert value < doubling_armijo_descent(fun, grad, x0, steps=8)[1]
 
 
@@ -264,20 +305,20 @@ class TestScaleInvariance:
     def test_a_power_of_two_times_the_loss_visits_the_same_points(self, seed, k, problem):
         # the loss stays above 1 at both scales, so the stationary tolerance scales too
         stationary = problem == "stationary"
-        fun, grad, x0 = halving_start("quadratic" if stationary else problem, seed)
+        fun, grad, x0 = backtracking_start("quadratic" if stationary else problem, seed)
         fun = rounding_above(2.0 ** 22, x0) if stationary else (lambda x, f=fun: 2.0 ** 22 + f(x))
 
         def run(scale):
             f, g, log = logged(lambda x: scale * fun(x), lambda x: scale * grad(x))
-            x, value = armijo_minimize(f, g, x0, steps=8)
+            x, value, _ = armijo_minimize(f, g, x0, steps=8)
             return [x.tobytes() for kind, x in log if kind == "f"], x, value
 
         points, x, value = run(1.0)
         scaled_points, scaled_x, scaled_value = run(2.0 ** k)
         assert scaled_points == points
         assert scaled_x.tobytes() == x.tobytes() and scaled_value == 2.0 ** k * value
-        # every trial of the one step fails; otherwise some step halves
-        assert len(points) == 1 + MAX_HALVINGS if stationary else len(points) > 1 + 8
+        # every trial of the one step fails; otherwise some step backtracks
+        assert len(points) == 1 + MAX_TRIALS if stationary else len(points) > 1 + 8
 
 
 class TestStationaryExit:
@@ -285,15 +326,17 @@ class TestStationaryExit:
     def test_trials_a_rounding_error_above_a_large_objective_are_stationary(self, f0):
         x0, g0 = np.array([0.3, -1.2]), np.array([1.0, 2.0])
 
-        x, f = armijo_minimize(*point_pass(rounding_above(f0, x0), lambda x: g0), x0, steps=3)
-        assert x is x0 and f == f0
+        x, f, work = armijo_minimize(*point_pass(rounding_above(f0, x0), lambda x: g0), x0,
+                                     steps=3)
+        assert x is x0 and f == f0 and work is None
 
 
 class TestLivePasses:
     @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed):
-        fun, grad, x0 = halving_start(problem, seed)
+    @pytest.mark.parametrize("handed", [False, True])
+    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed, handed):
+        fun, grad, x0 = backtracking_start(problem, seed)
         alive = 0
         log = []  # ("f", passes alive as it runs) per forward, ("g", None) per backward
 
@@ -317,7 +360,10 @@ class TestLivePasses:
             log.append(("g", None))
             return grad(work.x)
 
-        armijo_minimize(forward, backward, x0, steps=8)
+        # a handed-in start is a temporary here, so only the search can hold it
+        x, _, work = armijo_minimize(forward, backward, x0, steps=8,
+                                     start=forward(x0) if handed else None)
         forwards = [live for kind, live in log if kind == "f"]
-        assert len(forwards) > 9  # some step halved
+        assert len(forwards) > 9  # some trial was rejected
         assert forwards == [0] * len(forwards)
+        assert alive == 1 and work.x is x  # the returned point's pass, and no other

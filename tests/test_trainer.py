@@ -1,5 +1,7 @@
 import math
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_vi
                            objective, reconstruct_missing, representations, train, update_B,
                            update_H, update_Y)
 
-from conftest import random_network
+from conftest import random_network, recording_armijo
 from oracles import svd_warm_start
 
 
@@ -222,15 +224,22 @@ class TestUpdateY:
         # and the objective's L Y, which the next update_Y reuses
         assert len(calls) == 1 + 2 * (5 + 1)
 
-    def test_handed_over_products_leave_the_trace_equal_to_objective(self):
+    def test_handed_over_products_leave_the_trace_equal_to_objective(self, tmp_path):
+        # L Y, the representations and the reconstruction errors all come from the blocks
         network, hyper, _, _, _ = small_setup(25)
         prox = build_stack(network, hyper.proximity)
-        start = train(network, replace(hyper, max_iters=0))
-        assert start.objective_trace == [
-            objective(start, representations(start, network), network, prox)]
-        state = train(network, replace(hyper, max_iters=3, stop_patience=10))
-        assert state.objective_trace[-1] == objective(
-            state, representations(state, network), network, prox)
+        hyper = replace(hyper, stop_patience=10)
+        full = train(network, replace(hyper, max_iters=3))
+        for k in range(4):
+            state = train(network, replace(hyper, max_iters=k))
+            assert state.objective_trace == full.objective_trace[:k + 1]
+            assert state.objective_trace[k] == objective(
+                state, representations(state, network), network, prox)
+        half = train(network, replace(hyper, max_iters=1))
+        resumed = resume_from_disk(network, half, replace(hyper, max_iters=2), tmp_path / "s.npz")
+        assert resumed.objective_trace == full.objective_trace
+        assert resumed.objective_trace[-1] == objective(
+            resumed, representations(resumed, network), network, prox)
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
@@ -426,26 +435,45 @@ class TestUpdateB:
 class TestUpdateH:
     def test_returns_the_representations_of_the_trained_autoencoders(self):
         network, hyper, prox, state, H = small_setup(10)
-        out, H_new = update_H(state, network)
+        out, H_new, passes = update_H(state, network)
         assert not all(np.array_equal(a, b) for a, b in zip(H, H_new))
         for s, view in enumerate(network.views):
             expect = ae.encode(out.autoencoders[s], view.features, view.mask)
             assert np.array_equal(H_new[s], expect)
             assert np.all(H_new[s][~view.mask] == 0.0)
+            assert np.array_equal(passes[s].code, expect[view.mask])
+            recon = view.features[view.mask] - ae.decode(out.autoencoders[s], expect[view.mask])
+            assert passes[s].recon == float(np.sum(recon ** 2))
 
     def test_never_increases_the_objective(self):
         network, hyper, prox, state, H = small_setup(11)
         state = update_B(state, H)
         before = objective(state, H, network, prox)
-        out, H_new = update_H(state, network)
+        out, H_new, passes = update_H(state, network)
         assert objective(out, H_new, network, prox) <= before + 1e-12
+        assert objective(out, H_new, network, prox, passes=passes) == objective(
+            out, H_new, network, prox)
 
     def test_hidden_state_mask_row_stays_zero(self):
         network, hyper, prox, state, H = small_setup(13)
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
-        _, H_new = update_H(state, network)
+        _, H_new, _ = update_H(state, network)
         assert np.all(H_new[1][hidden] == 0.0)
+
+    @pytest.mark.parametrize("h_steps", [0, 1, 4])
+    def test_starting_from_handed_passes_changes_no_byte(self, h_steps):
+        network, hyper, prox, state, H = small_setup(14)
+        state = replace(state, hyper=replace(hyper, h_steps=h_steps))
+        first, _, passes = update_H(state, network)
+        first = update_B(first, H)
+        handed = update_H(first, network, passes)
+        fresh = update_H(first, network)
+        assert passes == [None] * network.t  # taken out as they were handed over
+        for a, b in zip(handed[0].autoencoders, fresh[0].autoencoders):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.all_arrays(), b.all_arrays()))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(handed[1], fresh[1]))
+        assert [p.recon for p in handed[2]] == [p.recon for p in fresh[2]]
 
 
 def spectrum_matrix(rng, n, m, singular_values):
@@ -658,6 +686,65 @@ class TestTrain:
         poisoned = train(net, hyper)
         assert np.array_equal(baseline.Y, poisoned.Y)
         assert baseline.objective_trace == poisoned.objective_trace
+
+
+class TestForwardPasses:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_pass_per_view_at_the_start_then_one_per_trial(self, threads, monkeypatch):
+        monkeypatch.setenv("DPMNE_THREADS", threads)
+        network, hyper, _, _, _ = small_setup(26)
+        hyper = replace(hyper, max_iters=2, stop_patience=10)
+        calls = []
+        forward = ae._view_forward
+
+        def counted_forward(*args):
+            calls.append("forward")
+            return forward(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a training encodes or decodes only through its passes")
+
+        monkeypatch.setattr(ae, "_view_forward", counted_forward)
+        monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
+        monkeypatch.setattr(ae, "encode", refused)
+        monkeypatch.setattr(ae, "decode", refused)
+        state = train(network, hyper)
+        assert calls.count("f") > 0 and calls.count("g") == 2 * network.t * hyper.h_steps
+        assert calls.count("forward") == network.t + calls.count("f")
+        del calls[:]
+        resumed = train(network, replace(hyper, max_iters=1), init_state=state)
+        assert len(resumed.objective_trace) == 4
+        assert calls.count("forward") == network.t + calls.count("f")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_no_earlier_pass_of_a_view_is_alive_when_its_forward_pass_runs(self, threads,
+                                                                          monkeypatch):
+        # the carried pass is handed over to the search, which drops it after its gradient
+        monkeypatch.setenv("DPMNE_THREADS", threads)
+        network, hyper, _, _, _ = small_setup(27)
+        alive, seen = {}, []  # passes alive per rows array; (rows, alive) per forward pass
+        lock = threading.Lock()
+        forward = ae._view_forward
+
+        def dropped(key):
+            with lock:
+                alive[key] -= 1
+
+        def tracked_forward(params, rows):
+            with lock:
+                seen.append(alive.get(id(rows), 0))
+            vpass = forward(params, rows)
+            with lock:
+                alive[id(rows)] = alive.get(id(rows), 0) + 1
+            weakref.finalize(vpass, dropped, id(rows))
+            return vpass
+
+        monkeypatch.setattr(ae, "_view_forward", tracked_forward)
+        state = train(network, replace(hyper, max_iters=3, stop_patience=10))
+        assert len(state.objective_trace) == 4
+        assert len(seen) > network.t * (1 + 3 * hyper.h_steps)  # some trial was rejected
+        assert seen == [0] * len(seen)
+        assert all(count == 0 for count in alive.values())  # train keeps no pass
 
 
 class TestLargeFeatures:
