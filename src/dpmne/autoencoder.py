@@ -12,7 +12,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .optim import armijo_minimize, flatten, unflatten
+from .optim import armijo_minimize
+
+
+def flatten(arrays):
+    """Concatenate a list of arrays into one flat float64 vector."""
+    if not arrays:
+        return np.zeros(0)
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+
+
+def unflatten(vec, templates):
+    """Split a flat vector back into arrays shaped like ``templates``."""
+    out, offset = [], 0
+    for tpl in templates:
+        out.append(vec[offset:offset + tpl.size].reshape(tpl.shape))
+        offset += tpl.size
+    if offset != vec.size:
+        raise ValueError(f"flat vector has {vec.size} entries, templates need {offset}")
+    return out
 
 _ACT = {
     "identity": (lambda z: z, lambda a: np.ones_like(a)),
@@ -214,33 +232,24 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     return _view_loss(vpass, target, alpha, lam), _view_backward(vpass, target, alpha, lam)
 
 
-def _priced(vpass, target, alpha, lam):
-    """(loss, pass): a pass as the line search takes its starting point."""
-    return _view_loss(vpass, target, alpha, lam), vpass
+def train_view_autoencoder(start, target, alpha, lam, steps=5):
+    """``steps`` L-BFGS steps on a view's autoencoder from its pass ``start``; returns the new pass.
 
-
-def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, start=None):
-    """``steps`` L-BFGS steps on one view's autoencoder; returns (parameters, their pass).
-
-    The gradients come from backpropagation, and ``optim.armijo_minimize``
-    turns them into L-BFGS directions with a history of this call's steps
-    only. The loss never increases. The subspace target is taken once, and
-    each gradient runs only the backward pass of the forward pass that
-    accepted its point. The returned ``ViewPass`` is that of the trained
-    parameters: the next call can start from it, and its code and
-    reconstruction error are the view's representations and its share of
-    the objective.
-
-    ``start``, when given, is a pass of ``params`` over the present rows of
-    X, such as the previous call returned. The call then takes the rows
-    from it and only reprices it under the new target, so it runs no
-    forward pass at the start. The pass is handed on to the search, and no
-    frame of this call keeps it alive while the search runs.
+    ``start`` is a forward pass over the view's present rows, such as the
+    previous call returned, and ``target`` those rows' subspace target
+    (``_view_target``). The search takes the parameters and rows from the
+    pass and only reprices it under ``target``; the pass is handed on to the
+    search, and no frame of this call keeps it alive while the search runs.
+    ``optim.armijo_minimize`` turns the backpropagated gradients into L-BFGS
+    directions with a history of this call's steps only, and the loss never
+    increases. Each point runs one forward pass, and its gradient only the
+    backward pass. The returned pass is that of the trained parameters,
+    ``vpass.params``: its code and reconstruction error are the view's
+    representations and its share of the objective.
     """
+    params, rows = start.params, start.rows
     templates = params.all_arrays()
-    target = _view_target(mask, Y, B, alpha)
-    rows = _present_rows(X, mask) if start is None else start.rows
-    start = [] if start is None else [start]  # handed to the search below, not kept here
+    start = [(_view_loss(start, target, alpha, lam), start)]  # the search alone keeps it
 
     def forward(vec):
         vpass = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
@@ -249,10 +258,8 @@ def train_view_autoencoder(params, X, mask, Y, B, alpha, lam, steps=5, start=Non
     def backward(vpass):
         return flatten(_view_backward(vpass, target, alpha, lam))
 
-    vec, _, last = armijo_minimize(
-        forward, backward, flatten(templates), steps=steps,
-        start=_priced(start.pop(), target, alpha, lam) if start else None)
-    trained = params.replace_arrays(unflatten(vec, templates))
+    vec, _, last = armijo_minimize(forward, backward, flatten(templates), steps=steps,
+                                   start=start.pop())
     if last is None:  # the search ended at a point whose pass it had dropped
-        last = _view_forward(trained, rows)
-    return trained, last
+        last = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
+    return last

@@ -9,26 +9,6 @@ across calls.
 import numpy as np
 
 
-def flatten(arrays):
-    """Concatenate a list of arrays into one flat float64 vector."""
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def unflatten(vec, templates):
-    """Split a flat vector back into arrays shaped like ``templates``."""
-    out = []
-    offset = 0
-    for tpl in templates:
-        size = tpl.size
-        out.append(vec[offset:offset + size].reshape(tpl.shape))
-        offset += size
-    if offset != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, templates need {offset}")
-    return out
-
-
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 MAX_TRIALS = 60  # trials a search makes before it gives up
 CURVATURE_TOL = 1e-10  # a pair is kept when s'y > CURVATURE_TOL ||s|| ||y||

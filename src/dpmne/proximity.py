@@ -36,6 +36,9 @@ class ProximityConfig:
 
     def __post_init__(self):
         self.order = _check_setting("order", self.order, 1, integer=True)
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
+        self.normalize = bool(self.normalize)
         if self.weights is not None:
             self.weights = _check_settings("weights", self.weights, 0)
             if len(self.weights) != self.order:

@@ -109,8 +109,11 @@ def pack_codes(C):
 
 
 def unpack_codes(packed, dim):
-    """Inverse of pack_codes for a known code length."""
+    """Inverse of pack_codes for a known code length ``dim`` >= 0 and one packed row per code."""
+    dim = _check_setting("dim", dim, 0, integer=True)
     packed = np.asarray(packed, dtype=np.uint8)
+    if packed.ndim != 2:
+        raise ValueError(f"packed codes must be 2-D, one row per code, got shape {packed.shape}")
     if dim > 8 * packed.shape[1]:
         raise ValueError(
             f"code length {dim} exceeds the {8 * packed.shape[1]} packed bits per row")

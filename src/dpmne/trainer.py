@@ -19,10 +19,12 @@ trial is a unit-length step. What ``train`` carries from one call to the
 next is each view's forward pass at the trained parameters (``ae.ViewPass``),
 which depends only on the parameters and the present rows: its code is H,
 the objective reads its reconstruction error, and the next call starts its
-search from it, so each accepted point costs one forward pass. The blocks
-read their settings from ``state.hyper``, and early stopping reads the
-objective trace, so a state is exactly what ``io.checkpoint`` writes; a
-resume recomputes the passes and is exact.
+search from it, so each accepted point costs one forward pass. The search
+takes its parameters and rows from the pass alone, so ``update_H`` refuses
+a pass of other parameters than the state's autoencoder. The blocks read
+their settings from ``state.hyper``, and early stopping reads the objective
+trace, so a state is exactly what ``io.checkpoint`` writes; a resume
+recomputes the passes and is exact.
 """
 
 import time
@@ -282,24 +284,27 @@ def update_H(state, network, passes=None):
 
     The passes are, per view, the forward pass of the trained autoencoder
     over the present rows (``ae.ViewPass``); H is their code, zero on masked
-    rows. ``passes``, when given, holds the state's own passes, as the
-    previous call returned them: each view's search then starts from its
-    pass instead of running a forward pass, and takes the present rows from
-    it. Each is taken out of the list as it is handed over, so the search
-    alone holds it and drops it after its first gradient.
+    rows. ``passes`` holds the state's own passes, as the previous call
+    returned them, or is computed. Each view's search starts from its pass,
+    which is taken out of the list as it is handed over, so the search alone
+    holds it and drops it after its first gradient. A pass of other
+    parameters than the state's autoencoder raises one ValueError naming the
+    view, before any search runs.
     """
     hyper = state.hyper
+    passes = _first_passes(state, network) if passes is None else passes
+    for s in range(network.t):
+        if passes[s].params is not state.autoencoders[s]:
+            raise ValueError(f"view {s}: the pass is not of the state's autoencoder")
 
     def train_one(s):
-        return ae.train_view_autoencoder(
-            state.autoencoders[s], network.views[s].features, state.masks[s], state.Y,
-            state.B[s], hyper.alpha, hyper.lam, steps=hyper.h_steps,
-            start=None if passes is None else _take(passes, s))
+        target = ae._view_target(state.masks[s], state.Y, state.B[s], hyper.alpha)
+        return ae.train_view_autoencoder(_take(passes, s), target, hyper.alpha, hyper.lam,
+                                         hyper.h_steps)
 
-    results = map_views(train_one, range(len(network.views)))
-    new_passes = [vpass for _, vpass in results]
-    state = replace(state, autoencoders=[params for params, _ in results])
-    return state, _pass_representations(state, new_passes), new_passes
+    trained = map_views(train_one, range(network.t))
+    state = replace(state, autoencoders=[vpass.params for vpass in trained])
+    return state, _pass_representations(state, trained), trained
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)

@@ -14,10 +14,10 @@ import pytest
 import scipy.sparse as sp
 
 from dpmne import autoencoder as ae
+from dpmne.autoencoder import flatten, unflatten
 from dpmne.cli import main as cli_main
 from dpmne.evaluation import EvalProtocol, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
-from dpmne.optim import flatten, unflatten
 from dpmne.proximity import ProximityConfig, ProximityLaplacian, default_weights
 from dpmne.quantizer import binarize_sign, itq, procrustes_rotation
 from dpmne.trainer import EmbeddingState, Hyperparams, grad_Y, objective, train, update_B

@@ -3,9 +3,9 @@ import pytest
 from scipy.special import expit
 
 from dpmne import autoencoder as ae
-from dpmne.autoencoder import (AutoencoderParams, decode, encode, init_autoencoder,
-                               train_view_autoencoder, view_loss, view_loss_and_grads)
-from dpmne.optim import armijo_minimize, flatten, unflatten
+from dpmne.autoencoder import (AutoencoderParams, decode, encode, flatten, init_autoencoder,
+                               train_view_autoencoder, unflatten, view_loss, view_loss_and_grads)
+from dpmne.optim import armijo_minimize
 
 from conftest import point_pass, recording_armijo
 
@@ -116,6 +116,34 @@ def small_problem(seed, n=10, d_in=5, hidden=(6, 4), d=3, missing=2):
     return params, X, mask, Y, B
 
 
+def train_from_params(params, X, mask, Y, B, alpha, steps):
+    """``train_view_autoencoder`` from the pass of ``params`` toward the target of Y and B."""
+    return train_view_autoencoder(ae._view_forward(params, X[mask]),
+                                  ae._view_target(mask, Y, B, alpha), alpha, 0.01, steps)
+
+
+def plain_line_search(params, X, mask, Y, B, alpha, steps, trials=None):
+    """The search's final point from ``view_loss`` and ``view_loss_and_grads`` alone.
+
+    Each value the search asks for is appended to ``trials`` when given.
+    """
+    templates = params.all_arrays()
+    trials = [] if trials is None else trials
+
+    def unpack(v):
+        return params.replace_arrays(unflatten(v, templates))
+
+    def fun(v):
+        trials.append(v)
+        return view_loss(unpack(v), X, mask, Y, B, alpha, 0.01)
+
+    vec, _, _ = armijo_minimize(
+        *point_pass(fun, lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B,
+                                                               alpha, 0.01)[1])),
+        flatten(templates), steps=steps)
+    return vec
+
+
 class TestTrainViewAutoencoder:
     @pytest.mark.parametrize("seed", range(3))
     def test_plain_gradient_matches_finite_differences(self, seed):
@@ -148,7 +176,7 @@ class TestTrainViewAutoencoder:
 
     def test_zero_steps_leaves_params_unchanged(self):
         params, X, mask, Y, B = small_problem(4)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=0)
+        out = train_from_params(params, X, mask, Y, B, 1.0, steps=0).params
         for before, after in zip(params.all_arrays(), out.all_arrays()):
             assert np.array_equal(before, after)
 
@@ -156,7 +184,7 @@ class TestTrainViewAutoencoder:
     def test_loss_never_increases(self, seed):
         params, X, mask, Y, B = small_problem(seed + 20)
         before = view_loss(params, X, mask, Y, B, alpha=1.0, lam=0.01)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=8)
+        out = train_from_params(params, X, mask, Y, B, 1.0, steps=8).params
         after = view_loss(out, X, mask, Y, B, alpha=1.0, lam=0.01)
         assert after <= before + 1e-12
 
@@ -166,26 +194,19 @@ class TestTrainViewAutoencoder:
         X[0, 0] = np.nan
         mask = np.ones_like(mask)
         with pytest.raises(FloatingPointError):
-            train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=1)
+            train_from_params(params, X, mask, Y, B, 1.0, steps=1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.8])
     def test_matches_plain_loss_and_gradient_line_search(self, alpha):
         params, X, mask, Y, B = small_problem(30)
-        templates = params.all_arrays()
-
-        def unpack(v):
-            return params.replace_arrays(unflatten(v, templates))
-
-        vec, _, _ = armijo_minimize(
-            *point_pass(
-                lambda v: view_loss(unpack(v), X, mask, Y, B, alpha, 0.01),
-                lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1])),
-            flatten(templates), steps=8)
-        out, _ = train_view_autoencoder(params, X, mask, Y, B, alpha, 0.01, steps=8)
+        vec = plain_line_search(params, X, mask, Y, B, alpha, steps=8)
+        out = train_from_params(params, X, mask, Y, B, alpha, steps=8).params
         assert np.array_equal(flatten(out.all_arrays()), vec)
 
     def test_each_point_runs_one_forward_pass(self, monkeypatch):
         params, X, mask, Y, B = small_problem(31)
+        start = ae._view_forward(params, X[mask])
+        target = ae._view_target(mask, Y, B, 1.0)
         calls = []
         forward = ae._view_forward
 
@@ -195,41 +216,40 @@ class TestTrainViewAutoencoder:
 
         monkeypatch.setattr(ae, "_view_forward", counted_forward)
         monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
-        train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=6)
+        train_view_autoencoder(start, target, 1.0, 0.01, steps=6)
+        assert calls[0] == "g"  # the start pass is priced, not run again
         assert calls.count("g") > 0
         assert calls.count("forward") == calls.count("f")
 
     @pytest.mark.parametrize("steps", [0, 1, 6])
     def test_returns_the_pass_of_the_trained_parameters(self, steps):
         params, X, mask, Y, B = small_problem(32)
-        out, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=steps)
-        fresh = ae._view_forward(out, X[mask])
+        vpass = train_from_params(params, X, mask, Y, B, 1.0, steps=steps)
+        fresh = ae._view_forward(vpass.params, X[mask])
         assert vpass.recon == fresh.recon
         assert all(a.tobytes() == b.tobytes() for a, b in zip(vpass.outputs, fresh.outputs))
-        assert vpass.code.tobytes() == encode(out, X, mask)[mask].tobytes()
+        assert vpass.code.tobytes() == encode(vpass.params, X, mask)[mask].tobytes()
 
     @pytest.mark.parametrize("steps", [0, 1, 6])
     def test_a_start_pass_saves_the_first_forward_pass_and_changes_no_byte(self, steps,
                                                                           monkeypatch):
         params, X, mask, Y, B = small_problem(33)
-        trained, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=3)
+        start = train_from_params(params, X, mask, Y, B, 1.0, steps=3)
         B = B + 0.1  # a new target: the start is repriced, not recomputed
-        results, trials = {}, {}
-        for handed in (False, True):
-            calls = []
-            monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
-            results[handed] = train_view_autoencoder(trained, X, mask, Y, B, 1.0, 0.01,
-                                                     steps=steps, start=vpass if handed else None)
-            trials[handed] = calls.count("f")
-        (fresh, fresh_pass), (out, last) = results[False], results[True]
-        assert [a.tobytes() for a in out.all_arrays()] == [a.tobytes() for a in fresh.all_arrays()]
-        assert last.recon == fresh_pass.recon
-        assert last.rows is vpass.rows  # the present rows are taken once
-        assert (last is vpass) == (steps == 0)
-        assert trials[True] == trials[False] - 1
+        trials = []
+        vec = plain_line_search(start.params, X, mask, Y, B, 1.0, steps, trials)
+        calls = []
+        monkeypatch.setattr(ae, "armijo_minimize", recording_armijo(calls))
+        last = train_view_autoencoder(start, ae._view_target(mask, Y, B, 1.0), 1.0, 0.01, steps)
+        assert flatten(last.params.all_arrays()).tobytes() == vec.tobytes()
+        assert last.rows is start.rows  # the present rows are taken once
+        assert (last is start) == (steps == 0)
+        assert calls.count("f") == len(trials) - 1
 
     def test_a_search_that_drops_its_last_pass_gets_one_fresh_pass(self, monkeypatch):
         params, X, mask, Y, B = small_problem(34)
+        start = ae._view_forward(params, X[mask])
+        target = ae._view_target(mask, Y, B, 1.0)
         calls = []
         forward = ae._view_forward
 
@@ -244,9 +264,9 @@ class TestTrainViewAutoencoder:
 
         monkeypatch.setattr(ae, "_view_forward", counted_forward)
         monkeypatch.setattr(ae, "armijo_minimize", dropping_armijo)
-        out, vpass = train_view_autoencoder(params, X, mask, Y, B, 1.0, 0.01, steps=4)
+        vpass = train_view_autoencoder(start, target, 1.0, 0.01, steps=4)
         assert calls[-2:] == ["returned", "forward"]
-        assert vpass.recon == forward(out, X[mask]).recon
+        assert vpass.recon == forward(vpass.params, X[mask]).recon
 
     def test_loss_invariant_under_node_permutation(self):
         params, X, mask, Y, B = small_problem(6)

@@ -378,6 +378,8 @@ class TestCheckpoint:
         (lambda blob: blob[:-1], "hyper"),                                      # not JSON
         (lambda blob: json.dumps({**json.loads(blob), "activation": "swish"}), "activation"),
         (lambda blob: json.dumps({**json.loads(blob), "max_iters": 1.5}), "max_iters"),
+        (lambda blob: json.dumps({**json.loads(blob), "proximity": {  # truthy, were it kept
+            **json.loads(blob)["proximity"], "normalize": "false"}}), "normalize"),
     ])
     def test_bad_stored_hyperparameters_rejected(self, tmp_path, rewrite, key):
         path = tmp_path / "ckpt.npz"

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from dpmne.autoencoder import init_autoencoder, view_loss, view_loss_and_grads
 from dpmne import optim
-from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS, armijo_minimize, flatten, unflatten
+from dpmne.autoencoder import (flatten, init_autoencoder, unflatten, view_loss,
+                               view_loss_and_grads)
+from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS, armijo_minimize
 
 from conftest import point_pass
 from oracles import (bfgs_inverse_hessian, doubling_armijo_descent, interpolated_step,

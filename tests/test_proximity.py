@@ -100,11 +100,19 @@ def test_wrong_weight_count_rejected():
                                  {"order": 2.5}, {"order": True}, {"order": None},
                                  {"weights": (1.0, None), "order": 2},
                                  {"weights": (False,), "order": 1},
-                                 {"weights": 5, "order": 1}, {"weights": "ab", "order": 2}])
+                                 {"weights": 5, "order": 1}, {"weights": "ab", "order": 2},
+                                 {"normalize": "false"}, {"normalize": 1}, {"normalize": 0.0},
+                                 {"normalize": None}, {"normalize": np.array([True])}])
 def test_config_is_validated_when_built(bad):
     # the first key names the setting at fault
     with pytest.raises(ValueError, match=next(iter(bad))):
         ProximityConfig(**bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_normalize_accepts_a_python_or_numpy_bool_and_keeps_a_python_bool(flag):
+    normalize = ProximityConfig(normalize=flag).normalize
+    assert type(normalize) is bool and normalize == flag
 
 
 def test_dense_fill_in_agrees_with_oracle():

@@ -179,3 +179,17 @@ class TestPackedCodes:
         assert unpack_codes(packed, 8).shape == (1, 8)  # the padding of the one byte
         with pytest.raises(ValueError):
             unpack_codes(packed, 12)
+
+    @pytest.mark.parametrize("dim", [-3, 2.0, 1.5, True, None, "8"])
+    def test_code_length_that_is_not_a_count_rejected(self, dim):
+        packed = pack_codes(np.ones((3, 10)))
+        with pytest.raises(ValueError, match=r"^dim must be an integer >= 0, got "):
+            unpack_codes(packed, dim)
+
+    @pytest.mark.parametrize("shape", [(2,), (), (1, 2, 1)])
+    def test_packed_codes_that_are_not_one_row_per_code_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^packed codes must be 2-D"):
+            unpack_codes(np.zeros(shape, dtype=np.uint8), 8)
+
+    def test_zero_length_codes_unpack_to_empty_rows(self):
+        assert unpack_codes(pack_codes(np.ones((3, 10))), 0).shape == (3, 0)

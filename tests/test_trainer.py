@@ -475,6 +475,21 @@ class TestUpdateH:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(handed[1], fresh[1]))
         assert [p.recon for p in handed[2]] == [p.recon for p in fresh[2]]
 
+    def test_refuses_the_passes_of_another_state(self):
+        # searched from the previous state's passes, with their values and gradients, the
+        # next update raised the objective of this state from 126.48 to 134.01
+        network, hyper, prox, state, H = small_setup(0)
+        state = update_B(replace(state, hyper=replace(hyper, h_steps=1)), H)
+        stale = trainer._first_passes(state, network)
+        trained, H_new, _ = update_H(state, network)
+        trained = update_B(trained, H_new)
+        with pytest.raises(ValueError, match="^view 0: the pass is not of the state's"):
+            update_H(trained, network, stale)
+        assert all(vpass is not None for vpass in stale)  # refused before any search ran
+        stale[0] = trainer._first_passes(trained, network)[0]
+        with pytest.raises(ValueError, match="^view 1: "):
+            update_H(trained, network, stale)
+
 
 def spectrum_matrix(rng, n, m, singular_values):
     """n x m matrix with the given singular values and random singular vectors."""
