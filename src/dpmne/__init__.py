@@ -9,7 +9,7 @@ from .graph_model import (MultiplexNetwork, SynthConfig, ViewData, apply_pdr,
 from .io import checkpoint, load_network, restore, save_embeddings, save_network
 from .proximity import ProximityConfig, ProximityLaplacian, ProximityStack, build_stack
 from .quantizer import BinaryCodes, binarize_sign, itq, pack_codes, unpack_codes
-from .trainer import (EmbeddingState, Hyperparams, grad_Y, objective, reconstruct_missing,
-                      representations, train, update_B, update_H, update_Y)
+from .trainer import (EmbeddingState, Hyperparams, forward_passes, grad_Y, objective,
+                      reconstruct_missing, representations, train, update_B, update_H, update_Y)
 
 __version__ = "0.1.0"

@@ -15,13 +15,14 @@ objective is handed to the next Y block, which starts from the same Y.
 Y starts in the span of the top left singular vectors of the stacked present
 features, taken from a truncated eigensolve of the smaller Gram matrix. Each
 autoencoder's L-BFGS history lives for one ``update_H`` call and its first
-trial is a unit-length step. What ``train`` carries from one call to the
-next is each view's forward pass at the trained parameters (``ae.ViewPass``),
-which depends only on the parameters and the present rows: its code is H,
-the objective reads its reconstruction error, and the next call starts its
-search from it, so each accepted point costs one forward pass. The search
-takes its parameters and rows from the pass alone, so ``update_H`` refuses
-a pass of other parameters than the state's autoencoder. The blocks read
+trial is a unit-length step. The blocks see each view's autoencoder only
+through its forward pass over the present rows (``ae.ViewPass``), which
+depends only on the parameters and the rows: the Y and B blocks read its
+code, the objective also its reconstruction error, and ``update_H`` starts
+the view's search from it and returns the pass of the trained parameters.
+``forward_passes`` is the one place that reads the features, and a training
+calls it once, so each accepted point costs one forward pass. A pass of
+other parameters than the state's autoencoder is refused. The blocks read
 their settings from ``state.hyper``, and early stopping reads the objective
 trace, so a state is exactly what ``io.checkpoint`` writes; a resume
 recomputes the passes and is exact.
@@ -81,9 +82,10 @@ class Hyperparams:
 class EmbeddingState:
     """Everything the trainer iterates on and the objective trace: what ``io.checkpoint`` writes.
 
-    The representations H are not stored: they are the encoders applied to
-    the present features (``representations``); ``train`` takes them from
-    its forward passes and passes them on.
+    The forward passes are not stored: they follow from the autoencoders and
+    the present features (``forward_passes``), and ``train`` carries them
+    from one block to the next. ``representations`` gives the encoders'
+    output on all rows.
     """
     Y: np.ndarray             # (n, dim) shared embedding
     B: list                   # per-view (dim, code_dim) bases
@@ -120,9 +122,9 @@ def representations(state, network):
             for params, view, m in zip(state.autoencoders, network.views, state.masks)]
 
 
-def _y_views(state, H):
-    """Per-view (mask, present H rows, basis): everything the Y terms read besides Y."""
-    return [(m, H[s][m], state.B[s]) for s, m in enumerate(state.masks)]
+def _y_views(state, Hp):
+    """Per-view (mask, present-row code, basis): everything the Y terms read besides Y."""
+    return list(zip(state.masks, Hp, state.B, strict=True))
 
 
 def _y_value(Y, LY, views, hyper):
@@ -147,26 +149,31 @@ def _y_grad(Y, LY, views, hyper):
     return G
 
 
-def objective(state, H, network, prox, LY=None, passes=None):
-    """Value of the full training objective at the current state and representations ``H``.
+def _check_passes(state, passes):
+    """Refuse passes that are not, view by view, of the state's autoencoders."""
+    if len(passes) != len(state.autoencoders):
+        raise ValueError(f"{len(passes)} passes for {len(state.autoencoders)} views")
+    for s, (vpass, params) in enumerate(zip(passes, state.autoencoders)):
+        if vpass.params is not params:
+            raise ValueError(f"view {s}: the pass is not of the state's autoencoder")
 
-    ``LY``, the Laplacian applied to ``state.Y``, is computed when not given.
-    ``passes``, when given, holds per view the forward pass of the state's
-    autoencoder over its present rows (``update_H``'s third result), whose
-    reconstruction error is then read instead of decoding ``H`` again.
-    Without them this is the oracle the handed-over values are checked
-    against.
+
+def objective(state, passes, prox, LY=None):
+    """Value of the full training objective at the current state.
+
+    ``passes`` holds per view the forward pass of the state's autoencoder
+    over its present rows (``forward_passes``, or ``update_H``'s second
+    result); their code and reconstruction error give the view's terms, and
+    a pass of other parameters raises one ValueError naming the view. ``LY``,
+    the Laplacian applied to ``state.Y``, is computed when not given.
     """
+    _check_passes(state, passes)
     LY = prox.laplacian @ state.Y if LY is None else LY
-    total = _y_value(state.Y, LY, _y_views(state, H), state.hyper)
+    total = _y_value(state.Y, LY, _y_views(state, [vpass.code for vpass in passes]),
+                     state.hyper)
     ridge = 0.0
-    for s, view in enumerate(network.views):
-        if passes is None:
-            m = state.masks[s]
-            Xt = ae.decode(state.autoencoders[s], H[s][m])
-            total += float(np.sum((view.features[m] - Xt) ** 2))
-        else:
-            total += passes[s].recon
+    for s, vpass in enumerate(passes):
+        total += vpass.recon
         ridge += float(np.sum(state.B[s] ** 2)) + state.autoencoders[s].weight_sq_norm()
     total += state.hyper.lam * ridge
     if not np.isfinite(total):
@@ -174,9 +181,9 @@ def objective(state, H, network, prox, LY=None, passes=None):
     return total
 
 
-def grad_Y(state, H, prox):
-    """Exact gradient of the objective's Y-dependent terms."""
-    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, H), state.hyper)
+def grad_Y(state, Hp, prox):
+    """Exact gradient of the objective's Y-dependent terms; ``Hp`` holds each view's code."""
+    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, Hp), state.hyper)
 
 
 @_overflow_names("Y block")
@@ -221,7 +228,7 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def update_Y(state, H, prox, LY=None):
+def update_Y(state, Hp, prox, LY=None):
     """Exact steps along the negative gradient of Y; the Y subproblem never increases.
 
     L Y (``LY``, computed when not given) is carried through the steps as
@@ -233,7 +240,7 @@ def update_Y(state, H, prox, LY=None):
     that overflow raise a FloatingPointError naming the Y block.
     """
     hyper = state.hyper
-    views = _y_views(state, H)
+    views = _y_views(state, Hp)
     L, Y = prox.laplacian, state.Y
     LY = L @ Y if LY is None else LY
     f = _y_value(Y, LY, views, hyper)
@@ -255,15 +262,15 @@ def update_Y(state, H, prox, LY=None):
     return replace(state, Y=Y)
 
 
-def update_B(state, H):
-    """Closed-form ridge solve for every view's basis matrix."""
+def update_B(state, Hp):
+    """Closed-form ridge solve for every view's basis; ``Hp`` holds each view's code."""
     hyper = state.hyper
     d = state.Y.shape[1]
     new_B = []
-    for s, m in enumerate(state.masks):
+    for s, (m, code) in enumerate(zip(state.masks, Hp, strict=True)):
         Yp = state.Y[m]
         A = hyper.alpha * (Yp.T @ Yp) + hyper.lam * np.eye(d)
-        rhs = hyper.alpha * (Yp.T @ H[s][m])
+        rhs = hyper.alpha * (Yp.T @ code)
         try:
             factor = scipy.linalg.cho_factor(A)
             new_B.append(scipy.linalg.cho_solve(factor, rhs))
@@ -279,32 +286,27 @@ def _take(items, i):
     return item
 
 
-def update_H(state, network, passes=None):
-    """Train each view's autoencoder; returns the new state, its representations H and its passes.
+def update_H(state, passes):
+    """Train each view's autoencoder from its pass; returns the new state and its passes.
 
-    The passes are, per view, the forward pass of the trained autoencoder
-    over the present rows (``ae.ViewPass``); H is their code, zero on masked
-    rows. ``passes`` holds the state's own passes, as the previous call
-    returned them, or is computed. Each view's search starts from its pass,
-    which is taken out of the list as it is handed over, so the search alone
-    holds it and drops it after its first gradient. A pass of other
-    parameters than the state's autoencoder raises one ValueError naming the
-    view, before any search runs.
+    ``passes`` holds the state's own passes (``forward_passes``, or the
+    previous call's second result); the returned ones are, per view, the
+    forward pass of the trained autoencoder over the present rows. Each
+    view's search starts from its pass, which is taken out of the list as it
+    is handed over, so the search alone holds it and drops it after its
+    first gradient. A pass of other parameters than the state's autoencoder
+    raises one ValueError naming the view, before any search runs.
     """
     hyper = state.hyper
-    passes = _first_passes(state, network) if passes is None else passes
-    for s in range(network.t):
-        if passes[s].params is not state.autoencoders[s]:
-            raise ValueError(f"view {s}: the pass is not of the state's autoencoder")
+    _check_passes(state, passes)
 
     def train_one(s):
         target = ae._view_target(state.masks[s], state.Y, state.B[s], hyper.alpha)
         return ae.train_view_autoencoder(_take(passes, s), target, hyper.alpha, hyper.lam,
                                          hyper.h_steps)
 
-    trained = map_views(train_one, range(network.t))
-    state = replace(state, autoencoders=[vpass.params for vpass in trained])
-    return state, _pass_representations(state, trained), trained
+    trained = map_views(train_one, range(len(passes)))
+    return replace(state, autoencoders=[vpass.params for vpass in trained]), trained
 
 
 # Gram eigenvalues below this fraction of the largest count as zero (see below)
@@ -336,26 +338,18 @@ def _leading_left_singular_vectors(X, k):
     return (X @ vec[:, :rank]) / np.sqrt(lam[:rank])
 
 
-def _first_passes(state, network):
+def forward_passes(state, network):
     """Per view, the forward pass of the state's autoencoder over its present rows.
 
-    These rows are the only copy of them that a training takes; every later
-    pass reads them.
+    The one place a training reads the features: these rows are the only
+    copy of them it takes, and every later pass reads them.
     """
     return [ae._view_forward(params, ae._present_rows(view.features, m))
             for params, view, m in zip(state.autoencoders, network.views, state.masks)]
 
 
-def _pass_representations(state, passes):
-    """The representations H that ``passes`` give: each view's code, zero on masked rows."""
-    H = [np.zeros((m.shape[0], vpass.code.shape[1])) for vpass, m in zip(passes, state.masks)]
-    for Hs, vpass, m in zip(H, passes, state.masks):
-        Hs[m] = vpass.code
-    return H
-
-
 def _init_state(network, hyper):
-    """The starting state, its representations H and its passes; ``hyper.seed`` seeds every draw."""
+    """The starting state and its passes; ``hyper.seed`` seeds every draw."""
     rng = np.random.default_rng(hyper.seed)
     n, d = network.n, hyper.dim
     # warm start: top singular directions of the present features, then random columns
@@ -368,9 +362,8 @@ def _init_state(network, hyper):
     masks = [view.mask.copy() for view in network.views]
     B = [np.zeros((d, params.code_dim)) for params in autoencoders]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
-    passes = _first_passes(state, network)
-    H = _pass_representations(state, passes)
-    return update_B(state, H), H, passes
+    passes = forward_passes(state, network)
+    return update_B(state, [vpass.code for vpass in passes]), passes
 
 
 def _check_resume(state, network, hyper):
@@ -409,16 +402,15 @@ def train(network, hyper=None, init_state=None):
     worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
     with one_blas_thread():
         if init_state is None:
-            state, H, passes = _init_state(network, hyper)
+            state, passes = _init_state(network, hyper)
         else:
             _check_resume(init_state, network, hyper)
             state = replace(init_state, hyper=hyper)
-            passes = _first_passes(state, network)  # the passes the interrupted run held
-            H = _pass_representations(state, passes)
+            passes = forward_passes(state, network)  # the passes the interrupted run held
         prox = build_stack(network, hyper.proximity)
-        # the objective's L Y is handed to the next update_Y: B and H leave Y as it is
+        # the objective's L Y is handed to the next update_Y: the B and H blocks leave Y as it is
         LY = prox.laplacian @ state.Y
-        trace = list(state.objective_trace) or [objective(state, H, network, prox, LY, passes)]
+        trace = list(state.objective_trace) or [objective(state, passes, prox, LY)]
         iter_seconds = list(state.iter_seconds)
         for _ in range(hyper.max_iters):
             tail = trace[-hyper.stop_patience - 1:]
@@ -426,11 +418,11 @@ def train(network, hyper=None, init_state=None):
             if len(drops) == hyper.stop_patience and all(d < hyper.stop_tol for d in drops):
                 break
             tic = time.perf_counter()
-            state = update_Y(state, H, prox, LY)
-            state = update_B(state, H)
-            state, H, passes = update_H(state, network, passes)
+            state = update_Y(state, [vpass.code for vpass in passes], prox, LY)
+            state = update_B(state, [vpass.code for vpass in passes])
+            state, passes = update_H(state, passes)
             LY = prox.laplacian @ state.Y
-            trace.append(objective(state, H, network, prox, LY, passes))
+            trace.append(objective(state, passes, prox, LY))
             iter_seconds.append(time.perf_counter() - tic)
         return replace(state, objective_trace=trace, iter_seconds=iter_seconds)
 

@@ -7,10 +7,9 @@ inputs only; nothing outside the tests calls them.
 import numpy as np
 import scipy.sparse as sp
 
-from dpmne import autoencoder as ae
 from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS
 from dpmne.proximity import ProximityConfig, ProximityStack, proximity_adjacency
-from dpmne.trainer import EmbeddingState, objective
+from dpmne.trainer import EmbeddingState, forward_passes, objective
 
 
 def high_order_proximity(adjacency, config=None):
@@ -51,12 +50,10 @@ def aggregate_and_laplacian(per_view):
 
 
 def objective_from_params(network, prox, Y, B, autoencoders, hyper):
-    """Objective with the representations recomputed from the autoencoders."""
+    """Objective with the forward passes recomputed from the autoencoders."""
     masks = [view.mask for view in network.views]
-    H = [ae.encode(autoencoders[s], view.features, view.mask)
-         for s, view in enumerate(network.views)]
     state = EmbeddingState(Y, list(B), masks, list(autoencoders), hyper)
-    return objective(state, H, network, prox)
+    return objective(state, forward_passes(state, network), prox)
 
 
 def svd_warm_start(X, k):

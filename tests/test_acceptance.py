@@ -20,7 +20,8 @@ from dpmne.evaluation import EvalProtocol, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.proximity import ProximityConfig, ProximityLaplacian, default_weights
 from dpmne.quantizer import binarize_sign, itq, procrustes_rotation
-from dpmne.trainer import EmbeddingState, Hyperparams, grad_Y, objective, train, update_B
+from dpmne.trainer import (EmbeddingState, Hyperparams, forward_passes, grad_Y, objective, train,
+                           update_B)
 
 from conftest import random_network
 from oracles import aggregate_and_laplacian, high_order_proximity, objective_from_params
@@ -38,7 +39,7 @@ def rel_error(a, b):
 
 
 def random_instance(seed):
-    """n <= 20, d <= 4, t = 2, all hidden widths <= 8; the state comes with its H."""
+    """n <= 20, d <= 4, t = 2, all hidden widths <= 8; the state comes with its forward passes."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 21))
     d = int(rng.integers(2, 5))
@@ -50,13 +51,12 @@ def random_instance(seed):
     prox = build_stack(network, hyper.proximity)
     autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, rng=rng)
                     for v in network.views]
-    H = [ae.encode(autoencoders[s], v.features, v.mask)
-         for s, v in enumerate(network.views)]
     Y = rng.standard_normal((n, d))
     B = [rng.standard_normal((d, autoencoders[s].code_dim)) for s in range(2)]
     masks = [v.mask.copy() for v in network.views]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
-    return network, prox, state, H, hyper
+    passes = forward_passes(state, network)
+    return network, prox, state, passes, hyper
 
 
 def central_diff(fun, vec, eps=1e-6):
@@ -73,14 +73,15 @@ def test_criterion_01_gradient_correctness():
     started = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        network, prox, state, H, hyper = random_instance(seed)
+        network, prox, state, passes, hyper = random_instance(seed)
 
         def with_Y(vec):
             trial = EmbeddingState(vec.reshape(state.Y.shape), state.B,
                                    state.masks, state.autoencoders, hyper)
-            return objective(trial, H, network, prox)
+            return objective(trial, passes, prox)
 
-        worst = max(worst, rel_error(grad_Y(state, H, prox).ravel(),
+        codes = [vpass.code for vpass in passes]
+        worst = max(worst, rel_error(grad_Y(state, codes, prox).ravel(),
                                      central_diff(with_Y, state.Y.ravel())))
 
         for s, view in enumerate(network.views):
@@ -125,11 +126,11 @@ def test_criterion_03_closed_form_basis_optimality():
     worst_dist = 0.0
     worst_grad = 0.0
     for seed in range(20):
-        network, prox, state, H, hyper = random_instance(seed + 100)
-        out = update_B(state, H)
+        network, prox, state, passes, hyper = random_instance(seed + 100)
+        out = update_B(state, [vpass.code for vpass in passes])
         for s, view in enumerate(network.views):
             m = view.mask
-            Yp, Hp = state.Y[m], H[s][m]
+            Yp, Hp = state.Y[m], passes[s].code
 
             def grad(B):
                 return 2 * hyper.alpha * Yp.T @ (Yp @ B - Hp) + 2 * hyper.lam * B

@@ -15,7 +15,8 @@ from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, rest
                       save_embeddings, save_network)
 from dpmne.proximity import ProximityConfig, build_stack
 from dpmne.quantizer import unpack_codes
-from dpmne.trainer import EmbeddingState, Hyperparams, objective, representations, train
+from dpmne.trainer import (EmbeddingState, Hyperparams, forward_passes, objective, representations,
+                           train)
 
 from conftest import networks
 
@@ -295,8 +296,8 @@ class TestCheckpoint:
         checkpoint(state, path)
         back = restore(path)
         prox = build_stack(net, hyper.proximity)
-        a = objective(state, representations(state, net), net, prox)
-        b = objective(back, representations(back, net), net, prox)
+        a = objective(state, forward_passes(state, net), prox)
+        b = objective(back, forward_passes(back, net), prox)
         assert abs(a - b) < 1e-12
         assert back.hyper == hyper
         assert back.objective_trace == state.objective_trace

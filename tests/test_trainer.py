@@ -13,9 +13,9 @@ from dpmne import trainer
 from dpmne.graph_model import MultiplexNetwork, SynthConfig, ViewData, synth_generate
 from dpmne.io import checkpoint, restore
 from dpmne.proximity import ProximityConfig, build_stack
-from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views, grad_Y,
-                           objective, reconstruct_missing, representations, train, update_B,
-                           update_H, update_Y)
+from dpmne.trainer import (EmbeddingState, Hyperparams, _y_grad, _y_value, _y_views,
+                           forward_passes, grad_Y, objective, reconstruct_missing,
+                           representations, train, update_B, update_H, update_Y)
 
 from conftest import random_network, recording_armijo
 from oracles import svd_warm_start
@@ -36,7 +36,11 @@ def make_state(network, hyper, seed=0):
 
 
 def objective_oracle(state, H, network, prox, hyper):
-    """Independent term-by-term re-summation with explicit loops over views."""
+    """Independent term-by-term re-summation with explicit loops over views.
+
+    ``H`` holds the representations on all rows (``representations``); each
+    view's reconstruction is decoded from them here.
+    """
     recon = 0.0
     consistency = 0.0
     reg = 0.0
@@ -72,13 +76,19 @@ def rel_error(a, b):
 
 
 def small_setup(seed, n=10, d=3, hidden=(5, 4)):
+    """Small network, hyperparameters, proximity, random state and the state's forward passes."""
     network = random_network(seed, n=n, t=2, dims=(5, 4), missing=(0.2, 0.3))
     hyper = Hyperparams(alpha=0.8, beta=0.3, lam=0.05, dim=d, hidden_dims=hidden,
                         proximity=ProximityConfig(order=2, weights=(1.0, 0.5)),
                         seed=seed)
     prox = build_stack(network, hyper.proximity)
     state = make_state(network, hyper, seed)
-    return network, hyper, prox, state, representations(state, network)
+    return network, hyper, prox, state, forward_passes(state, network)
+
+
+def codes(passes):
+    """Each view's present-row code: what the Y and B blocks read of the passes."""
+    return [vpass.code for vpass in passes]
 
 
 class CountingLaplacian:
@@ -93,52 +103,57 @@ class CountingLaplacian:
 
 class TestObjective:
     def test_each_term_vanishes_in_its_zero_case(self):
-        network, hyper, prox, state, H = small_setup(0)
+        network, hyper, prox, state, passes = small_setup(0)
 
-        def value(st, H, settings):
-            return objective(replace(st, hyper=settings), H, network, prox)
+        def value(st, passes, settings):
+            return objective(replace(st, hyper=settings), passes, prox)
         # reconstruction alone: alpha = beta = lam = 0
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim,
                            hidden_dims=hyper.hidden_dims)
-        recon_only = value(state, H, bare)
+        recon_only = value(state, passes, bare)
+        H = representations(state, network)
         recon_direct = sum(
             float(np.sum((v.features[v.mask]
                           - ae.decode(state.autoencoders[s], H[s][v.mask])) ** 2))
             for s, v in enumerate(network.views))
         assert recon_only == pytest.approx(recon_direct, rel=1e-12)
-        # consistency term vanishes when H equals Y B on present rows
-        matched = [np.where(m[:, None], state.Y @ state.B[s], 0.0)
-                   for s, m in enumerate(state.masks)]
+        # consistency term vanishes when the codes equal Y B on present rows; no encoder
+        # gives such codes, so the Y terms are evaluated on the arrays directly
+        matched = [state.Y[m] @ B for m, B in zip(state.masks, state.B)]
+        views, LY = _y_views(state, matched), prox.laplacian @ state.Y
         alpha_only = Hyperparams(alpha=5.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        assert value(state, matched, alpha_only) == pytest.approx(
-            value(state, matched, bare), rel=1e-12)
+        assert _y_value(state.Y, LY, views, alpha_only) == pytest.approx(
+            _y_value(state.Y, LY, views, bare), abs=1e-12)
         # proximity term vanishes for a constant-column embedding
         const = EmbeddingState(np.ones_like(state.Y), state.B, state.masks,
                                state.autoencoders, hyper)
         beta_only = Hyperparams(alpha=0.0, beta=2.0, lam=0.0, dim=hyper.dim)
-        assert value(const, H, beta_only) == pytest.approx(value(const, H, bare), abs=1e-8)
-        # regularizer vanishes for orthonormal Y, zero B, zero weights
+        assert value(const, passes, beta_only) == pytest.approx(value(const, passes, bare),
+                                                                abs=1e-8)
+        # regularizer vanishes for orthonormal Y, zero B, zero weights (whose codes are zero)
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((network.n, hyper.dim)))
         zero_ae = [p.replace_arrays([np.zeros_like(a) for a in p.all_arrays()])
                    for p in state.autoencoders]
         zero_state = EmbeddingState(q, [np.zeros_like(b) for b in state.B],
                                     state.masks, zero_ae, hyper)
-        zero_H = [np.zeros_like(h) for h in H]
+        zero_passes = forward_passes(zero_state, network)
+        assert all(not np.any(vpass.code) for vpass in zero_passes)
         lam_only = Hyperparams(alpha=0.0, beta=0.0, lam=3.0, dim=hyper.dim)
-        assert value(zero_state, zero_H, lam_only) == pytest.approx(
-            value(zero_state, zero_H, bare), abs=1e-10)
+        assert value(zero_state, zero_passes, lam_only) == pytest.approx(
+            value(zero_state, zero_passes, bare), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_term_by_term_oracle(self, seed):
-        network, hyper, prox, state, H = small_setup(seed)
-        value = objective(state, H, network, prox)
-        oracle = objective_oracle(state, H, network, prox, hyper)
+        network, hyper, prox, state, passes = small_setup(seed)
+        value = objective(state, passes, prox)
+        oracle = objective_oracle(state, representations(state, network), network, prox, hyper)
         assert abs(value - oracle) / abs(oracle) < 1e-10
 
     def test_zero_tradeoffs_leave_reconstruction_only(self):
-        network, hyper, prox, state, H = small_setup(1)
+        network, hyper, prox, state, passes = small_setup(1)
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim)
-        value = objective(replace(state, hyper=bare), H, network, prox)
+        value = objective(replace(state, hyper=bare), passes, prox)
+        H = representations(state, network)
         recon = 0.0
         for s, v in enumerate(network.views):
             diff = (v.features - ae.decode(state.autoencoders[s], H[s]))[v.mask]
@@ -146,43 +161,58 @@ class TestObjective:
         assert value == pytest.approx(recon, rel=1e-12)
 
     def test_non_finite_objective_raises(self):
-        network, hyper, prox, state, H = small_setup(2)
+        network, hyper, prox, state, passes = small_setup(2)
         state.Y[0, 0] = np.inf
         with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning):
-            objective(state, H, network, prox)
+            objective(state, passes, prox)
+
+    def test_refuses_the_passes_of_another_state(self):
+        # a stale pass would price the previous autoencoder's reconstruction error
+        network, hyper, prox, state, passes = small_setup(0)
+        stale = forward_passes(state, network)
+        trained, fresh = update_H(update_B(state, codes(passes)), passes)
+        with pytest.raises(ValueError, match="^view 0: the pass is not of the state's"):
+            objective(trained, stale, prox)
+        with pytest.raises(ValueError, match="^view 1: "):
+            objective(trained, [fresh[0], stale[1]], prox)
+        with pytest.raises(ValueError, match="^1 passes for 2 views$"):
+            objective(trained, fresh[:1], prox)
+        assert objective(trained, fresh, prox) == objective(
+            trained, forward_passes(trained, network), prox)
 
 
 class TestGradY:
     def test_orthonormal_embedding_with_zero_tradeoffs_is_stationary(self):
-        network, hyper, prox, state, H = small_setup(3)
+        network, hyper, prox, state, passes = small_setup(3)
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((network.n, hyper.dim)))
         state.Y = q
         only_reg = Hyperparams(alpha=0.0, beta=0.0, lam=0.7, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(replace(state, hyper=only_reg), H, prox))) < 1e-12
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_reg), codes(passes), prox))) < 1e-12
 
     def test_constant_columns_kill_the_proximity_term(self):
-        network, hyper, prox, state, H = small_setup(4)
+        network, hyper, prox, state, passes = small_setup(4)
         state.Y = np.ones_like(state.Y)
         only_beta = Hyperparams(alpha=0.0, beta=1.3, lam=0.0, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(replace(state, hyper=only_beta), H, prox))) < 1e-10
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_beta), codes(passes), prox))) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
-        network, hyper, prox, state, H = small_setup(seed + 5)
+        network, hyper, prox, state, passes = small_setup(seed + 5)
 
         def fun(Y):
             trial = EmbeddingState(Y, state.B, state.masks,
                                    state.autoencoders, hyper)
-            return objective(trial, H, network, prox)
+            return objective(trial, passes, prox)
 
-        analytic = grad_Y(state, H, prox)
+        analytic = grad_Y(state, codes(passes), prox)
         numeric = central_difference_matrix(fun, state.Y)
         assert rel_error(analytic, numeric) < 1e-5
 
 
 class TestUpdateY:
     def test_zero_gradient_is_a_fixed_point(self):
-        network, hyper, prox, state, H = small_setup(6)
+        network, hyper, prox, state, passes = small_setup(6)
+        H = codes(passes)
         # all trade-offs zero: the subproblem is constant, its gradient exactly zero
         frozen = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim, y_steps=4)
         out = update_Y(replace(state, hyper=frozen), H, prox)
@@ -195,16 +225,24 @@ class TestUpdateY:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_increases_the_objective(self, seed):
-        network, hyper, prox, state, H = small_setup(seed + 10)
-        before = objective(state, H, network, prox)
-        out = update_Y(state, H, prox)
-        assert objective(out, H, network, prox) <= before + 1e-12
+        network, hyper, prox, state, passes = small_setup(seed + 10)
+        before = objective(state, passes, prox)
+        out = update_Y(state, codes(passes), prox)
+        assert objective(out, passes, prox) <= before + 1e-12
+
+    def test_one_code_per_view_is_required(self):
+        network, hyper, prox, state, passes = small_setup(22)
+        for Hp in (codes(passes)[:1], codes(passes) + codes(passes)[:1]):
+            for block in (lambda: update_Y(state, Hp, prox), lambda: update_B(state, Hp),
+                          lambda: grad_Y(state, Hp, prox)):
+                with pytest.raises(ValueError, match="^zip"):
+                    block()
 
     @pytest.mark.parametrize("y_steps", [1, 5, 8])
     def test_applies_the_laplacian_once_per_step(self, y_steps):
-        network, hyper, prox, state, H = small_setup(23)
+        network, hyper, prox, state, passes = small_setup(23)
         calls = []
-        update_Y(replace(state, hyper=replace(hyper, y_steps=y_steps)), H,
+        update_Y(replace(state, hyper=replace(hyper, y_steps=y_steps)), codes(passes),
                  replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)))
         assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step
 
@@ -225,7 +263,7 @@ class TestUpdateY:
         assert len(calls) == 1 + 2 * (5 + 1)
 
     def test_handed_over_products_leave_the_trace_equal_to_objective(self, tmp_path):
-        # L Y, the representations and the reconstruction errors all come from the blocks
+        # L Y, the codes and the reconstruction errors all come from the blocks
         network, hyper, _, _, _ = small_setup(25)
         prox = build_stack(network, hyper.proximity)
         hyper = replace(hyper, stop_patience=10)
@@ -234,23 +272,24 @@ class TestUpdateY:
             state = train(network, replace(hyper, max_iters=k))
             assert state.objective_trace == full.objective_trace[:k + 1]
             assert state.objective_trace[k] == objective(
-                state, representations(state, network), network, prox)
+                state, forward_passes(state, network), prox)
         half = train(network, replace(hyper, max_iters=1))
         resumed = resume_from_disk(network, half, replace(hyper, max_iters=2), tmp_path / "s.npz")
         assert resumed.objective_trace == full.objective_trace
         assert resumed.objective_trace[-1] == objective(
-            resumed, representations(resumed, network), network, prox)
+            resumed, forward_passes(resumed, network), prox)
 
     def test_reaches_reference_descent_objective(self):
         # run-to-convergence comparison on a tiny instance from the same start
-        network, hyper, prox, state, H = small_setup(7, n=8, d=2, hidden=(4, 3))
+        network, hyper, prox, state, passes = small_setup(7, n=8, d=2, hidden=(4, 3))
+        Hp = codes(passes)
 
         def sub_objective(Y):
             val = hyper.beta * float(np.sum(Y * (prox.laplacian @ Y)))
             gram = Y.T @ Y - np.eye(Y.shape[1])
             val += hyper.lam * float(np.sum(gram * gram))
             for s, m in enumerate(state.masks):
-                diff = H[s][m] - Y[m] @ state.B[s]
+                diff = Hp[s] - Y[m] @ state.B[s]
                 val += hyper.alpha * float(np.sum(diff * diff))
             return val
 
@@ -275,15 +314,15 @@ class TestUpdateY:
 
         fast = state
         for _ in range(300):
-            fast = update_Y(fast, H, prox)
+            fast = update_Y(fast, Hp, prox)
         assert sub_objective(fast.Y) <= value + 1e-6
 
 
 def ray_setup(seed, **changes):
     """Small state, its hyperparameters and everything one exact Y step reads."""
-    network, hyper, prox, state, H = small_setup(seed)
+    network, hyper, prox, state, passes = small_setup(seed)
     hyper = replace(hyper, **changes)
-    views, L = _y_views(state, H), prox.laplacian
+    views, L = _y_views(state, codes(passes)), prox.laplacian
     Y, LY = state.Y, L @ state.Y
     G = _y_grad(Y, LY, views, hyper)
     f = _y_value(Y, LY, views, hyper)
@@ -351,9 +390,9 @@ class TestExactStep:
 
 class TestUpdateB:
     def test_huge_ridge_drives_bases_to_zero(self):
-        network, hyper, prox, state, H = small_setup(8)
+        network, hyper, prox, state, passes = small_setup(8)
         heavy = Hyperparams(alpha=1.0, beta=0.0, lam=1e12, dim=hyper.dim)
-        out = update_B(replace(state, hyper=heavy), H)
+        out = update_B(replace(state, hyper=heavy), codes(passes))
         for B in out.B:
             assert np.max(np.abs(B)) < 1e-6
 
@@ -363,33 +402,33 @@ class TestUpdateB:
         network.views[0].mask[:] = True
         hyper = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=4, hidden_dims=(3,))
         state = make_state(network, hyper, seed=3)
-        H = representations(state, network)
+        Hp = codes(forward_passes(state, network))
         state.Y = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        out = update_B(state, H)
-        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, H[0]),
+        out = update_B(state, Hp)
+        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, Hp[0]),
                                    atol=1e-8)
 
     def test_singular_system_with_zero_ridge_raises(self):
-        network, hyper, prox, state, H = small_setup(9)
+        network, hyper, prox, state, passes = small_setup(9)
         state.Y = np.zeros_like(state.Y)
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim)
         with pytest.raises(ValueError, match="lam"):
-            update_B(replace(state, hyper=bad), H)
+            update_B(replace(state, hyper=bad), codes(passes))
 
     def test_singular_system_with_a_negligible_ridge_names_lam(self):
-        network, hyper, prox, state, H = small_setup(9)
+        network, hyper, prox, state, passes = small_setup(9)
         state.Y = np.ones_like(state.Y)  # alpha Y^T Y + lam I rounds to a singular matrix
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=5e-324, dim=hyper.dim)
         with pytest.raises(ValueError, match=r"view \d: basis system is singular with lam = 4.94"):
-            update_B(replace(state, hyper=bad), H)
+            update_B(replace(state, hyper=bad), codes(passes))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_descent_to_convergence_oracle(self, seed):
-        network, hyper, prox, state, H = small_setup(seed + 15)
-        out = update_B(state, H)
+        network, hyper, prox, state, passes = small_setup(seed + 15)
+        out = update_B(state, codes(passes))
         for s, view in enumerate(network.views):
             m = view.mask
-            Yp, Hp = state.Y[m], H[s][m]
+            Yp, Hp = state.Y[m], passes[s].code
 
             def grad(B):
                 return (2.0 * hyper.alpha * Yp.T @ (Yp @ B - Hp)
@@ -421,12 +460,14 @@ class TestUpdateB:
             assert np.max(np.abs(grad(out.B[s]))) < 1e-8
 
     def test_solves_over_the_state_masks(self):
-        network, hyper, prox, state, H = small_setup(12)
+        network, hyper, prox, state, _ = small_setup(12)
         hidden = np.flatnonzero(state.masks[0])[0]
         state.masks[0][hidden] = False  # make_state copied the network's masks
-        out = update_B(state, H)
+        passes = forward_passes(state, network)
+        out = update_B(state, codes(passes))
         m = state.masks[0]
-        Yp, Hp = state.Y[m], H[0][m]
+        Yp, Hp = state.Y[m], passes[0].code
+        assert np.array_equal(passes[0].rows, network.views[0].features[m])
         ridge = np.linalg.solve(hyper.alpha * Yp.T @ Yp + hyper.lam * np.eye(hyper.dim),
                                 hyper.alpha * Yp.T @ Hp)
         np.testing.assert_allclose(out.B[0], ridge, rtol=1e-10, atol=1e-12)
@@ -434,61 +475,62 @@ class TestUpdateB:
 
 class TestUpdateH:
     def test_returns_the_representations_of_the_trained_autoencoders(self):
-        network, hyper, prox, state, H = small_setup(10)
-        out, H_new, passes = update_H(state, network)
-        assert not all(np.array_equal(a, b) for a, b in zip(H, H_new))
+        network, hyper, prox, state, passes = small_setup(10)
+        before = codes(passes)
+        out, trained = update_H(state, passes)
+        assert passes == [None] * network.t  # taken out as they were handed over
+        assert not all(np.array_equal(a, b) for a, b in zip(before, codes(trained)))
+        H = representations(out, network)
         for s, view in enumerate(network.views):
-            expect = ae.encode(out.autoencoders[s], view.features, view.mask)
-            assert np.array_equal(H_new[s], expect)
-            assert np.all(H_new[s][~view.mask] == 0.0)
-            assert np.array_equal(passes[s].code, expect[view.mask])
-            recon = view.features[view.mask] - ae.decode(out.autoencoders[s], expect[view.mask])
-            assert passes[s].recon == float(np.sum(recon ** 2))
+            assert trained[s].params is out.autoencoders[s]
+            assert np.array_equal(trained[s].code, H[s][view.mask])
+            recon = view.features[view.mask] - ae.decode(out.autoencoders[s], trained[s].code)
+            assert trained[s].recon == float(np.sum(recon ** 2))
 
     def test_never_increases_the_objective(self):
-        network, hyper, prox, state, H = small_setup(11)
-        state = update_B(state, H)
-        before = objective(state, H, network, prox)
-        out, H_new, passes = update_H(state, network)
-        assert objective(out, H_new, network, prox) <= before + 1e-12
-        assert objective(out, H_new, network, prox, passes=passes) == objective(
-            out, H_new, network, prox)
+        network, hyper, prox, state, passes = small_setup(11)
+        state = update_B(state, codes(passes))
+        before = objective(state, passes, prox)
+        out, trained = update_H(state, passes)
+        assert objective(out, trained, prox) <= before + 1e-12
+        assert objective(out, trained, prox) == objective(out, forward_passes(out, network), prox)
 
     def test_hidden_state_mask_row_stays_zero(self):
-        network, hyper, prox, state, H = small_setup(13)
+        network, hyper, prox, state, _ = small_setup(13)
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
-        _, H_new, _ = update_H(state, network)
-        assert np.all(H_new[1][hidden] == 0.0)
+        out, trained = update_H(state, forward_passes(state, network))
+        assert np.array_equal(trained[1].rows, network.views[1].features[state.masks[1]])
+        assert np.all(representations(out, network)[1][hidden] == 0.0)
 
     @pytest.mark.parametrize("h_steps", [0, 1, 4])
     def test_starting_from_handed_passes_changes_no_byte(self, h_steps):
-        network, hyper, prox, state, H = small_setup(14)
+        network, hyper, prox, state, passes = small_setup(14)
         state = replace(state, hyper=replace(hyper, h_steps=h_steps))
-        first, _, passes = update_H(state, network)
-        first = update_B(first, H)
-        handed = update_H(first, network, passes)
-        fresh = update_H(first, network)
+        first, passes = update_H(state, passes)
+        first = update_B(first, codes(passes))
+        handed = update_H(first, passes)
+        fresh = update_H(first, forward_passes(first, network))
         assert passes == [None] * network.t  # taken out as they were handed over
         for a, b in zip(handed[0].autoencoders, fresh[0].autoencoders):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(a.all_arrays(), b.all_arrays()))
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(handed[1], fresh[1]))
-        assert [p.recon for p in handed[2]] == [p.recon for p in fresh[2]]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(codes(handed[1]), codes(fresh[1])))
+        assert [p.recon for p in handed[1]] == [p.recon for p in fresh[1]]
 
     def test_refuses_the_passes_of_another_state(self):
         # searched from the previous state's passes, with their values and gradients, the
         # next update raised the objective of this state from 126.48 to 134.01
-        network, hyper, prox, state, H = small_setup(0)
-        state = update_B(replace(state, hyper=replace(hyper, h_steps=1)), H)
-        stale = trainer._first_passes(state, network)
-        trained, H_new, _ = update_H(state, network)
-        trained = update_B(trained, H_new)
+        network, hyper, prox, state, passes = small_setup(0)
+        state = update_B(replace(state, hyper=replace(hyper, h_steps=1)), codes(passes))
+        stale = forward_passes(state, network)
+        trained, passes = update_H(state, passes)
+        trained = update_B(trained, codes(passes))
         with pytest.raises(ValueError, match="^view 0: the pass is not of the state's"):
-            update_H(trained, network, stale)
+            update_H(trained, stale)
         assert all(vpass is not None for vpass in stale)  # refused before any search ran
-        stale[0] = trainer._first_passes(trained, network)[0]
+        stale[0] = passes[0]
         with pytest.raises(ValueError, match="^view 1: "):
-            update_H(trained, network, stale)
+            update_H(trained, stale)
 
 
 def spectrum_matrix(rng, n, m, singular_values):
@@ -731,6 +773,34 @@ class TestForwardPasses:
         assert len(resumed.objective_trace) == 4
         assert calls.count("forward") == network.t + calls.count("f")
 
+    def test_a_training_copies_each_view_s_present_rows_once(self, monkeypatch):
+        network, hyper, _, _, _ = small_setup(28)
+        hyper = replace(hyper, max_iters=2, stop_patience=10)
+        calls = []
+        present_rows = ae._present_rows
+
+        def counted(X, mask):
+            calls.append(mask)
+            return present_rows(X, mask)
+
+        monkeypatch.setattr(ae, "_present_rows", counted)
+        state = train(network, hyper)
+        assert len(calls) == network.t
+        del calls[:]
+        resumed = train(network, replace(hyper, max_iters=1), init_state=state)
+        assert len(resumed.objective_trace) == 4
+        assert len(calls) == network.t
+
+    def test_a_pass_holds_the_code_and_the_decoded_error_of_the_present_rows(self):
+        network, hyper, prox, state, passes = small_setup(29)
+        H = representations(state, network)
+        for s, (vpass, view) in enumerate(zip(passes, network.views)):
+            assert vpass.params is state.autoencoders[s]
+            assert np.array_equal(vpass.rows, view.features[view.mask])
+            assert vpass.code.tobytes() == H[s][view.mask].tobytes()
+            decoded = ae.decode(state.autoencoders[s], H[s][view.mask])
+            assert vpass.recon == float(np.sum((view.features[view.mask] - decoded) ** 2))
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_no_earlier_pass_of_a_view_is_alive_when_its_forward_pass_runs(self, threads,
                                                                           monkeypatch):
@@ -790,21 +860,21 @@ class TestLargeFeatures:
 class TestInvariances:
     @pytest.mark.parametrize("seed", range(3))
     def test_rotation_leaves_consistency_and_proximity_terms_unchanged(self, seed):
-        network, hyper, prox, state, H = small_setup(seed + 25)
+        network, hyper, prox, state, passes = small_setup(seed + 25)
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((hyper.dim, hyper.dim)))
         rotated = EmbeddingState(state.Y @ Q, [Q.T @ B for B in state.B],
                                  state.masks, state.autoencoders, hyper)
         for trial in (Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim),
                       Hyperparams(alpha=0.0, beta=1.0, lam=0.0, dim=hyper.dim)):
-            a = objective(replace(state, hyper=trial), H, network, prox)
-            b = objective(replace(rotated, hyper=trial), H, network, prox)
+            a = objective(replace(state, hyper=trial), passes, prox)
+            b = objective(replace(rotated, hyper=trial), passes, prox)
             assert abs(a - b) / max(abs(a), 1e-12) < 1e-10
 
 
 class TestReconstructMissing:
     def test_zero_basis_gives_zero_vector(self):
-        network, hyper, prox, state, H = small_setup(30)
+        network, hyper, prox, state, _ = small_setup(30)
         state.B[0][:] = 0.0
         assert np.array_equal(reconstruct_missing(state, 1, 0),
                               np.zeros(state.B[0].shape[1]))
@@ -817,7 +887,7 @@ class TestReconstructMissing:
         assert reconstruct_missing(state, 0, 0) == pytest.approx([6.0])
 
     def test_out_of_range_indices_raise(self):
-        network, hyper, prox, state, H = small_setup(31)
+        network, hyper, prox, state, _ = small_setup(31)
         with pytest.raises(IndexError):
             reconstruct_missing(state, network.n, 0)
         with pytest.raises(IndexError):
