@@ -242,10 +242,11 @@ def train_view_autoencoder(start, target, alpha, lam, steps=5):
     search, and no frame of this call keeps it alive while the search runs.
     ``optim.armijo_minimize`` turns the backpropagated gradients into L-BFGS
     directions with a history of this call's steps only, and the loss never
-    increases. Each point runs one forward pass, and its gradient only the
-    backward pass. The returned pass is that of the trained parameters,
-    ``vpass.params``: its code and reconstruction error are the view's
-    representations and its share of the objective.
+    increases. Each point runs one forward pass (a stationary end point
+    two), and its gradient only the backward pass. The returned pass is the
+    search's, that of the trained parameters ``vpass.params``: its code and
+    reconstruction error are the view's representations and its share of
+    the objective.
     """
     params, rows = start.params, start.rows
     templates = params.all_arrays()
@@ -258,8 +259,5 @@ def train_view_autoencoder(start, target, alpha, lam, steps=5):
     def backward(vpass):
         return flatten(_view_backward(vpass, target, alpha, lam))
 
-    vec, _, last = armijo_minimize(forward, backward, flatten(templates), steps=steps,
-                                   start=start.pop())
-    if last is None:  # the search ended at a point whose pass it had dropped
-        last = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
-    return last
+    return armijo_minimize(forward, backward, flatten(templates), steps=steps,
+                           start=start.pop())[2]

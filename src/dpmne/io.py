@@ -264,7 +264,8 @@ def restore(path):
     ``hyper.hidden_dims``, then their mirror back to the input, and its
     activations are ``hyper``'s. Every array must be present and agree in
     shape with them and with the other arrays: Y is (n, dim), each B_s
-    (dim, code) and mask_s (n,), and the trace and iteration times are 1-D.
+    (dim, code) and mask_s (n,), the trace 1-D, finite and non-increasing,
+    and the iteration times one entry shorter (none for an empty trace).
     Otherwise one ValueError names the array, or the metadata key at fault.
     Formats 1 and 2 load; the H_s arrays of format 1 are not read, since the
     representations follow from the autoencoders. Metadata keys other than
@@ -309,7 +310,8 @@ def restore(path):
             masks.append(array(f"mask_{s}", n).astype(bool))
             autoencoders.append(AutoencoderParams(weights, biases, hyper.activation,
                                                   hyper.output_activation))
-        return EmbeddingState(
-            Y=Y, B=B, masks=masks, autoencoders=autoencoders,
-            hyper=hyper, objective_trace=array("trace", None).tolist(),
-            iter_seconds=array("iter_seconds", None).tolist())
+        trace = array("trace", None)
+        if not (np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0.0)):
+            raise ValueError(f"{path}: checkpoint array 'trace' increases or is not finite")
+        return EmbeddingState(Y, B, masks, autoencoders, hyper, trace.tolist(),
+                              array("iter_seconds", max(trace.size - 1, 0)).tolist())

@@ -3,7 +3,7 @@
 Each trial point runs one forward pass, and each gradient reads the accepted
 trial's pass. The caller may hand in the pass of the starting point, and gets
 back the pass of the point returned, so that a point is evaluated once even
-across calls.
+across calls (the end point of a stationary search twice).
 """
 
 import numpy as np
@@ -58,11 +58,10 @@ def armijo_minimize(forward, backward, x0, steps, start=None):
     at that pass's point. ``start``, when given, is ``forward(x0)``'s
     (value, pass), so the search runs no forward pass at ``x0``. Each trial
     point is evaluated once; the gradient of the next step reads the
-    accepted trial's pass. A pass is dropped once its gradient is taken or
-    its trial fails, the handed-in one too, so the returned pass is that of
-    the last accepted trial, or the start's when no step ran. It is None
-    when the search ended at a point whose gradient it had already taken:
-    a zero gradient, or the stationary exit below.
+    accepted trial's pass. A pass is dropped once its nonzero gradient is
+    taken or its trial fails, the handed-in one too, so the returned pass is
+    that of the returned point: the last accepted trial's, or the start's
+    when no step ran. The stationary exit below runs ``forward(x)`` for it.
 
     Each step moves along -d, where d = ``_lbfgs_direction(g, pairs)`` and
     ``pairs`` holds the (s, y) of this call's earlier steps: s the step taken
@@ -89,7 +88,6 @@ def armijo_minimize(forward, backward, x0, steps, start=None):
     pairs, s, g_prev = [], None, None
     for _ in range(int(steps)):
         g = np.asarray(backward(work), dtype=np.float64)
-        work = None  # the pass is spent: free it before the trials run
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("gradient has non-finite entries")
         if s is not None:
@@ -99,6 +97,7 @@ def armijo_minimize(forward, backward, x0, steps, start=None):
                 pairs.append((s, y, sy))
         if float(g @ g) == 0.0:
             break
+        work = None  # the pass is spent: free it before the trials run
         d = _lbfgs_direction(g, pairs)
         gd = float(g @ d)
         if not gd > 0.0:
@@ -119,7 +118,8 @@ def armijo_minimize(forward, backward, x0, steps, start=None):
                 t *= 0.5
         else:
             if least <= f + 1e-12 * max(1.0, abs(f)):
-                break  # no decrease beyond rounding error: stationary point
+                work = forward(x)[1]  # no decrease beyond rounding error: stationary point
+                break
             raise RuntimeError(
                 "line search failed: no decrease after "
                 f"{MAX_TRIALS} trials (objective {f:.6e})")

@@ -21,11 +21,11 @@ depends only on the parameters and the rows: the Y and B blocks read its
 code, the objective also its reconstruction error, and ``update_H`` starts
 the view's search from it and returns the pass of the trained parameters.
 ``forward_passes`` is the one place that reads the features, and a training
-calls it once, so each accepted point costs one forward pass. A pass of
-other parameters than the state's autoencoder is refused. The blocks read
-their settings from ``state.hyper``, and early stopping reads the objective
-trace, so a state is exactly what ``io.checkpoint`` writes; a resume
-recomputes the passes and is exact.
+calls it once, so each accepted point costs one forward pass. Each block
+refuses, naming the view, anything but a pass of the state's autoencoder.
+The blocks read their settings from ``state.hyper``, and early stopping
+reads the objective trace, so a state is exactly what ``io.checkpoint``
+writes; a resume recomputes the passes and is exact.
 """
 
 import time
@@ -122,9 +122,10 @@ def representations(state, network):
             for params, view, m in zip(state.autoencoders, network.views, state.masks)]
 
 
-def _y_views(state, Hp):
-    """Per-view (mask, present-row code, basis): everything the Y terms read besides Y."""
-    return list(zip(state.masks, Hp, state.B, strict=True))
+def _y_views(state, passes):
+    """Per-view (mask, code, basis) of the state's checked passes: all the Y terms read but Y."""
+    _check_passes(state, passes)
+    return [(m, vpass.code, B) for m, vpass, B in zip(state.masks, passes, state.B)]
 
 
 def _y_value(Y, LY, views, hyper):
@@ -154,7 +155,7 @@ def _check_passes(state, passes):
     if len(passes) != len(state.autoencoders):
         raise ValueError(f"{len(passes)} passes for {len(state.autoencoders)} views")
     for s, (vpass, params) in enumerate(zip(passes, state.autoencoders)):
-        if vpass.params is not params:
+        if getattr(vpass, "params", None) is not params:  # an array has no params
             raise ValueError(f"view {s}: the pass is not of the state's autoencoder")
 
 
@@ -164,13 +165,12 @@ def objective(state, passes, prox, LY=None):
     ``passes`` holds per view the forward pass of the state's autoencoder
     over its present rows (``forward_passes``, or ``update_H``'s second
     result); their code and reconstruction error give the view's terms, and
-    a pass of other parameters raises one ValueError naming the view. ``LY``,
+    any other value raises one ValueError naming the view. ``LY``,
     the Laplacian applied to ``state.Y``, is computed when not given.
     """
-    _check_passes(state, passes)
+    views = _y_views(state, passes)
     LY = prox.laplacian @ state.Y if LY is None else LY
-    total = _y_value(state.Y, LY, _y_views(state, [vpass.code for vpass in passes]),
-                     state.hyper)
+    total = _y_value(state.Y, LY, views, state.hyper)
     ridge = 0.0
     for s, vpass in enumerate(passes):
         total += vpass.recon
@@ -181,9 +181,9 @@ def objective(state, passes, prox, LY=None):
     return total
 
 
-def grad_Y(state, Hp, prox):
-    """Exact gradient of the objective's Y-dependent terms; ``Hp`` holds each view's code."""
-    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, Hp), state.hyper)
+def grad_Y(state, passes, prox):
+    """Exact gradient of the objective's Y-dependent terms at the state's ``passes``."""
+    return _y_grad(state.Y, prox.laplacian @ state.Y, _y_views(state, passes), state.hyper)
 
 
 @_overflow_names("Y block")
@@ -228,8 +228,8 @@ def _best_step(coeffs):
     return float(taus[np.argmin(np.polyval(coeffs[::-1], taus))])
 
 
-def update_Y(state, Hp, prox, LY=None):
-    """Exact steps along the negative gradient of Y; the Y subproblem never increases.
+def update_Y(state, passes, prox, LY=None):
+    """Exact descent steps on Y at the codes of ``passes``; the Y subproblem never increases.
 
     L Y (``LY``, computed when not given) is carried through the steps as
     L Y - tau L G, so a step costs one Laplacian product, L G, and the
@@ -240,7 +240,7 @@ def update_Y(state, Hp, prox, LY=None):
     that overflow raise a FloatingPointError naming the Y block.
     """
     hyper = state.hyper
-    views = _y_views(state, Hp)
+    views = _y_views(state, passes)
     L, Y = prox.laplacian, state.Y
     LY = L @ Y if LY is None else LY
     f = _y_value(Y, LY, views, hyper)
@@ -262,12 +262,12 @@ def update_Y(state, Hp, prox, LY=None):
     return replace(state, Y=Y)
 
 
-def update_B(state, Hp):
-    """Closed-form ridge solve for every view's basis; ``Hp`` holds each view's code."""
+def update_B(state, passes):
+    """Closed-form ridge solve for every view's basis, against the codes of ``passes``."""
     hyper = state.hyper
     d = state.Y.shape[1]
     new_B = []
-    for s, (m, code) in enumerate(zip(state.masks, Hp, strict=True)):
+    for s, (m, code, _) in enumerate(_y_views(state, passes)):
         Yp = state.Y[m]
         A = hyper.alpha * (Yp.T @ Yp) + hyper.lam * np.eye(d)
         rhs = hyper.alpha * (Yp.T @ code)
@@ -363,7 +363,7 @@ def _init_state(network, hyper):
     B = [np.zeros((d, params.code_dim)) for params in autoencoders]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
     passes = forward_passes(state, network)
-    return update_B(state, [vpass.code for vpass in passes]), passes
+    return update_B(state, passes), passes
 
 
 def _check_resume(state, network, hyper):
@@ -418,8 +418,8 @@ def train(network, hyper=None, init_state=None):
             if len(drops) == hyper.stop_patience and all(d < hyper.stop_tol for d in drops):
                 break
             tic = time.perf_counter()
-            state = update_Y(state, [vpass.code for vpass in passes], prox, LY)
-            state = update_B(state, [vpass.code for vpass in passes])
+            state = update_Y(state, passes, prox, LY)
+            state = update_B(state, passes)
             state, passes = update_H(state, passes)
             LY = prox.laplacian @ state.Y
             trace.append(objective(state, passes, prox, LY))

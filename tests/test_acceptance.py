@@ -80,8 +80,7 @@ def test_criterion_01_gradient_correctness():
                                    state.masks, state.autoencoders, hyper)
             return objective(trial, passes, prox)
 
-        codes = [vpass.code for vpass in passes]
-        worst = max(worst, rel_error(grad_Y(state, codes, prox).ravel(),
+        worst = max(worst, rel_error(grad_Y(state, passes, prox).ravel(),
                                      central_diff(with_Y, state.Y.ravel())))
 
         for s, view in enumerate(network.views):
@@ -127,7 +126,7 @@ def test_criterion_03_closed_form_basis_optimality():
     worst_grad = 0.0
     for seed in range(20):
         network, prox, state, passes, hyper = random_instance(seed + 100)
-        out = update_B(state, [vpass.code for vpass in passes])
+        out = update_B(state, passes)
         for s, view in enumerate(network.views):
             m = view.mask
             Yp, Hp = state.Y[m], passes[s].code

@@ -246,27 +246,22 @@ class TestTrainViewAutoencoder:
         assert (last is start) == (steps == 0)
         assert calls.count("f") == len(trials) - 1
 
-    def test_a_search_that_drops_its_last_pass_gets_one_fresh_pass(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_returns_the_pass_the_search_returns(self, steps, monkeypatch):
         params, X, mask, Y, B = small_problem(34)
         start = ae._view_forward(params, X[mask])
         target = ae._view_target(mask, Y, B, 1.0)
-        calls = []
-        forward = ae._view_forward
+        returned = []
 
-        def counted_forward(*args):
-            calls.append("forward")
-            return forward(*args)
+        def recorded_armijo(*args, **kwargs):
+            returned.append(armijo_minimize(*args, **kwargs))
+            return returned[-1]
 
-        def dropping_armijo(*args, **kwargs):
-            x, f, _ = armijo_minimize(*args, **kwargs)
-            calls.append("returned")
-            return x, f, None
-
-        monkeypatch.setattr(ae, "_view_forward", counted_forward)
-        monkeypatch.setattr(ae, "armijo_minimize", dropping_armijo)
-        vpass = train_view_autoencoder(start, target, 1.0, 0.01, steps=4)
-        assert calls[-2:] == ["returned", "forward"]
-        assert vpass.recon == forward(vpass.params, X[mask]).recon
+        monkeypatch.setattr(ae, "armijo_minimize", recorded_armijo)
+        vpass = train_view_autoencoder(start, target, 1.0, 0.01, steps=steps)
+        (vec, _, last), = returned
+        assert vpass is last and flatten(vpass.params.all_arrays()).tobytes() == vec.tobytes()
+        assert vpass.recon == ae._view_forward(vpass.params, X[mask]).recon
 
     def test_loss_invariant_under_node_permutation(self):
         params, X, mask, Y, B = small_problem(6)

@@ -346,6 +346,9 @@ class TestCheckpoint:
         ("ae1_dec_b1", lambda a: a[:-1]),                  # output bias differs from the input
         ("trace", lambda a: a[:, None]),                   # 2-D trace
         ("iter_seconds", lambda a: a[None, :]),            # 2-D iteration times
+        ("trace", lambda a: a[::-1]),                      # increasing
+        ("trace", lambda a: np.r_[np.nan, a[1:]]),         # not finite
+        ("iter_seconds", lambda a: a[:-1]),                # one time short of the trace
         ("B_0", None),                                     # missing array
         ("ae0_dec_b0", None),
     ])

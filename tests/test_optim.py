@@ -231,7 +231,9 @@ class TestSearch:
                 armijo_minimize(f, g, x0, steps=3)
         else:
             x, value, work = armijo_minimize(f, g, x0, steps=3)
-            assert x is x0 and value == f0 and work is None
+            assert x is x0 and value == f0 and work is x0
+            kind, point = log.pop()  # after its trials the search runs the pass of x0 once
+            assert kind == "f" and point is x0
         # x0 = 0 makes each trial point exactly -t * g0 / ||g0||
         unit = 1.0 / np.linalg.norm(g0)
         tried = [float(-x[0] / g0[0]) / unit for kind, x in log[1:] if kind == "f"]
@@ -318,18 +320,60 @@ class TestScaleInvariance:
         scaled_points, scaled_x, scaled_value = run(2.0 ** k)
         assert scaled_points == points
         assert scaled_x.tobytes() == x.tobytes() and scaled_value == 2.0 ** k * value
-        # every trial of the one step fails; otherwise some step backtracks
-        assert len(points) == 1 + MAX_TRIALS if stationary else len(points) > 1 + 8
+        if stationary:  # every trial of the one step fails, then x0's pass runs once more
+            assert len(points) == 2 + MAX_TRIALS and points[-1] == x0.tobytes()
+        else:  # some step backtracks
+            assert len(points) > 1 + 8
 
 
 class TestStationaryExit:
     @pytest.mark.parametrize("f0", [0.5, 1e6, 1e17])
     def test_trials_a_rounding_error_above_a_large_objective_are_stationary(self, f0):
         x0, g0 = np.array([0.3, -1.2]), np.array([1.0, 2.0])
+        f, g, log = logged(rounding_above(f0, x0), lambda x: g0)
+        x, value, work = armijo_minimize(f, g, x0, steps=3)
+        assert x is x0 and value == f0 and work is x0
+        # x0's pass, its gradient, the trials, then one forward pass at x0 for the returned pass
+        assert [kind for kind, _ in log] == ["f", "g"] + ["f"] * MAX_TRIALS + ["f"]
+        assert log[0][1] is x0 and log[-1][1] is x0
+        assert all(point is not x0 for _, point in log[2:-1])
 
-        x, f, work = armijo_minimize(*point_pass(rounding_above(f0, x0), lambda x: g0), x0,
-                                     steps=3)
-        assert x is x0 and f == f0 and work is None
+
+class TestExits:
+    class Pass:
+        def __init__(self, x):
+            self.x = x
+
+    @pytest.mark.parametrize("exit", ["steps done", "no steps", "zero gradient at the start",
+                                      "zero gradient after a step", "stationary"])
+    @pytest.mark.parametrize("handed", [False, True])
+    def test_the_returned_pass_is_that_of_the_returned_point(self, exit, handed):
+        fun, grad, x0 = quadratic(0)
+        steps = 0 if exit == "no steps" else 5
+        if exit == "zero gradient at the start":
+            grad = np.zeros_like
+        elif exit == "zero gradient after a step":
+            # the unit-length first step lands on the minimum, where the gradient is zero
+            x0 = np.array([1.0, 0.0])
+            fun, grad = (lambda x: 0.5 * float(x @ x)), (lambda x: x.copy())
+        elif exit == "stationary":
+            fun, grad = rounding_above(fun(x0), x0), (lambda x, g0=grad(x0): g0)
+
+        def forward(x):
+            return fun(x), self.Pass(x)
+
+        def backward(work):
+            return grad(work.x)
+
+        start = forward(x0) if handed else None
+        x, value, work = armijo_minimize(forward, backward, x0, steps, start=start)
+        assert work.x is x and value == fun(x)
+        if exit == "zero gradient after a step":
+            assert not np.any(x)
+        elif exit == "steps done":
+            assert value < fun(x0)
+        else:
+            assert x is x0
 
 
 class TestLivePasses:

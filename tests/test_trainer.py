@@ -118,9 +118,13 @@ class TestObjective:
             for s, v in enumerate(network.views))
         assert recon_only == pytest.approx(recon_direct, rel=1e-12)
         # consistency term vanishes when the codes equal Y B on present rows; no encoder
-        # gives such codes, so the Y terms are evaluated on the arrays directly
-        matched = [state.Y[m] @ B for m, B in zip(state.masks, state.B)]
+        # gives such codes, so the passes are given them in place of their own
+        k = len(hyper.hidden_dims)  # the code's index among a pass's outputs
+        matched = [replace(vpass, outputs=vpass.outputs[:k] + [state.Y[m] @ B]
+                           + vpass.outputs[k + 1:])
+                   for m, B, vpass in zip(state.masks, state.B, passes)]
         views, LY = _y_views(state, matched), prox.laplacian @ state.Y
+        assert all(np.array_equal(code, state.Y[m] @ B) for m, code, B in views)
         alpha_only = Hyperparams(alpha=5.0, beta=0.0, lam=0.0, dim=hyper.dim)
         assert _y_value(state.Y, LY, views, alpha_only) == pytest.approx(
             _y_value(state.Y, LY, views, bare), abs=1e-12)
@@ -170,7 +174,7 @@ class TestObjective:
         # a stale pass would price the previous autoencoder's reconstruction error
         network, hyper, prox, state, passes = small_setup(0)
         stale = forward_passes(state, network)
-        trained, fresh = update_H(update_B(state, codes(passes)), passes)
+        trained, fresh = update_H(update_B(state, passes), passes)
         with pytest.raises(ValueError, match="^view 0: the pass is not of the state's"):
             objective(trained, stale, prox)
         with pytest.raises(ValueError, match="^view 1: "):
@@ -187,13 +191,13 @@ class TestGradY:
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((network.n, hyper.dim)))
         state.Y = q
         only_reg = Hyperparams(alpha=0.0, beta=0.0, lam=0.7, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(replace(state, hyper=only_reg), codes(passes), prox))) < 1e-12
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_reg), passes, prox))) < 1e-12
 
     def test_constant_columns_kill_the_proximity_term(self):
         network, hyper, prox, state, passes = small_setup(4)
         state.Y = np.ones_like(state.Y)
         only_beta = Hyperparams(alpha=0.0, beta=1.3, lam=0.0, dim=hyper.dim)
-        assert np.max(np.abs(grad_Y(replace(state, hyper=only_beta), codes(passes), prox))) < 1e-10
+        assert np.max(np.abs(grad_Y(replace(state, hyper=only_beta), passes, prox))) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
@@ -204,7 +208,7 @@ class TestGradY:
                                    state.autoencoders, hyper)
             return objective(trial, passes, prox)
 
-        analytic = grad_Y(state, codes(passes), prox)
+        analytic = grad_Y(state, passes, prox)
         numeric = central_difference_matrix(fun, state.Y)
         assert rel_error(analytic, numeric) < 1e-5
 
@@ -212,37 +216,28 @@ class TestGradY:
 class TestUpdateY:
     def test_zero_gradient_is_a_fixed_point(self):
         network, hyper, prox, state, passes = small_setup(6)
-        H = codes(passes)
         # all trade-offs zero: the subproblem is constant, its gradient exactly zero
         frozen = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim, y_steps=4)
-        out = update_Y(replace(state, hyper=frozen), H, prox)
+        out = update_Y(replace(state, hyper=frozen), passes, prox)
         assert np.array_equal(out.Y, state.Y)
         # zero embedding is a stationary point of the orthogonality penalty
         state.Y = np.zeros_like(state.Y)
         reg_only = Hyperparams(alpha=0.0, beta=0.0, lam=0.9, dim=hyper.dim, y_steps=4)
-        out = update_Y(replace(state, hyper=reg_only), H, prox)
+        out = update_Y(replace(state, hyper=reg_only), passes, prox)
         assert np.array_equal(out.Y, state.Y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_increases_the_objective(self, seed):
         network, hyper, prox, state, passes = small_setup(seed + 10)
         before = objective(state, passes, prox)
-        out = update_Y(state, codes(passes), prox)
+        out = update_Y(state, passes, prox)
         assert objective(out, passes, prox) <= before + 1e-12
-
-    def test_one_code_per_view_is_required(self):
-        network, hyper, prox, state, passes = small_setup(22)
-        for Hp in (codes(passes)[:1], codes(passes) + codes(passes)[:1]):
-            for block in (lambda: update_Y(state, Hp, prox), lambda: update_B(state, Hp),
-                          lambda: grad_Y(state, Hp, prox)):
-                with pytest.raises(ValueError, match="^zip"):
-                    block()
 
     @pytest.mark.parametrize("y_steps", [1, 5, 8])
     def test_applies_the_laplacian_once_per_step(self, y_steps):
         network, hyper, prox, state, passes = small_setup(23)
         calls = []
-        update_Y(replace(state, hyper=replace(hyper, y_steps=y_steps)), codes(passes),
+        update_Y(replace(state, hyper=replace(hyper, y_steps=y_steps)), passes,
                  replace(prox, laplacian=CountingLaplacian(prox.laplacian, calls)))
         assert calls == ["L"] * (y_steps + 1)  # L Y once, then L G per step
 
@@ -314,7 +309,7 @@ class TestUpdateY:
 
         fast = state
         for _ in range(300):
-            fast = update_Y(fast, Hp, prox)
+            fast = update_Y(fast, passes, prox)
         assert sub_objective(fast.Y) <= value + 1e-6
 
 
@@ -322,7 +317,7 @@ def ray_setup(seed, **changes):
     """Small state, its hyperparameters and everything one exact Y step reads."""
     network, hyper, prox, state, passes = small_setup(seed)
     hyper = replace(hyper, **changes)
-    views, L = _y_views(state, codes(passes)), prox.laplacian
+    views, L = _y_views(state, passes), prox.laplacian
     Y, LY = state.Y, L @ state.Y
     G = _y_grad(Y, LY, views, hyper)
     f = _y_value(Y, LY, views, hyper)
@@ -392,7 +387,7 @@ class TestUpdateB:
     def test_huge_ridge_drives_bases_to_zero(self):
         network, hyper, prox, state, passes = small_setup(8)
         heavy = Hyperparams(alpha=1.0, beta=0.0, lam=1e12, dim=hyper.dim)
-        out = update_B(replace(state, hyper=heavy), codes(passes))
+        out = update_B(replace(state, hyper=heavy), passes)
         for B in out.B:
             assert np.max(np.abs(B)) < 1e-6
 
@@ -402,10 +397,10 @@ class TestUpdateB:
         network.views[0].mask[:] = True
         hyper = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=4, hidden_dims=(3,))
         state = make_state(network, hyper, seed=3)
-        Hp = codes(forward_passes(state, network))
+        passes = forward_passes(state, network)
         state.Y = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        out = update_B(state, Hp)
-        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, Hp[0]),
+        out = update_B(state, passes)
+        np.testing.assert_allclose(out.B[0], np.linalg.solve(state.Y, passes[0].code),
                                    atol=1e-8)
 
     def test_singular_system_with_zero_ridge_raises(self):
@@ -413,19 +408,19 @@ class TestUpdateB:
         state.Y = np.zeros_like(state.Y)
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=0.0, dim=hyper.dim)
         with pytest.raises(ValueError, match="lam"):
-            update_B(replace(state, hyper=bad), codes(passes))
+            update_B(replace(state, hyper=bad), passes)
 
     def test_singular_system_with_a_negligible_ridge_names_lam(self):
         network, hyper, prox, state, passes = small_setup(9)
         state.Y = np.ones_like(state.Y)  # alpha Y^T Y + lam I rounds to a singular matrix
         bad = Hyperparams(alpha=1.0, beta=0.0, lam=5e-324, dim=hyper.dim)
         with pytest.raises(ValueError, match=r"view \d: basis system is singular with lam = 4.94"):
-            update_B(replace(state, hyper=bad), codes(passes))
+            update_B(replace(state, hyper=bad), passes)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_descent_to_convergence_oracle(self, seed):
         network, hyper, prox, state, passes = small_setup(seed + 15)
-        out = update_B(state, codes(passes))
+        out = update_B(state, passes)
         for s, view in enumerate(network.views):
             m = view.mask
             Yp, Hp = state.Y[m], passes[s].code
@@ -464,7 +459,7 @@ class TestUpdateB:
         hidden = np.flatnonzero(state.masks[0])[0]
         state.masks[0][hidden] = False  # make_state copied the network's masks
         passes = forward_passes(state, network)
-        out = update_B(state, codes(passes))
+        out = update_B(state, passes)
         m = state.masks[0]
         Yp, Hp = state.Y[m], passes[0].code
         assert np.array_equal(passes[0].rows, network.views[0].features[m])
@@ -489,7 +484,7 @@ class TestUpdateH:
 
     def test_never_increases_the_objective(self):
         network, hyper, prox, state, passes = small_setup(11)
-        state = update_B(state, codes(passes))
+        state = update_B(state, passes)
         before = objective(state, passes, prox)
         out, trained = update_H(state, passes)
         assert objective(out, trained, prox) <= before + 1e-12
@@ -508,7 +503,7 @@ class TestUpdateH:
         network, hyper, prox, state, passes = small_setup(14)
         state = replace(state, hyper=replace(hyper, h_steps=h_steps))
         first, passes = update_H(state, passes)
-        first = update_B(first, codes(passes))
+        first = update_B(first, passes)
         handed = update_H(first, passes)
         fresh = update_H(first, forward_passes(first, network))
         assert passes == [None] * network.t  # taken out as they were handed over
@@ -521,16 +516,43 @@ class TestUpdateH:
         # searched from the previous state's passes, with their values and gradients, the
         # next update raised the objective of this state from 126.48 to 134.01
         network, hyper, prox, state, passes = small_setup(0)
-        state = update_B(replace(state, hyper=replace(hyper, h_steps=1)), codes(passes))
+        state = update_B(replace(state, hyper=replace(hyper, h_steps=1)), passes)
         stale = forward_passes(state, network)
         trained, passes = update_H(state, passes)
-        trained = update_B(trained, codes(passes))
+        trained = update_B(trained, passes)
         with pytest.raises(ValueError, match="^view 0: the pass is not of the state's"):
             update_H(trained, stale)
         assert all(vpass is not None for vpass in stale)  # refused before any search ran
         stale[0] = passes[0]
         with pytest.raises(ValueError, match="^view 1: "):
             update_H(trained, stale)
+
+
+# every block that reads the passes, called as train calls it
+BLOCKS = {"update_Y": lambda state, passes, prox: update_Y(state, passes, prox),
+          "update_B": lambda state, passes, prox: update_B(state, passes),
+          "grad_Y": grad_Y, "objective": objective,
+          "update_H": lambda state, passes, prox: update_H(state, passes)}
+
+
+class TestForeignInput:
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("given", ["representations", "passes of another state"])
+    def test_each_block_refuses_what_is_not_the_state_s_passes(self, block, given):
+        network, hyper, prox, state, _ = small_setup(0)
+        other = make_state(network, hyper, seed=1)
+        foreign = (representations(state, network) if given == "representations"
+                   else forward_passes(other, network))
+        with pytest.raises(ValueError,
+                           match="^view 0: the pass is not of the state's autoencoder$"):
+            BLOCKS[block](state, foreign, prox)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_each_block_takes_one_pass_per_view(self, block):
+        network, hyper, prox, state, passes = small_setup(22)
+        for wrong in (passes[:1], passes + passes[:1]):
+            with pytest.raises(ValueError, match=f"^{len(wrong)} passes for 2 views$"):
+                BLOCKS[block](state, wrong, prox)
 
 
 def spectrum_matrix(rng, n, m, singular_values):
