@@ -54,13 +54,12 @@ class AutoencoderParams:
     ``weights[k]`` (fan-in x fan-out) and ``biases[k]`` belong to layer k of
     2K: layers 0..K-1 encode and layers K..2K-1 decode, so the widths read
     input, hidden..., code, hidden reversed..., input. ``activation`` is
-    applied on every layer except the last, which uses ``output_activation``
-    (sigmoid by default, matching 0/1-valued input features).
+    applied on every layer except the last, which uses ``output_activation``.
     """
     weights: list
     biases: list
-    activation: str = "tanh"
-    output_activation: str = "sigmoid"
+    activation: str
+    output_activation: str
 
     @property
     def input_dim(self):
@@ -87,10 +86,8 @@ def _layer_widths(input_dim, hidden_dims):
     return widths + widths[-2::-1]
 
 
-def init_autoencoder(input_dim, hidden_dims=(200,), activation="tanh",
-                     output_activation="sigmoid", rng=None):
-    """Glorot-uniform weights, zero biases; decoder mirrors the encoder widths."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+def init_autoencoder(input_dim, hidden_dims, activation, output_activation, rng):
+    """Glorot-uniform weights from ``rng``, zero biases; decoder mirrors the encoder widths."""
     _activation(activation), _activation(output_activation, "output_activation")
     widths = _layer_widths(input_dim, hidden_dims)
     if any(w < 1 for w in widths):
@@ -232,7 +229,7 @@ def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
     return _view_loss(vpass, target, alpha, lam), _view_backward(vpass, target, alpha, lam)
 
 
-def train_view_autoencoder(start, target, alpha, lam, steps=5):
+def train_view_autoencoder(start, target, alpha, lam, steps):
     """``steps`` L-BFGS steps on a view's autoencoder from its pass ``start``; returns the new pass.
 
     ``start`` is a forward pass over the view's present rows, such as the

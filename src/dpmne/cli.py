@@ -9,11 +9,11 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import io
-from .evaluation import (SWEEP_METHODS, EvalProtocol, classify_f1, cluster_accuracy,
-                         cross_validate, pdr_sweep)
+from .evaluation import (SWEEP_METHODS, EvalProtocol, _check_sweep, _grid_hypers, classify_f1,
+                         cluster_accuracy, cross_validate, pdr_sweep)
 from .graph_model import SynthConfig, normalize_features, synth_generate
 from .proximity import ProximityConfig
-from .quantizer import binarize_sign, itq
+from .quantizer import _check_iterations, binarize_sign, itq
 from .trainer import Hyperparams, train
 
 
@@ -166,8 +166,10 @@ def _cmd_train(args):
 
 
 def _cmd_binarize(args):
-    if args.iters is not None and not args.itq:
-        raise ValueError("--iters only applies together with --itq")
+    if args.iters is not None:
+        if not args.itq:
+            raise ValueError("--iters only applies together with --itq")
+        _check_iterations(args.iters)
     state = io.restore(args.checkpoint)
     if args.itq:
         codes = itq(state.Y) if args.iters is None else itq(state.Y, iterations=args.iters)
@@ -201,6 +203,7 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     methods = tuple(tok for tok in args.methods.split(",") if tok)
+    _check_sweep(args.ratios, methods)
     protocol = _protocol_from_args(args)
     hyper = _hyper_from_args(args)
     network = io.load_network(args.manifest)
@@ -228,8 +231,9 @@ def _cmd_sweep(args):
 def _cmd_tune(args):
     points = [_floats(chunk) for chunk in args.grid.split(";") if chunk.strip()]
     base = _hyper_from_args(args)
-    network = io.load_network(args.manifest)
     protocol = EvalProtocol(seed=args.seed)
+    _grid_hypers(points, base, protocol.seed)
+    network = io.load_network(args.manifest)
     best = cross_validate(network, points, folds=args.folds, protocol=protocol,
                           base_hyper=base)
     print(f"alpha={best.alpha:g}\tbeta={best.beta:g}\tlambda={best.lam:g}")

@@ -12,12 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import _check_setting, apply_pdr
+from .graph_model import _check_ratio, _check_setting, apply_pdr
 from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
 
 _SPLIT_TRIES = 100  # random splits drawn before giving up on one that holds every class
+_LOGREG_GTOL = 1e-6  # gradient max-norm at which the classifier fit stops
+_LOGREG_MAX_STEPS = 500
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-6  # relative inertia decrease below which Lloyd iterations stop
@@ -83,12 +85,12 @@ def micro_macro_f1(y_true, y_pred, num_classes):
     return float(micro), float(per_class.mean())
 
 
-def fit_logistic_regression(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500):
-    """Full-batch multinomial logistic regression, fit by L-BFGS.
+def fit_logistic_regression(X, y, num_classes, l2):
+    """Full-batch multinomial logistic regression with ridge weight ``l2``, fit by L-BFGS.
 
-    Runs until the gradient max-norm drops below ``gtol``, a step no longer
-    lowers the loss, or ``max_steps`` iterations have run; the bias row is
-    not regularized. Returns the (features + 1) x classes weight matrix.
+    Runs until the gradient max-norm drops below ``_LOGREG_GTOL``, a step no
+    longer lowers the loss, or ``_LOGREG_MAX_STEPS`` iterations have run; the
+    bias row is not regularized. Returns the (features + 1) x classes weight matrix.
 
     The logits are held class-major, (classes, rows), so the softmax
     reductions run over the leading axis, and the gradient reuses the
@@ -119,7 +121,7 @@ def fit_logistic_regression(X, y, num_classes, l2=1.0, gtol=1e-6, max_steps=500)
 
     # the gradient max-norm test is L-BFGS-B's gtol (no bounds: nothing is projected)
     result = minimize(loss_and_grad, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
-                      options={"gtol": gtol, "maxiter": max_steps, "ftol": 0.0})
+                      options={"gtol": _LOGREG_GTOL, "maxiter": _LOGREG_MAX_STEPS, "ftol": 0.0})
     return result.x.reshape(shape)
 
 
@@ -142,7 +144,7 @@ def _split_with_all_classes(rng, labels, train_fraction, num_classes):
 
 def _holdout_f1(X, y, train_idx, test_idx, num_classes, l2):
     """Micro and macro F1 on the test rows of a classifier fit on the training rows."""
-    W = fit_logistic_regression(X[train_idx], y[train_idx], num_classes, l2=l2)
+    W = fit_logistic_regression(X[train_idx], y[train_idx], num_classes, l2)
     return micro_macro_f1(y[test_idx], predict_logistic(W, X[test_idx]), num_classes)
 
 
@@ -300,6 +302,20 @@ def knn_impute(network, k=5):
 SWEEP_METHODS = ("dpmne", "zero-fill", "knn-fill")
 
 
+def _check_sweep(ratios, methods):
+    """The sweep's ratios as a list; one ValueError unless they ascend and each method is known.
+
+    Each ratio must pass ``apply_pdr``'s check.
+    """
+    ratios = [_check_ratio(r) for r in ratios]
+    if sorted(ratios) != ratios:
+        raise ValueError("ratios must be sorted ascending")
+    unknown = [m for m in methods if m not in SWEEP_METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {SWEEP_METHODS}")
+    return ratios
+
+
 def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None):
     """Classification metrics per (missing ratio, method) pair.
 
@@ -310,12 +326,7 @@ def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None)
     """
     protocol = protocol or EvalProtocol()
     hyper = hyper if hyper is not None else Hyperparams()
-    ratios = list(ratios)
-    if sorted(ratios) != ratios:
-        raise ValueError("ratios must be sorted ascending")
-    unknown = [m for m in methods if m not in SWEEP_METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {SWEEP_METHODS}")
+    ratios = _check_sweep(ratios, methods)
     if network.labels is None:
         raise ValueError("pdr_sweep needs node labels")
 
@@ -336,6 +347,18 @@ def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None)
     return rows
 
 
+def _grid_hypers(grid, base_hyper, seed):
+    """``base_hyper`` at each (alpha, beta, lam) point of ``grid``, every point checked."""
+    points = [tuple(p) for p in grid]
+    if not points:
+        raise ValueError("empty hyperparameter grid")
+    for p in points:
+        if len(p) != 3:
+            raise ValueError(f"grid point {p} must be (alpha, beta, lam)")
+    return [replace(base_hyper, seed=seed, alpha=alpha, beta=beta, lam=lam)
+            for alpha, beta, lam in points]
+
+
 def kfold_indices(n, folds, rng):
     """Disjoint folds covering 0..n-1 exactly once."""
     return np.array_split(rng.permutation(n), _check_setting("folds", folds, 2, n, integer=True))
@@ -354,19 +377,13 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
     base_hyper = base_hyper if base_hyper is not None else Hyperparams()
     if network.labels is None:
         raise ValueError("cross_validate needs node labels")
-    points = [tuple(p) for p in grid]
-    if not points:
-        raise ValueError("empty hyperparameter grid")
-    for p in points:
-        if len(p) != 3:
-            raise ValueError(f"grid point {p} must be (alpha, beta, lam)")
+    hypers = _grid_hypers(grid, base_hyper, protocol.seed)
     classes, y = np.unique(network.labels, return_inverse=True)
     rng = np.random.default_rng(protocol.seed)
     fold_sets = kfold_indices(network.n, folds, rng)
 
     best_score, best_hyper = -np.inf, None
-    for alpha, beta, lam in points:
-        hyper = replace(base_hyper, seed=protocol.seed, alpha=alpha, beta=beta, lam=lam)
+    for hyper in hypers:
         state = train(network, hyper)
         scores = []
         for f in range(folds):

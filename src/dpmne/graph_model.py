@@ -215,6 +215,11 @@ def synth_generate(config):
     return MultiplexNetwork(n, views, labels)
 
 
+def _check_ratio(ratio):
+    """``ratio`` if it is a missing fraction in [0, 1), else one ValueError naming it."""
+    return _check_setting("ratio", ratio, 0, 1, high_open=True)
+
+
 def apply_pdr(network, ratio, seed=0):
     """Mask out extra nodes until each view's missing fraction hits ``ratio``.
 
@@ -222,8 +227,7 @@ def apply_pdr(network, ratio, seed=0):
     masked rows are zeroed, and each node stays present in at least one
     view. Raises if a view already misses more than the requested ratio.
     """
-    ratios = [_check_setting("ratio", r, 0, 1, high_open=True)
-              for r in _per_view(ratio, network.t, "ratio")]
+    ratios = [_check_ratio(r) for r in _per_view(ratio, network.t, "ratio")]
     rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
     masks = [view.mask.copy() for view in network.views]
     views = []

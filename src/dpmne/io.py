@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .autoencoder import AutoencoderParams, _layer_widths
 from .graph_model import MultiplexNetwork, ViewData, _check_setting, validate
-from .proximity import ProximityConfig
+from .proximity import ProximityConfig, default_weights
 from .quantizer import pack_codes
 from .trainer import EmbeddingState, Hyperparams
 
@@ -217,7 +217,13 @@ def _hyper_from_json(blob):
     for retired in ("y_lr", "h_lr"):  # older checkpoints store the retired Armijo start steps
         data.pop(retired, None)
     # a null proximity, stored by older releases for Hyperparams(proximity=None), is the default
-    return Hyperparams(proximity=ProximityConfig(**(data.pop("proximity") or {})), **data)
+    proximity = dict(data.pop("proximity") or {})
+    weights = proximity.pop("weights", None)  # older releases store the walk weights too
+    proximity = ProximityConfig(**proximity)
+    default = list(default_weights(proximity.order))
+    if weights not in (None, default):
+        raise ValueError(f"weights must be {default} at order {proximity.order}, got {weights!r}")
+    return Hyperparams(proximity=proximity, **data)
 
 
 def _layer_name(s, k, depth, kind):

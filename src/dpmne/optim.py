@@ -1,7 +1,7 @@
 """Full-batch L-BFGS descent with an Armijo line search, for the autoencoders.
 
 Each trial point runs one forward pass, and each gradient reads the accepted
-trial's pass. The caller may hand in the pass of the starting point, and gets
+trial's pass. The caller hands in the pass of the starting point and gets
 back the pass of the point returned, so that a point is evaluated once even
 across calls (the end point of a stationary search twice).
 """
@@ -51,17 +51,17 @@ def _backtrack(t, f, gd, f_new):
     return max(step, t / 10.0)
 
 
-def armijo_minimize(forward, backward, x0, steps, start=None):
+def armijo_minimize(forward, backward, x0, steps, start):
     """Run ``steps`` L-BFGS descent steps with an Armijo line search; returns (x, f, pass).
 
     ``forward(x)`` returns (value, pass) and ``backward(pass)`` the gradient
-    at that pass's point. ``start``, when given, is ``forward(x0)``'s
-    (value, pass), so the search runs no forward pass at ``x0``. Each trial
-    point is evaluated once; the gradient of the next step reads the
-    accepted trial's pass. A pass is dropped once its nonzero gradient is
-    taken or its trial fails, the handed-in one too, so the returned pass is
-    that of the returned point: the last accepted trial's, or the start's
-    when no step ran. The stationary exit below runs ``forward(x)`` for it.
+    at that pass's point. ``start`` is ``forward(x0)``'s (value, pass), so
+    the search runs no forward pass at ``x0``. Each trial point is evaluated
+    once; the gradient of the next step reads the accepted trial's pass. A
+    pass is dropped once its nonzero gradient is taken or its trial fails,
+    the handed-in one too, so the returned pass is that of the returned
+    point: the last accepted trial's, or the start's when no step ran. The
+    stationary exit below runs ``forward(x)`` for it.
 
     Each step moves along -d, where d = ``_lbfgs_direction(g, pairs)`` and
     ``pairs`` holds the (s, y) of this call's earlier steps: s the step taken
@@ -80,7 +80,7 @@ def armijo_minimize(forward, backward, x0, steps, start=None):
     precision terminates the loop instead of failing.
     """
     x = np.asarray(x0, dtype=np.float64)
-    f, work = forward(x) if start is None else start
+    f, work = start
     start = None  # from here on the search alone holds the starting pass
     f = float(f)
     if not np.isfinite(f):

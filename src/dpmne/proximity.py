@@ -16,22 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph_model import _check_setting, _check_settings
+from .graph_model import _check_setting
 from .parallel import map_views
 
 
 def default_weights(order):
     """Walk-length weights: 1 for direct edges, halving per extra hop."""
-    weights = [1.0]
-    for _ in range(order - 1):
-        weights.append(0.5 * weights[-1])
-    return tuple(weights)
+    return tuple(0.5 ** k for k in range(order))
 
 
 @dataclass
 class ProximityConfig:
+    """Walks of up to ``order`` hops, weighted by ``default_weights(order)``."""
     order: int = 5
-    weights: tuple | None = None
     normalize: bool = False  # scale adjacency by inverse sqrt degrees first
 
     def __post_init__(self):
@@ -39,15 +36,6 @@ class ProximityConfig:
         if not isinstance(self.normalize, (bool, np.bool_)):
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
         self.normalize = bool(self.normalize)
-        if self.weights is not None:
-            self.weights = _check_settings("weights", self.weights, 0)
-            if len(self.weights) != self.order:
-                raise ValueError(f"need {self.order} weights, got {len(self.weights)}")
-
-    def resolved_weights(self):
-        if self.weights is None:
-            return default_weights(self.order)
-        return tuple(float(w) for w in self.weights)
 
 
 @dataclass
@@ -126,8 +114,7 @@ class ProximityLaplacian:
 def build_stack(network, config=None):
     """The summed proximity's degree vector and its matrix-free Laplacian."""
     cfg = config or ProximityConfig()
-    weights = cfg.resolved_weights()
     adjacencies = map_views(lambda view: proximity_adjacency(view.adjacency, cfg.normalize),
                             network.views)
-    laplacian = ProximityLaplacian(adjacencies, weights)
+    laplacian = ProximityLaplacian(adjacencies, default_weights(cfg.order))
     return ProximityStack(laplacian.degree, laplacian)

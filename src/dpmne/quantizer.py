@@ -51,6 +51,11 @@ def binarize_sign(Y):
 _ITQ_TOL = 1e-10  # loss improvement below which the alternation stops
 
 
+def _check_iterations(iterations):
+    """``iterations`` if it is a round count ``itq`` accepts, else one ValueError naming it."""
+    return _check_setting("iterations", iterations, 1, integer=True)
+
+
 def itq(Y, iterations=50, seed=None, initial_rotation=None):
     """Alternating code/rotation optimization of the quantization error.
 
@@ -64,7 +69,7 @@ def itq(Y, iterations=50, seed=None, initial_rotation=None):
     Y = np.asarray(Y, dtype=np.float64)
     if not np.all(np.isfinite(Y)):
         raise ValueError("embedding has non-finite entries")
-    iterations = _check_setting("iterations", iterations, 1, integer=True)
+    iterations = _check_iterations(iterations)
     d = Y.shape[1]
     if initial_rotation is not None:
         Q = np.asarray(initial_rotation, dtype=np.float64)

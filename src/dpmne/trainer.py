@@ -54,7 +54,7 @@ class Hyperparams:
     h_steps: int = 5          # L-BFGS steps per autoencoder per outer iteration
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
-    output_activation: str = "sigmoid"
+    output_activation: str = "sigmoid"  # matches 0/1-valued input features
     proximity: ProximityConfig = field(default_factory=ProximityConfig)  # None: the default
     stop_tol: float = 1e-6    # relative decrease below this counts as stalled
     stop_patience: int = 3    # stalled iterations before stopping early

@@ -8,7 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS
-from dpmne.proximity import ProximityConfig, ProximityStack, proximity_adjacency
+from dpmne.proximity import (ProximityConfig, ProximityStack, default_weights,
+                             proximity_adjacency)
 from dpmne.trainer import EmbeddingState, forward_passes, objective
 
 
@@ -20,7 +21,7 @@ def high_order_proximity(adjacency, config=None):
     distances.
     """
     cfg = config or ProximityConfig()
-    weights = cfg.resolved_weights()
+    weights = default_weights(cfg.order)
     A = proximity_adjacency(adjacency, cfg.normalize)
     total = weights[0] * A
     power = A

@@ -45,11 +45,12 @@ def random_instance(seed):
     d = int(rng.integers(2, 5))
     network = random_network(seed, n=n, t=2, dims=(6, 5), missing=(0.2, 0.25))
     hyper = Hyperparams(alpha=0.9, beta=0.2, lam=0.03, dim=d, hidden_dims=(7,),
-                        proximity=ProximityConfig(order=2, weights=(1.0, 0.5)),
+                        proximity=ProximityConfig(order=2),
                         seed=seed)
     from dpmne.proximity import build_stack
     prox = build_stack(network, hyper.proximity)
-    autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, rng=rng)
+    autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, hyper.activation,
+                                        hyper.output_activation, rng)
                     for v in network.views]
     Y = rng.standard_normal((n, d))
     B = [rng.standard_normal((d, autoencoders[s].code_dim)) for s in range(2)]
@@ -202,7 +203,7 @@ def test_criterion_05_high_order_proximity():
             expected += w * power
         worst = max(worst, float(np.max(np.abs(P - expected))))
     path = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.float64))
-    hand = high_order_proximity(path, ProximityConfig(order=2, weights=(1.0, 0.5))).toarray()
+    hand = high_order_proximity(path, ProximityConfig(order=2)).toarray()
     exact = np.array_equal(hand, [[0.5, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 0.5]])
     report(5, "high-order proximity matches dense matrix-power oracle",
            worst < 1e-9 and exact, f"worst dev {worst:.2e}, path example exact={exact}")

@@ -48,7 +48,7 @@ def rel_error(a, b):
 
 class TestEncode:
     def test_all_masked_input_encodes_to_zero(self):
-        params = init_autoencoder(4, (3,), rng=np.random.default_rng(0))
+        params = init_autoencoder(4, (3,), "tanh", "sigmoid", np.random.default_rng(0))
         H = encode(params, np.zeros((5, 4)), np.zeros(5, dtype=bool))
         assert np.array_equal(H, np.zeros((5, 3)))
 
@@ -64,7 +64,7 @@ class TestEncode:
     @pytest.mark.parametrize("seed", range(4))
     def test_forward_matches_straight_line_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_autoencoder(5, (7, 3), rng=rng)
+        params = init_autoencoder(5, (7, 3), "tanh", "sigmoid", rng)
         X = rng.random((8, 5))
         H = encode(params, X)
         H_oracle, X_oracle = straight_line_forward(params, X)
@@ -73,7 +73,7 @@ class TestEncode:
 
     def test_masked_row_storage_never_changes_output(self):
         rng = np.random.default_rng(9)
-        params = init_autoencoder(4, (3,), rng=rng)
+        params = init_autoencoder(4, (3,), "tanh", "sigmoid", rng)
         X = rng.random((6, 4))
         mask = np.array([True, True, False, True, False, True])
         X[~mask] = 0.0
@@ -83,7 +83,7 @@ class TestEncode:
         assert np.array_equal(encode(params, X_poisoned, mask), base)
 
     def test_shape_mismatch_rejected(self):
-        params = init_autoencoder(4, (3,), rng=np.random.default_rng(0))
+        params = init_autoencoder(4, (3,), "tanh", "sigmoid", np.random.default_rng(0))
         with pytest.raises(ValueError):
             encode(params, np.zeros((5, 3)))
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestDecode:
 
     def test_zero_hidden_row_decodes_to_bias_response(self):
         rng = np.random.default_rng(1)
-        params = init_autoencoder(4, (3,), rng=rng)
+        params = init_autoencoder(4, (3,), "tanh", "sigmoid", rng)
         params.biases[1][:] = rng.random(4)  # the decoder's only layer
         out = decode(params, np.zeros((1, 3)))
         np.testing.assert_allclose(out[0], expit(params.biases[1]), atol=1e-15)
@@ -106,7 +106,7 @@ class TestDecode:
 
 def small_problem(seed, n=10, d_in=5, hidden=(6, 4), d=3, missing=2):
     rng = np.random.default_rng(seed)
-    params = init_autoencoder(d_in, hidden, rng=rng)
+    params = init_autoencoder(d_in, hidden, "tanh", "sigmoid", rng)
     mask = np.ones(n, dtype=bool)
     mask[rng.choice(n, size=missing, replace=False)] = False
     X = rng.random((n, d_in))
@@ -137,11 +137,10 @@ def plain_line_search(params, X, mask, Y, B, alpha, steps, trials=None):
         trials.append(v)
         return view_loss(unpack(v), X, mask, Y, B, alpha, 0.01)
 
-    vec, _, _ = armijo_minimize(
-        *point_pass(fun, lambda v: flatten(view_loss_and_grads(unpack(v), X, mask, Y, B,
-                                                               alpha, 0.01)[1])),
-        flatten(templates), steps=steps)
-    return vec
+    forward, backward = point_pass(fun, lambda v: flatten(
+        view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1]))
+    x0 = flatten(templates)
+    return armijo_minimize(forward, backward, x0, steps=steps, start=forward(x0))[0]
 
 
 class TestTrainViewAutoencoder:

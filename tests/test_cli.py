@@ -263,6 +263,27 @@ class TestSweepAndTune:
         assert err.startswith("dpmne-error\tValueError\t") and err.count("\n") == 1
         assert "must be (alpha, beta, lam)" in err  # raised by cross_validate
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-pdr", "--manifest", "MISSING", "--ratios", "0.3", "--methods", "bogus"],
+         "unknown methods ['bogus']"),
+        (["sweep-pdr", "--manifest", "MISSING", "--ratios", "0.5,0.3"],
+         "ratios must be sorted ascending"),
+        (["sweep-pdr", "--manifest", "MISSING", "--ratios", "0.3,1.5"],
+         "ratio must be a number in [0, 1), got 1.5"),
+        (["tune", "--manifest", "MISSING", "--grid", "1,2"],
+         "grid point (1.0, 2.0) must be (alpha, beta, lam)"),
+        (["tune", "--manifest", "MISSING", "--grid", "1,0.1,0.01;-1,0.1,0.01"],
+         "alpha must be a finite number >= 0, got -1.0"),
+        (["binarize", "--checkpoint", "MISSING", "--itq", "--iters", "0", "--out", "OUT"],
+         "iterations must be an integer >= 1, got 0"),
+    ], ids=["methods", "unsorted-ratios", "ratio-range", "grid-width", "grid-alpha", "iters"])
+    def test_bad_flags_fail_before_any_file_is_read(self, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / a) if a in ("MISSING", "OUT") else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"dpmne-error\tValueError\t{message}") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "OUT")
+
     def test_empty_grid_fails_with_one_value_error_line(self, dataset, capsys):
         code, _, err = run(capsys, "tune", "--manifest", dataset, "--grid", " ; ")
         assert code == 1

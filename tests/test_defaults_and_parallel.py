@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -6,11 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from dpmne import evaluation, parallel, trainer
+from dpmne import autoencoder, evaluation, optim, parallel, trainer
 from dpmne.evaluation import EvalProtocol, classify_f1, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.parallel import map_views, one_blas_thread, worker_count
-from dpmne.proximity import ProximityConfig, default_weights
+from dpmne.proximity import ProximityConfig, build_stack, default_weights
 from dpmne.trainer import Hyperparams, train
 
 
@@ -24,7 +25,8 @@ class TestShippedDefaults:
     def test_proximity_order_and_halving_weights(self):
         cfg = ProximityConfig()
         assert cfg.order == 5
-        assert cfg.resolved_weights() == (1.0, 0.5, 0.25, 0.125, 0.0625)
+        assert build_stack(small_network(), cfg).laplacian.weights == (
+            1.0, 0.5, 0.25, 0.125, 0.0625)
         assert default_weights(3) == (1.0, 0.5, 0.25)
 
     def test_evaluation_protocol_split_and_repeats(self):
@@ -34,13 +36,38 @@ class TestShippedDefaults:
         assert protocol.l2 == 1.0
 
 
+# each of these settings comes from Hyperparams, EvalProtocol or the one caller
+REQUIRED = [(evaluation.fit_logistic_regression, "l2"),
+            (autoencoder.train_view_autoencoder, "steps"),
+            (optim.armijo_minimize, "start"),
+            (autoencoder.init_autoencoder, "hidden_dims"),
+            (autoencoder.init_autoencoder, "activation"),
+            (autoencoder.init_autoencoder, "output_activation"),
+            (autoencoder.init_autoencoder, "rng"),
+            (autoencoder.AutoencoderParams, "activation"),
+            (autoencoder.AutoencoderParams, "output_activation")]
+
+
+@pytest.mark.parametrize("function,name", REQUIRED,
+                         ids=[f"{f.__name__}-{name}" for f, name in REQUIRED])
+def test_a_setting_held_elsewhere_has_no_default_of_its_own(function, name):
+    parameter = inspect.signature(function).parameters[name]
+    assert parameter.default is inspect.Parameter.empty
+
+
+def test_classifier_stopping_rule_is_fixed():
+    parameters = inspect.signature(evaluation.fit_logistic_regression).parameters
+    assert not {"gtol", "max_steps"} & set(parameters)
+    assert (evaluation._LOGREG_GTOL, evaluation._LOGREG_MAX_STEPS) == (1e-6, 500)
+
+
 def small_network():
     return synth_generate(SynthConfig(n=30, communities=3, t=3, pdr=0.2, feature_dim=6,
                                       seed=21))
 
 
 SMALL_HYPER = Hyperparams(dim=4, max_iters=3, hidden_dims=(5,), seed=21,
-                          proximity=ProximityConfig(order=2, weights=(1.0, 0.5)))
+                          proximity=ProximityConfig(order=2))
 
 
 class TestThreadCap:
@@ -340,7 +367,7 @@ def test_cross_validation_fits_are_independent_of_openblas_threads():
 def test_sweep_neighbor_fill_method_runs():
     net = synth_generate(SynthConfig(n=30, communities=2, t=2, feature_dim=5, seed=22))
     hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=(4,),
-                        proximity=ProximityConfig(order=2, weights=(1.0, 0.5)))
+                        proximity=ProximityConfig(order=2))
     rows = pdr_sweep(net, [0.2], ("knn-fill",), EvalProtocol(repeats=2, seed=1), hyper)
     assert len(rows) == 1
     assert rows[0].method == "knn-fill"

@@ -205,7 +205,7 @@ class TestClassify:
             while np.unique(labels[perm[:n_train]]).size != 2:
                 perm = srng.permutation(n)
             tr, te = perm[:n_train], perm[n_train:]
-            W = fit_logistic_regression(embeddings[tr], labels[tr], 2)
+            W = fit_logistic_regression(embeddings[tr], labels[tr], 2, 1.0)
             micro_values.append(
                 micro_macro_f1(labels[te], predict_logistic(W, embeddings[te]), 2)[0])
         mean = sum(micro_values) / len(micro_values)
@@ -229,7 +229,7 @@ class TestClassify:
         X = np.vstack([rng.standard_normal((30, 2)) + (4, 0),
                        rng.standard_normal((30, 2)) - (4, 0)])
         y = np.array([0] * 30 + [1] * 30)
-        W = fit_logistic_regression(X, y, 2, l2=1.0)
+        W = fit_logistic_regression(X, y, 2, 1.0)
         assert np.mean(predict_logistic(W, X) == y) == 1.0
 
     def test_reaches_at_most_the_loss_of_gradient_descent(self):
@@ -245,7 +245,7 @@ class TestClassify:
             y[:classes] = np.arange(classes)
             centers = rng.uniform(0, 3) * rng.standard_normal((classes, f))
             X = rng.standard_normal((m, f)) + centers[y]
-            W = fit_logistic_regression(X, y, classes)
+            W = fit_logistic_regression(X, y, classes, 1.0)
             W_ref = armijo_logreg_oracle(X, y, classes, max_steps=budget)
             assert W.shape == (f + 1, classes)
             ref_loss = row_major_logreg_loss(W_ref, X, y)
@@ -264,7 +264,7 @@ class TestClassify:
         rng = np.random.default_rng(0)
         y = rng.integers(0, 10, 750)
         X = rng.standard_normal((750, 32)) + 0.7 * rng.standard_normal((10, 32))[y]
-        W = fit_logistic_regression(X, y, 10)
+        W = fit_logistic_regression(X, y, 10, 1.0)
         assert np.max(np.abs(row_major_logreg_grad(W, X, y))) <= 1e-6
         W_ref = armijo_logreg_oracle(X, y, 10)
         assert np.max(np.abs(row_major_logreg_grad(W_ref, X, y))) > 1e-6
@@ -476,7 +476,7 @@ class TestKnnImpute:
 
 def quick_hyper(seed=0):
     return Hyperparams(dim=4, max_iters=4, hidden_dims=(6,), seed=seed,
-                       proximity=ProximityConfig(order=2, weights=(1.0, 0.5)))
+                       proximity=ProximityConfig(order=2))
 
 
 class TestPdrSweep:
@@ -511,6 +511,15 @@ class TestPdrSweep:
         with pytest.raises(ValueError):
             pdr_sweep(net, [0.0], ("dpmne",), EvalProtocol(repeats=1), quick_hyper())
 
+    @pytest.mark.parametrize("ratios", [[0.3, 1.5], [0.3, True], [0.3, None]])
+    def test_every_ratio_is_checked_before_any_training(self, ratios, monkeypatch):
+        net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
+        trainings = []
+        monkeypatch.setattr(evaluation, "train", lambda *args: trainings.append(args))
+        with pytest.raises(ValueError, match="^ratio must be a number in \\[0, 1\\), got"):
+            pdr_sweep(net, ratios, protocol=EvalProtocol(repeats=1), hyper=quick_hyper())
+        assert trainings == []
+
 
 class TestCrossValidate:
     def test_single_grid_point_is_returned_unchanged(self):
@@ -534,7 +543,7 @@ class TestCrossValidate:
         sane = (1.0, 0.1, 0.01)
         broken = (0.0, 1e6, 0.01)
         base = Hyperparams(dim=4, max_iters=6, hidden_dims=(6,),
-                           proximity=ProximityConfig(order=2, weights=(1.0, 0.5)))
+                           proximity=ProximityConfig(order=2))
         best = cross_validate(net, [broken, sane], folds=3,
                               protocol=EvalProtocol(seed=2), base_hyper=base)
         assert (best.alpha, best.beta, best.lam) == sane
@@ -554,6 +563,15 @@ class TestCrossValidate:
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
         with pytest.raises(ValueError):
             cross_validate(net, [], folds=2)
+
+    def test_every_grid_point_is_checked_before_any_training(self, monkeypatch):
+        net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
+        trainings = []
+        monkeypatch.setattr(evaluation, "train", lambda *args: trainings.append(args))
+        grid = [(1, 0.1, 0.01), (1, 0.1, 0.01), (-1, 0.1, 0.01)]
+        with pytest.raises(ValueError, match="^alpha must be a finite number >= 0, got -1"):
+            cross_validate(net, grid, folds=2, base_hyper=quick_hyper())
+        assert trainings == []
 
 
 class TestProtocolValidation:

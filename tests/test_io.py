@@ -34,6 +34,13 @@ def rewrite_meta(path, edit):
     np.savez(path, **arrays)
 
 
+def with_stored_weights(meta, weights):
+    """``meta`` with ``weights`` stored among its proximity settings, as older releases did."""
+    hyper = json.loads(meta["hyper"])
+    return {**meta, "hyper": json.dumps({**hyper, "proximity": {**hyper["proximity"],
+                                                                 "weights": weights}})}
+
+
 def same_value(a, b):
     """Equal values of one type: arrays to the byte, lists and dataclasses item by item."""
     if isinstance(a, np.ndarray):
@@ -290,7 +297,7 @@ class TestCheckpoint:
     def test_restore_reproduces_objective_exactly(self, tmp_path):
         net = small_net(5)
         hyper = Hyperparams(dim=3, max_iters=3, hidden_dims=(5,), seed=5,
-                            proximity=ProximityConfig(order=2, weights=(1.0, 0.5)))
+                            proximity=ProximityConfig(order=2))
         state = train(net, hyper)
         path = tmp_path / "ckpt.npz"
         checkpoint(state, path)
@@ -305,7 +312,7 @@ class TestCheckpoint:
     def test_every_state_field_survives_a_checkpoint(self, tmp_path):
         net = small_net(7)
         state = train(net, Hyperparams(dim=3, max_iters=2, hidden_dims=(5, 2), seed=7,
-                                       proximity=ProximityConfig(order=2, weights=(1.0, 0.5))))
+                                       proximity=ProximityConfig(order=2)))
         checkpoint(state, tmp_path / "ckpt.npz")
         back = restore(tmp_path / "ckpt.npz")
         for field in dataclasses.fields(EmbeddingState):
@@ -327,7 +334,7 @@ class TestCheckpoint:
     def test_run_configured_with_lists_resumes_from_its_checkpoint(self, tmp_path):
         net = small_net(6)
         hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=[3, 2], seed=6,
-                            proximity=ProximityConfig(order=2, weights=[1.0, 0.5]))
+                            proximity=ProximityConfig(order=2))
         state = train(net, hyper)
         path = tmp_path / "ckpt.npz"
         checkpoint(state, path)
@@ -459,6 +466,34 @@ class TestCheckpoint:
         assert back.hyper == hyper
         resumed = train(net, hyper, init_state=back)
         assert resumed.objective_trace[:2] == state.objective_trace
+
+    @pytest.mark.parametrize("weights", [None, [1.0, 0.5]])
+    def test_stored_halving_weights_restore_and_resume(self, tmp_path, weights):
+        # older releases store the proximity's walk weights: null, or the halving weights
+        net = small_net(13)
+        hyper = Hyperparams(dim=3, max_iters=4, hidden_dims=(5, 2), seed=13, stop_tol=0.0,
+                            proximity=ProximityConfig(order=2))
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(net, replace(hyper, max_iters=2)), path)
+        rewrite_meta(path, lambda meta: with_stored_weights(meta, weights))
+        back = restore(path)
+        assert back.hyper == replace(hyper, max_iters=2)
+        resumed = train(net, replace(hyper, max_iters=2), init_state=back)
+        uninterrupted = train(net, hyper)
+        assert resumed.objective_trace == uninterrupted.objective_trace
+        assert np.array_equal(resumed.Y, uninterrupted.Y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(resumed.B, uninterrupted.B))
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.25], [1.0], [1.0, 0.5, 0.25], [], "ab", 0.5])
+    def test_stored_weights_other_than_the_halving_ones_rejected(self, tmp_path, weights):
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,),
+                                                   proximity=ProximityConfig(order=2))), path)
+        rewrite_meta(path, lambda meta: with_stored_weights(meta, weights))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint metadata "
+                                             "'hyper' is invalid: weights ") as info:
+            restore(path)
+        assert type(info.value) is ValueError
 
     def test_checkpoint_with_retired_y_lr_still_loads(self, tmp_path):
         # checkpoints written while the Y block line-searched store its first step

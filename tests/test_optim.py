@@ -1,7 +1,7 @@
 """The L-BFGS line search of ``optim.armijo_minimize``.
 
 Each trial point runs one forward pass, the next gradient reads the pass of
-the accepted trial, and no earlier pass is alive when a forward pass runs; a
+the accepted trial, and no earlier pass is alive when a forward pass runs; the
 handed-in starting pass replaces the forward pass at x0, and the pass of the
 returned point comes back. The first trial is a unit-length step and every
 later search starts at t = 1 along the two-loop direction; a rejected trial
@@ -73,7 +73,7 @@ def double_well(seed, dim=6):
 def autoencoder(seed, rows=12, features=5):
     """The per-view autoencoder loss over its flat parameters, some rows masked."""
     rng = np.random.default_rng(seed)
-    params = init_autoencoder(features, hidden_dims=(4, 3), rng=rng)
+    params = init_autoencoder(features, (4, 3), "tanh", "sigmoid", rng)
     templates = params.all_arrays()
     X = rng.uniform(0.0, 1.0, (rows, features))
     mask = rng.uniform(size=rows) < 0.8
@@ -144,7 +144,7 @@ class TestSearch:
             self, problem, seed):
         fun, grad, x0 = backtracking_start(problem, seed)
         f, g, log = logged(fun, grad)
-        armijo_minimize(f, g, x0, steps=8)
+        armijo_minimize(f, g, x0, steps=8, start=f(x0))
         tried = searches(log)
         assert len(tried) == 8 and any(len(trials) > 1 for _, trials in tried)
         ss, ys = [], []
@@ -168,9 +168,9 @@ class TestSearch:
         fun, grad, x0 = quadratic(seed)
         scales = grad(np.ones_like(x0))
         landed = 0
-        for start in (x0, x0 / 4.0, x0 / 16.0):
+        for x1 in (x0, x0 / 4.0, x0 / 16.0):
             f, g, log = logged(fun, grad)
-            armijo_minimize(f, g, start, steps=8)
+            armijo_minimize(f, g, x1, steps=8, start=f(x1))
             for x, trials in searches(log):
                 if len(trials) < 2:
                     continue
@@ -185,7 +185,7 @@ class TestSearch:
     def test_each_gradient_reads_the_pass_of_the_accepted_trial(self, problem):
         fun, grad, x0 = PROBLEMS[problem](3)
         f, g, log = logged(fun, grad)
-        x, value, work = armijo_minimize(f, g, x0, steps=5)
+        x, value, work = armijo_minimize(f, g, x0, steps=5, start=f(x0))
         assert log[1] == ("g", log[0][1])
         for (kind, trial), (next_kind, read) in zip(log[1:], log[2:]):
             if next_kind == "g":
@@ -197,8 +197,8 @@ class TestSearch:
     @pytest.mark.parametrize("steps", [0, 5])
     def test_a_handed_start_replaces_the_first_forward_pass(self, problem, steps):
         fun, grad, x0 = PROBLEMS[problem](2)
-        f, g, log = logged(fun, grad)
-        x, value, work = armijo_minimize(f, g, x0, steps=steps)
+        f, g, log = logged(fun, grad)  # its first entry is the start's forward pass
+        x, value, work = armijo_minimize(f, g, x0, steps=steps, start=f(x0))
         f, g, handed_log = logged(fun, grad)
         start_pass = np.array(x0)  # the pass is the point: a twin of x0, not x0 itself
         handed = armijo_minimize(f, g, x0, steps=steps, start=(fun(x0), start_pass))
@@ -212,7 +212,7 @@ class TestSearch:
     def test_visits_the_points_of_the_stated_rule(self, problem, seed):
         fun, grad, x0 = PROBLEMS[problem](seed)
         f, g, log = logged(fun, grad)
-        x, value, _ = armijo_minimize(f, g, x0, steps=8)
+        x, value, _ = armijo_minimize(f, g, x0, steps=8, start=f(x0))
         trials, expected_x, expected_value = unit_step_armijo_trials(fun, grad, x0, steps=8)
         assert [x.tobytes() for kind, x in log[1:] if kind == "f"] == [t.tobytes() for t in trials]
         assert x.tobytes() == expected_x.tobytes() and value == expected_value
@@ -228,9 +228,9 @@ class TestSearch:
         f, g, log = logged(never_lower, lambda x: g0)
         if excess == 1.0:
             with pytest.raises(RuntimeError, match=f"no decrease after {MAX_TRIALS} trials"):
-                armijo_minimize(f, g, x0, steps=3)
+                armijo_minimize(f, g, x0, steps=3, start=f(x0))
         else:
-            x, value, work = armijo_minimize(f, g, x0, steps=3)
+            x, value, work = armijo_minimize(f, g, x0, steps=3, start=f(x0))
             assert x is x0 and value == f0 and work is x0
             kind, point = log.pop()  # after its trials the search runs the pass of x0 once
             assert kind == "f" and point is x0
@@ -253,7 +253,8 @@ class TestSearch:
             return direction(g, pairs)
 
         monkeypatch.setattr(optim, "_lbfgs_direction", recorded)
-        x, value, _ = armijo_minimize(*point_pass(fun, grad), x0, steps=4)
+        f, g = point_pass(fun, grad)
+        x, value, _ = armijo_minimize(f, g, x0, steps=4, start=f(x0))
         assert value < fun(x0)
         assert [len(products) for products in held] == ([0, 1, 2, 3] if kept else [0, 0, 0, 0])
         assert all(sy > 0.0 for products in held for sy in products)
@@ -264,7 +265,7 @@ class TestSearch:
         monkeypatch.setattr(optim, "_lbfgs_direction",
                             lambda g, pairs: -g if pairs else direction(g, pairs))
         f, g, log = logged(fun, grad)
-        x, value, _ = armijo_minimize(f, g, x0, steps=4)
+        x, value, _ = armijo_minimize(f, g, x0, steps=4, start=f(x0))
         assert value < fun(x0)
         for point, trials in searches(log):
             gx = grad(point)
@@ -292,7 +293,8 @@ class TestAgainstGradientDescent:
     @pytest.mark.parametrize("seed", range(6))
     def test_ends_below_the_doubling_gradient_rule(self, problem, seed):
         fun, grad, x0 = PROBLEMS[problem](seed)
-        _, value, _ = armijo_minimize(*point_pass(fun, grad), x0, steps=8)
+        f, g = point_pass(fun, grad)
+        _, value, _ = armijo_minimize(f, g, x0, steps=8, start=f(x0))
         assert value < doubling_armijo_descent(fun, grad, x0, steps=8)[1]
 
 
@@ -313,7 +315,7 @@ class TestScaleInvariance:
 
         def run(scale):
             f, g, log = logged(lambda x: scale * fun(x), lambda x: scale * grad(x))
-            x, value, _ = armijo_minimize(f, g, x0, steps=8)
+            x, value, _ = armijo_minimize(f, g, x0, steps=8, start=f(x0))
             return [x.tobytes() for kind, x in log if kind == "f"], x, value
 
         points, x, value = run(1.0)
@@ -331,7 +333,7 @@ class TestStationaryExit:
     def test_trials_a_rounding_error_above_a_large_objective_are_stationary(self, f0):
         x0, g0 = np.array([0.3, -1.2]), np.array([1.0, 2.0])
         f, g, log = logged(rounding_above(f0, x0), lambda x: g0)
-        x, value, work = armijo_minimize(f, g, x0, steps=3)
+        x, value, work = armijo_minimize(f, g, x0, steps=3, start=f(x0))
         assert x is x0 and value == f0 and work is x0
         # x0's pass, its gradient, the trials, then one forward pass at x0 for the returned pass
         assert [kind for kind, _ in log] == ["f", "g"] + ["f"] * MAX_TRIALS + ["f"]
@@ -346,8 +348,7 @@ class TestExits:
 
     @pytest.mark.parametrize("exit", ["steps done", "no steps", "zero gradient at the start",
                                       "zero gradient after a step", "stationary"])
-    @pytest.mark.parametrize("handed", [False, True])
-    def test_the_returned_pass_is_that_of_the_returned_point(self, exit, handed):
+    def test_the_returned_pass_is_that_of_the_returned_point(self, exit):
         fun, grad, x0 = quadratic(0)
         steps = 0 if exit == "no steps" else 5
         if exit == "zero gradient at the start":
@@ -365,8 +366,7 @@ class TestExits:
         def backward(work):
             return grad(work.x)
 
-        start = forward(x0) if handed else None
-        x, value, work = armijo_minimize(forward, backward, x0, steps, start=start)
+        x, value, work = armijo_minimize(forward, backward, x0, steps, start=forward(x0))
         assert work.x is x and value == fun(x)
         if exit == "zero gradient after a step":
             assert not np.any(x)
@@ -379,8 +379,7 @@ class TestExits:
 class TestLivePasses:
     @each_problem
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("handed", [False, True])
-    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed, handed):
+    def test_no_earlier_pass_is_alive_when_a_trial_runs(self, problem, seed):
         fun, grad, x0 = backtracking_start(problem, seed)
         alive = 0
         log = []  # ("f", passes alive as it runs) per forward, ("g", None) per backward
@@ -405,9 +404,8 @@ class TestLivePasses:
             log.append(("g", None))
             return grad(work.x)
 
-        # a handed-in start is a temporary here, so only the search can hold it
-        x, _, work = armijo_minimize(forward, backward, x0, steps=8,
-                                     start=forward(x0) if handed else None)
+        # the start is a temporary here, so only the search can hold it
+        x, _, work = armijo_minimize(forward, backward, x0, steps=8, start=forward(x0))
         forwards = [live for kind, live in log if kind == "f"]
         assert len(forwards) > 9  # some trial was rejected
         assert forwards == [0] * len(forwards)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -41,7 +42,7 @@ def test_empty_graph_gives_zero_proximity():
 
 
 def test_path_graph_second_order_by_hand():
-    cfg = ProximityConfig(order=2, weights=(1.0, 0.5))
+    cfg = ProximityConfig(order=2)
     P = high_order_proximity(path_graph(), cfg).toarray()
     expected = np.array([[0.5, 1.0, 0.5],
                          [1.0, 1.0, 1.0],
@@ -61,7 +62,7 @@ def test_default_config_matches_dense_oracle(seed):
 def test_first_order_returns_the_adjacency():
     rng = np.random.default_rng(2)
     adj = random_adjacency(rng, 20, 0.2)
-    P = high_order_proximity(adj, ProximityConfig(order=1, weights=(1.0,)))
+    P = high_order_proximity(adj, ProximityConfig(order=1))
     assert (P != adj).nnz == 0
 
 
@@ -79,34 +80,30 @@ def test_adding_an_edge_never_decreases_entries():
 
 def test_result_is_symmetric_even_for_directed_input():
     adj = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.float64))
-    P = high_order_proximity(adj, ProximityConfig(order=2, weights=(1.0, 0.5)))
+    P = high_order_proximity(adj, ProximityConfig(order=2))
     assert (P != P.T).nnz == 0
 
 
 def test_order_below_one_rejected():
     with pytest.raises(ValueError):
-        high_order_proximity(path_graph(), ProximityConfig(order=0, weights=()))
+        high_order_proximity(path_graph(), ProximityConfig(order=0))
 
 
-def test_wrong_weight_count_rejected():
-    with pytest.raises(ValueError):
-        high_order_proximity(path_graph(), ProximityConfig(order=3, weights=(1.0,)))
-
-
-@pytest.mark.parametrize("bad", [{"order": 0}, {"weights": (1.0,), "order": 2},
-                                 {"weights": (1.0, -0.5), "order": 2},
-                                 {"weights": (math.nan,), "order": 1},
-                                 {"weights": (1.0, math.inf), "order": 2},
-                                 {"order": 2.5}, {"order": True}, {"order": None},
-                                 {"weights": (1.0, None), "order": 2},
-                                 {"weights": (False,), "order": 1},
-                                 {"weights": 5, "order": 1}, {"weights": "ab", "order": 2},
-                                 {"normalize": "false"}, {"normalize": 1}, {"normalize": 0.0},
-                                 {"normalize": None}, {"normalize": np.array([True])}])
+@pytest.mark.parametrize("bad", [{"order": 0}, {"order": 2.5}, {"order": True}, {"order": None},
+                                 {"order": math.inf}, {"normalize": "false"}, {"normalize": 1},
+                                 {"normalize": 0.0}, {"normalize": None},
+                                 {"normalize": np.array([True])}, {"order": -1},
+                                 {"order": "5"}, {"order": np.float64(2.0)}, {"order": math.nan},
+                                 {"normalize": "true"}])
 def test_config_is_validated_when_built(bad):
-    # the first key names the setting at fault
     with pytest.raises(ValueError, match=next(iter(bad))):
         ProximityConfig(**bad)
+
+
+def test_order_and_normalize_are_the_only_settings():
+    assert [f.name for f in dataclasses.fields(ProximityConfig)] == ["order", "normalize"]
+    with pytest.raises(TypeError, match="weights"):
+        ProximityConfig(order=2, weights=(1.0, 0.5))
 
 
 @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
@@ -134,13 +131,13 @@ def test_normalized_variant_stays_symmetric_and_bounded():
 
 class TestAggregateAndLaplacian:
     def test_single_view_aggregate_is_that_view(self):
-        P = high_order_proximity(path_graph(), ProximityConfig(order=2, weights=(1.0, 0.5)))
+        P = high_order_proximity(path_graph(), ProximityConfig(order=2))
         stack = aggregate_and_laplacian([P])
         np.testing.assert_array_equal(np.diag(stack.degree) - stack.laplacian.toarray(),
                                       P.toarray())
 
     def test_path_graph_degree_and_laplacian_by_row_sums(self):
-        P = high_order_proximity(path_graph(), ProximityConfig(order=2, weights=(1.0, 0.5)))
+        P = high_order_proximity(path_graph(), ProximityConfig(order=2))
         stack = aggregate_and_laplacian([P])
         dense = P.toarray()
         degree_oracle = np.array([sum(row) for row in dense])
@@ -212,8 +209,7 @@ class TestMatrixFreeLaplacian:
     def test_operator_matches_explicit_oracle(self, t, order, normalize):
         rng = np.random.default_rng(100 * t + 10 * order + normalize)
         net = random_multiplex(int(rng.integers(1 << 30)), n=25, t=t)
-        cfg = ProximityConfig(order=order, weights=tuple(rng.random(order)),
-                              normalize=normalize)
+        cfg = ProximityConfig(order=order, normalize=normalize)
         stack = build_stack(net, cfg)
         oracle = oracle_stack(net, cfg)
         assert isinstance(stack.laplacian, ProximityLaplacian)
@@ -235,7 +231,17 @@ class TestMatrixFreeLaplacian:
 
     def test_order_below_one_rejected(self, tiny_network):
         with pytest.raises(ValueError):
-            build_stack(tiny_network, ProximityConfig(order=0, weights=()))
+            build_stack(tiny_network, ProximityConfig(order=0))
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_hop_k_weighs_two_to_the_one_minus_k(self, order):
+        net = random_multiplex(order + 40, n=12, t=2, edge_p=0.3)
+        P = sum(dense_power_oracle(v.adjacency.maximum(v.adjacency.T), order,
+                                   [2.0 ** (1 - k) for k in range(1, order + 1)])
+                for v in net.views)
+        expected = np.diag(P.sum(axis=1)) - P
+        L = build_stack(net, ProximityConfig(order=order)).laplacian.toarray()
+        assert rel_err(L, expected) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_criterion_4_properties_hold_for_the_operator(self, seed):

@@ -79,7 +79,7 @@ def small_setup(seed, n=10, d=3, hidden=(5, 4)):
     """Small network, hyperparameters, proximity, random state and the state's forward passes."""
     network = random_network(seed, n=n, t=2, dims=(5, 4), missing=(0.2, 0.3))
     hyper = Hyperparams(alpha=0.8, beta=0.3, lam=0.05, dim=d, hidden_dims=hidden,
-                        proximity=ProximityConfig(order=2, weights=(1.0, 0.5)),
+                        proximity=ProximityConfig(order=2),
                         seed=seed)
     prox = build_stack(network, hyper.proximity)
     state = make_state(network, hyper, seed)
@@ -667,7 +667,7 @@ class TestTrain:
         net = synth_generate(SynthConfig(n=100, communities=4, t=2, pdr=0.25,
                                          feature_dim=10, seed=2))
         hyper = Hyperparams(dim=8, max_iters=12, hidden_dims=(12,), seed=2,
-                            proximity=ProximityConfig(order=3, weights=(1.0, 0.5, 0.25)))
+                            proximity=ProximityConfig(order=3))
         state = train(net, hyper)
         trace = state.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -903,7 +903,7 @@ class TestReconstructMissing:
 
     def test_scalar_case_is_a_plain_product(self):
         hyper = Hyperparams(dim=1, hidden_dims=(1,))
-        params = ae.init_autoencoder(1, (1,), rng=np.random.default_rng(0))
+        params = ae.init_autoencoder(1, (1,), "tanh", "sigmoid", np.random.default_rng(0))
         state = EmbeddingState(np.array([[3.0]]), [np.array([[2.0]])],
                                [np.ones(1, dtype=bool)], [params], hyper)
         assert reconstruct_missing(state, 0, 0) == pytest.approx([6.0])
