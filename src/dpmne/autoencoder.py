@@ -117,20 +117,17 @@ def _forward(params, X, layers):
     return outputs
 
 
-def encode(params, X, mask=None):
+def encode(params, X, mask):
     """Deep representation of X; rows where ``mask`` is False come out as zero."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"features have shape {X.shape}, expected (*, {params.input_dim})")
-    encoder = range(len(params.weights) // 2)
-    if mask is None:
-        return _forward(params, X, encoder)[-1]
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[0],):
         raise ValueError(f"mask length {mask.shape} does not match {X.shape[0]} rows")
     H = np.zeros((X.shape[0], params.code_dim))
     if mask.any():
-        H[mask] = _forward(params, X[mask], encoder)[-1]
+        H[mask] = _forward(params, X[mask], range(len(params.weights) // 2))[-1]
     return H
 
 
@@ -208,12 +205,6 @@ def _view_backward(vpass, target, alpha, lam):
         if k:  # no gradient is needed with respect to the input features
             d_out = dZ @ weights[k].T
     return grad_w + grad_b
-
-
-def view_loss(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
-    """Per-view training objective; a forward pass only (see ``view_loss_and_grads``)."""
-    target = _view_target(mask, Y, B, alpha)
-    return _view_loss(_view_forward(params, _present_rows(X, mask)), target, alpha, lam)
 
 
 def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):

@@ -9,8 +9,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import io
-from .evaluation import (SWEEP_METHODS, EvalProtocol, _check_sweep, _grid_hypers, classify_f1,
-                         cluster_accuracy, cross_validate, pdr_sweep)
+from .evaluation import (SWEEP_METHODS, EvalProtocol, _check_folds, _check_sweep, _grid_hypers,
+                         classify_f1, cluster_accuracy, cross_validate, pdr_sweep)
 from .graph_model import SynthConfig, normalize_features, synth_generate
 from .proximity import ProximityConfig
 from .quantizer import _check_iterations, binarize_sign, itq
@@ -233,6 +233,7 @@ def _cmd_tune(args):
     base = _hyper_from_args(args)
     protocol = EvalProtocol(seed=args.seed)
     _grid_hypers(points, base, protocol.seed)
+    _check_folds(args.folds)  # the upper bound, the node count, waits for the manifest
     network = io.load_network(args.manifest)
     best = cross_validate(network, points, folds=args.folds, protocol=protocol,
                           base_hyper=base)

@@ -1,12 +1,13 @@
 """Evaluation harness: classification, clustering, imputation, sweeps, tuning.
 
-Node classification fits an L2-regularized multinomial logistic regression on
-a random half of the nodes and scores the rest with micro and macro F1,
-averaged over repeated splits. Clustering runs restarted k-means and scores
-the best assignment against the labels under an optimal cluster-to-class
-matching.
+Node classification fits a multinomial logistic regression with the fixed
+ridge weight ``_LOGREG_L2`` on a random half of the nodes and scores the rest
+with micro and macro F1, averaged over repeated splits. Clustering runs
+restarted k-means and scores the best assignment against the labels under an
+optimal cluster-to-class matching.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,7 @@ from .parallel import one_blas_thread
 from .trainer import Hyperparams, train
 
 _SPLIT_TRIES = 100  # random splits drawn before giving up on one that holds every class
+_LOGREG_L2 = 1.0  # ridge weight of the classifier's feature weights
 _LOGREG_GTOL = 1e-6  # gradient max-norm at which the classifier fit stops
 _LOGREG_MAX_STEPS = 500
 _KMEANS_RESTARTS = 10
@@ -32,14 +34,12 @@ class EvalProtocol:
     train_fraction: float = 0.5
     repeats: int = 10
     seed: int = 0
-    l2: float = 1.0
 
     def __post_init__(self):
         self.train_fraction = _check_setting("train_fraction", self.train_fraction, 0, 1,
                                              low_open=True, high_open=True)
         self.repeats = _check_setting("repeats", self.repeats, 1, integer=True)
         self.seed = _check_setting("seed", self.seed, 0, integer=True)
-        self.l2 = _check_setting("l2", self.l2, 0)
 
 
 @dataclass
@@ -85,8 +85,8 @@ def micro_macro_f1(y_true, y_pred, num_classes):
     return float(micro), float(per_class.mean())
 
 
-def fit_logistic_regression(X, y, num_classes, l2):
-    """Full-batch multinomial logistic regression with ridge weight ``l2``, fit by L-BFGS.
+def fit_logistic_regression(X, y, num_classes):
+    """Full-batch multinomial logistic regression with ridge weight ``_LOGREG_L2``, fit by L-BFGS.
 
     Runs until the gradient max-norm drops below ``_LOGREG_GTOL``, a step no
     longer lowers the loss, or ``_LOGREG_MAX_STEPS`` iterations have run; the
@@ -112,11 +112,11 @@ def fit_logistic_regression(X, y, num_classes, l2):
         exp = np.exp(logits)
         norm = exp.sum(axis=0)
         loss = float(np.sum(np.log(norm) - logits.ravel()[picked]))
-        loss += 0.5 * l2 * float(np.sum(W[:-1] ** 2))
+        loss += 0.5 * _LOGREG_L2 * float(np.sum(W[:-1] ** 2))
         residual = exp / norm
         residual.ravel()[picked] -= 1.0  # probabilities minus the one-hot labels
         G = XbT @ residual.T
-        G[:-1] += l2 * W[:-1]
+        G[:-1] += _LOGREG_L2 * W[:-1]
         return loss, G.ravel()
 
     # the gradient max-norm test is L-BFGS-B's gtol (no bounds: nothing is projected)
@@ -142,9 +142,9 @@ def _split_with_all_classes(rng, labels, train_fraction, num_classes):
     raise RuntimeError("could not draw a training split containing every class")
 
 
-def _holdout_f1(X, y, train_idx, test_idx, num_classes, l2):
+def _holdout_f1(X, y, train_idx, test_idx, num_classes):
     """Micro and macro F1 on the test rows of a classifier fit on the training rows."""
-    W = fit_logistic_regression(X[train_idx], y[train_idx], num_classes, l2)
+    W = fit_logistic_regression(X[train_idx], y[train_idx], num_classes)
     return micro_macro_f1(y[test_idx], predict_logistic(W, X[test_idx]), num_classes)
 
 
@@ -169,8 +169,7 @@ def classify_f1(embeddings, labels, protocol=None):
     for child in np.random.SeedSequence(protocol.seed).spawn(protocol.repeats):
         train_idx, test_idx = _split_with_all_classes(
             np.random.default_rng(child), y, protocol.train_fraction, classes.size)
-        scores.append(_holdout_f1(embeddings, y, train_idx, test_idx, classes.size,
-                                  protocol.l2))
+        scores.append(_holdout_f1(embeddings, y, train_idx, test_idx, classes.size))
     micro, macro = zip(*scores)
     return MetricsReport(float(np.mean(micro)), _sample_std(micro),
                          float(np.mean(macro)), _sample_std(macro))
@@ -303,13 +302,18 @@ SWEEP_METHODS = ("dpmne", "zero-fill", "knn-fill")
 
 
 def _check_sweep(ratios, methods):
-    """The sweep's ratios as a list; one ValueError unless they ascend and each method is known.
+    """The sweep's ratios as a list; one ValueError at the first setting at fault.
 
-    Each ratio must pass ``apply_pdr``'s check.
+    Neither list may be empty, the ratios must ascend, each passing
+    ``apply_pdr``'s check, and each method must be known.
     """
     ratios = [_check_ratio(r) for r in ratios]
+    if not ratios:
+        raise ValueError("ratios must hold at least one ratio, got []")
     if sorted(ratios) != ratios:
         raise ValueError("ratios must be sorted ascending")
+    if not methods:
+        raise ValueError(f"methods must hold at least one method, got {methods!r}")
     unknown = [m for m in methods if m not in SWEEP_METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {SWEEP_METHODS}")
@@ -359,9 +363,14 @@ def _grid_hypers(grid, base_hyper, seed):
             for alpha, beta, lam in points]
 
 
+def _check_folds(folds, n=math.inf):
+    """``folds`` if it is a fold count from 2 to ``n``, else one ValueError naming it."""
+    return _check_setting("folds", folds, 2, n, integer=True)
+
+
 def kfold_indices(n, folds, rng):
     """Disjoint folds covering 0..n-1 exactly once."""
-    return np.array_split(rng.permutation(n), _check_setting("folds", folds, 2, n, integer=True))
+    return np.array_split(rng.permutation(n), _check_folds(folds, n))
 
 
 @one_blas_thread()
@@ -388,8 +397,7 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
         scores = []
         for f in range(folds):
             train_idx = np.concatenate([fold_sets[g] for g in range(folds) if g != f])
-            scores.append(_holdout_f1(state.Y, y, train_idx, fold_sets[f], classes.size,
-                                      protocol.l2)[0])
+            scores.append(_holdout_f1(state.Y, y, train_idx, fold_sets[f], classes.size)[0])
         score = float(np.mean(scores))
         if score > best_score:
             best_score, best_hyper = score, hyper

@@ -221,22 +221,22 @@ def _check_ratio(ratio):
 
 
 def apply_pdr(network, ratio, seed=0):
-    """Mask out extra nodes until each view's missing fraction hits ``ratio``.
+    """Mask out extra nodes until each view's missing fraction hits the one ``ratio``.
 
     Masks only grow: present rows are carried over bitwise, the newly
     masked rows are zeroed, and each node stays present in at least one
     view. Raises if a view already misses more than the requested ratio.
     """
-    ratios = [_check_ratio(r) for r in _per_view(ratio, network.t, "ratio")]
+    ratio = _check_ratio(ratio)
     rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
     masks = [view.mask.copy() for view in network.views]
     views = []
     for s, view in enumerate(network.views):
-        target_missing = int(round(ratios[s] * network.n))
+        target_missing = int(round(ratio * network.n))
         extra = target_missing - int(np.count_nonzero(~masks[s]))
         if extra < 0:
             raise ValueError(
-                f"view {s}: already missing more than the requested ratio {ratios[s]}")
+                f"view {s}: already missing more than the requested ratio {ratio}")
         _draw_missing(masks, s, extra, rng)
         features = view.features.copy()
         features[~masks[s]] = 0.0

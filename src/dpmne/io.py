@@ -1,13 +1,15 @@
 """Dataset files, manifests, embedding export and training checkpoints.
 
-Every dataset file except the manifest is a table: LF-terminated lines of
-tab-separated values, read by ``_read_table`` and written by
-``_write_table``. Numbers are read with Python's ``float`` and ``int`` and
-reals written as %.17g, so a load/save round trip is byte-stable. Empty
-lines are skipped in edge and mask files only. Every rejected table raises
-one ``ManifestError`` naming ``path:line[:col]``; the citation loader in
-``cora`` reads its files through the same reader. The checkpoint is a single
-.npz archive holding everything needed to resume training.
+The manifest gives each key once, as key=value lines. Every other dataset
+file is a table: LF-terminated lines of tab-separated values, read by
+``_read_table`` and written by ``_write_table``. Numbers are read with
+Python's ``float`` and ``int`` and reals written as %.17g, so a load/save
+round trip is byte-stable. Empty lines are skipped in edge and mask files
+only. Every rejected table raises one ``ManifestError`` naming
+``path:line[:col]``; the citation loader in ``cora`` reads its files through
+the same reader. The checkpoint is a single
+.npz archive, written at exactly the path given, holding everything needed to
+resume training.
 """
 
 import dataclasses
@@ -114,15 +116,18 @@ def load_network(manifest_path):
     if not os.path.exists(manifest_path):
         raise ManifestError(f"{manifest_path}: no such file")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    entries = {}
+    entries, key_lines = {}, {}
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh.read().splitlines(), start=1):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ManifestError(f"{manifest_path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in entries:
+                raise ManifestError(f"{manifest_path}:{line_no}: key {key!r} "
+                                    f"already given at line {key_lines[key]}")
+            entries[key], key_lines[key] = value, line_no
 
     fmt = entries.get("format")
     if fmt != str(MANIFEST_FORMAT):
@@ -233,7 +238,7 @@ def _layer_name(s, k, depth, kind):
 
 
 def checkpoint(state, path):
-    """Persist a training state to one .npz archive.
+    """Persist a training state to one .npz archive at exactly ``path``.
 
     The metadata holds the format, the view count and the hyperparameters,
     which give each autoencoder's depth, hidden widths and activations. The
@@ -255,7 +260,8 @@ def checkpoint(state, path):
             arrays[_layer_name(s, k, depth, "w")] = W
             arrays[_layer_name(s, k, depth, "b")] = b
     arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path without it
+        np.savez(fh, **arrays)
 
 
 def _shape_text(shape):

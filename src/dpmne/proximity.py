@@ -45,7 +45,7 @@ class ProximityStack:
     laplacian: object  # anything with ``laplacian @ Y``
 
 
-def proximity_adjacency(adjacency, normalize=False):
+def proximity_adjacency(adjacency, normalize):
     """The sparse matrix whose powers the proximity sums.
 
     The input is symmetrized (undirected relations) and, with ``normalize``,
@@ -111,10 +111,9 @@ class ProximityLaplacian:
         return self @ np.eye(self.shape[0])
 
 
-def build_stack(network, config=None):
-    """The summed proximity's degree vector and its matrix-free Laplacian."""
-    cfg = config or ProximityConfig()
-    adjacencies = map_views(lambda view: proximity_adjacency(view.adjacency, cfg.normalize),
+def build_stack(network, config):
+    """The summed proximity's degree vector and its matrix-free Laplacian under ``config``."""
+    adjacencies = map_views(lambda view: proximity_adjacency(view.adjacency, config.normalize),
                             network.views)
-    laplacian = ProximityLaplacian(adjacencies, default_weights(cfg.order))
+    laplacian = ProximityLaplacian(adjacencies, default_weights(config.order))
     return ProximityStack(laplacian.degree, laplacian)

@@ -5,6 +5,8 @@ unchanged, so the rotation is a free parameter that can be spent on shrinking
 the gap between the embedding and its binary code. The alternation below
 fixes the codes given the rotation (entrywise sign) and the rotation given
 the codes (an orthogonal Procrustes solve), each step an exact minimizer.
+Because the objective does not see the rotation, neither does the start of
+the alternation: it is the identity, or one orthogonal matrix the caller gives.
 """
 
 from dataclasses import dataclass, field
@@ -56,31 +58,23 @@ def _check_iterations(iterations):
     return _check_setting("iterations", iterations, 1, integer=True)
 
 
-def itq(Y, iterations=50, seed=None, initial_rotation=None):
+def itq(Y, iterations=50, initial_rotation=None):
     """Alternating code/rotation optimization of the quantization error.
 
-    Starts from the identity rotation (a seeded random orthogonal one when
-    ``seed`` is given, or an explicit ``initial_rotation``) and stops after
-    ``iterations`` rounds or once the loss improves by less than ``_ITQ_TOL``.
-    Each half-step is an exact minimizer, so the loss trace is non-increasing;
-    a round that fails to improve due to rounding noise is discarded. The
-    returned codes are the exact signs of the rotated embedding.
+    Starts from ``initial_rotation``, the identity when it is not given, and
+    stops after ``iterations`` rounds or once the loss improves by less than
+    ``_ITQ_TOL``. Each half-step is an exact minimizer, so the loss trace is
+    non-increasing; a round that fails to improve due to rounding noise is
+    discarded. The returned codes are the exact signs of the rotated embedding.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if not np.all(np.isfinite(Y)):
         raise ValueError("embedding has non-finite entries")
     iterations = _check_iterations(iterations)
     d = Y.shape[1]
-    if initial_rotation is not None:
-        Q = np.asarray(initial_rotation, dtype=np.float64)
-        if Q.shape != (d, d) or np.linalg.norm(Q.T @ Q - np.eye(d)) > 1e-8:
-            raise ValueError("initial_rotation must be a d x d orthogonal matrix")
-    elif seed is None:
-        Q = np.eye(d)
-    else:
-        rng = np.random.default_rng(_check_setting("seed", seed, 0, integer=True))
-        Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-        Q = Q * np.sign(np.diag(R))  # fix the sign convention
+    Q = np.eye(d) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
+    if Q.shape != (d, d) or np.linalg.norm(Q.T @ Q - np.eye(d)) > 1e-8:
+        raise ValueError("initial_rotation must be a d x d orthogonal matrix")
     C = _sign_pm1(Y @ Q)
     loss = _quant_loss(C, Y, Q)
     trace = [loss]

@@ -55,7 +55,7 @@ class Hyperparams:
     hidden_dims: tuple = (200,)
     activation: str = "tanh"
     output_activation: str = "sigmoid"  # matches 0/1-valued input features
-    proximity: ProximityConfig = field(default_factory=ProximityConfig)  # None: the default
+    proximity: ProximityConfig = field(default_factory=ProximityConfig)
     stop_tol: float = 1e-6    # relative decrease below this counts as stalled
     stop_patience: int = 3    # stalled iterations before stopping early
     seed: int = 0
@@ -70,9 +70,7 @@ class Hyperparams:
         self.hidden_dims = _check_settings("hidden_dims", self.hidden_dims, 1, integer=True)
         if not self.hidden_dims:
             raise ValueError("hidden_dims must hold at least one width, got ()")
-        if self.proximity is None:
-            self.proximity = ProximityConfig()
-        elif not isinstance(self.proximity, ProximityConfig):
+        if not isinstance(self.proximity, ProximityConfig):
             raise ValueError(f"proximity must be a ProximityConfig, got {self.proximity!r}")
         ae._activation(self.activation)
         ae._activation(self.output_activation, "output_activation")

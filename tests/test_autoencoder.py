@@ -4,7 +4,7 @@ from scipy.special import expit
 
 from dpmne import autoencoder as ae
 from dpmne.autoencoder import (AutoencoderParams, decode, encode, flatten, init_autoencoder,
-                               train_view_autoencoder, unflatten, view_loss, view_loss_and_grads)
+                               train_view_autoencoder, unflatten, view_loss_and_grads)
 from dpmne.optim import armijo_minimize
 
 from conftest import point_pass, recording_armijo
@@ -66,7 +66,7 @@ class TestEncode:
         rng = np.random.default_rng(seed)
         params = init_autoencoder(5, (7, 3), "tanh", "sigmoid", rng)
         X = rng.random((8, 5))
-        H = encode(params, X)
+        H = encode(params, X, np.ones(8, dtype=bool))
         H_oracle, X_oracle = straight_line_forward(params, X)
         assert np.max(np.abs(H - H_oracle)) < 1e-12
         assert np.max(np.abs(decode(params, H) - X_oracle)) < 1e-12
@@ -85,7 +85,7 @@ class TestEncode:
     def test_shape_mismatch_rejected(self):
         params = init_autoencoder(4, (3,), "tanh", "sigmoid", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            encode(params, np.zeros((5, 3)))
+            encode(params, np.zeros((5, 3)), np.ones(5, dtype=bool))
         with pytest.raises(ValueError):
             encode(params, np.zeros((5, 4)), np.ones(4, dtype=bool))
 
@@ -94,7 +94,7 @@ class TestDecode:
     def test_round_trip_through_identity_network(self):
         params = identity_params(2)
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
-        np.testing.assert_array_equal(decode(params, encode(params, X)), X)
+        np.testing.assert_array_equal(decode(params, encode(params, X, np.ones(2, dtype=bool))), X)
 
     def test_zero_hidden_row_decodes_to_bias_response(self):
         rng = np.random.default_rng(1)
@@ -123,7 +123,7 @@ def train_from_params(params, X, mask, Y, B, alpha, steps):
 
 
 def plain_line_search(params, X, mask, Y, B, alpha, steps, trials=None):
-    """The search's final point from ``view_loss`` and ``view_loss_and_grads`` alone.
+    """The search's final point from ``view_loss_and_grads`` alone.
 
     Each value the search asks for is appended to ``trials`` when given.
     """
@@ -135,7 +135,7 @@ def plain_line_search(params, X, mask, Y, B, alpha, steps, trials=None):
 
     def fun(v):
         trials.append(v)
-        return view_loss(unpack(v), X, mask, Y, B, alpha, 0.01)
+        return view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[0]
 
     forward, backward = point_pass(fun, lambda v: flatten(
         view_loss_and_grads(unpack(v), X, mask, Y, B, alpha, 0.01)[1]))
@@ -150,13 +150,12 @@ class TestTrainViewAutoencoder:
         params, X, mask, _, _ = small_problem(seed)
         templates = params.all_arrays()
         vec = flatten(templates)
-        loss, grads = view_loss_and_grads(params, X, mask, alpha=0.0, lam=0.01)
+        grads = view_loss_and_grads(params, X, mask, alpha=0.0, lam=0.01)[1]
 
         def fun(v):
-            return view_loss(params.replace_arrays(unflatten(v, templates)),
-                             X, mask, alpha=0.0, lam=0.01)
+            return view_loss_and_grads(params.replace_arrays(unflatten(v, templates)),
+                                       X, mask, alpha=0.0, lam=0.01)[0]
 
-        assert view_loss(params, X, mask, alpha=0.0, lam=0.01) == loss
         assert rel_error(flatten(grads), central_difference(fun, vec)) < 1e-5
 
     @pytest.mark.parametrize("seed", range(3))
@@ -164,13 +163,12 @@ class TestTrainViewAutoencoder:
         params, X, mask, Y, B = small_problem(seed + 10)
         templates = params.all_arrays()
         vec = flatten(templates)
-        loss, grads = view_loss_and_grads(params, X, mask, Y, B, alpha=0.7, lam=0.05)
+        grads = view_loss_and_grads(params, X, mask, Y, B, alpha=0.7, lam=0.05)[1]
 
         def fun(v):
-            return view_loss(params.replace_arrays(unflatten(v, templates)),
-                             X, mask, Y, B, alpha=0.7, lam=0.05)
+            return view_loss_and_grads(params.replace_arrays(unflatten(v, templates)),
+                                       X, mask, Y, B, alpha=0.7, lam=0.05)[0]
 
-        assert view_loss(params, X, mask, Y, B, alpha=0.7, lam=0.05) == loss
         assert rel_error(flatten(grads), central_difference(fun, vec)) < 1e-5
 
     def test_zero_steps_leaves_params_unchanged(self):
@@ -182,9 +180,9 @@ class TestTrainViewAutoencoder:
     @pytest.mark.parametrize("seed", range(4))
     def test_loss_never_increases(self, seed):
         params, X, mask, Y, B = small_problem(seed + 20)
-        before = view_loss(params, X, mask, Y, B, alpha=1.0, lam=0.01)
+        before = view_loss_and_grads(params, X, mask, Y, B, alpha=1.0, lam=0.01)[0]
         out = train_from_params(params, X, mask, Y, B, 1.0, steps=8).params
-        after = view_loss(out, X, mask, Y, B, alpha=1.0, lam=0.01)
+        after = view_loss_and_grads(out, X, mask, Y, B, alpha=1.0, lam=0.01)[0]
         assert after <= before + 1e-12
 
     def test_non_finite_input_raises(self):
@@ -265,6 +263,7 @@ class TestTrainViewAutoencoder:
     def test_loss_invariant_under_node_permutation(self):
         params, X, mask, Y, B = small_problem(6)
         perm = np.random.default_rng(0).permutation(X.shape[0])
-        a = view_loss(params, X, mask, Y, B, alpha=0.9, lam=0.02)
-        b = view_loss(params, X[perm], mask[perm], Y[perm], B, alpha=0.9, lam=0.02)
+        a = view_loss_and_grads(params, X, mask, Y, B, alpha=0.9, lam=0.02)[0]
+        b = view_loss_and_grads(params, X[perm], mask[perm], Y[perm], B, alpha=0.9,
+                                lam=0.02)[0]
         assert a == pytest.approx(b, rel=1e-12)

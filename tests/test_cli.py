@@ -276,7 +276,14 @@ class TestSweepAndTune:
          "alpha must be a finite number >= 0, got -1.0"),
         (["binarize", "--checkpoint", "MISSING", "--itq", "--iters", "0", "--out", "OUT"],
          "iterations must be an integer >= 1, got 0"),
-    ], ids=["methods", "unsorted-ratios", "ratio-range", "grid-width", "grid-alpha", "iters"])
+        (["sweep-pdr", "--manifest", "MISSING", "--ratios", "", "--methods", ""],
+         "ratios must hold at least one ratio, got []"),
+        (["sweep-pdr", "--manifest", "MISSING", "--ratios", "0.3", "--methods", ","],
+         "methods must hold at least one method, got ()"),
+        (["tune", "--manifest", "MISSING", "--grid", "1,0.1,0.01", "--folds", "1"],
+         "folds must be an integer >= 2, got 1"),
+    ], ids=["methods", "unsorted-ratios", "ratio-range", "grid-width", "grid-alpha", "iters",
+            "empty-ratios", "empty-methods", "folds"])
     def test_bad_flags_fail_before_any_file_is_read(self, tmp_path, capsys, argv, message):
         argv = [str(tmp_path / a) if a in ("MISSING", "OUT") else a for a in argv]
         code, _, err = run(capsys, *argv)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from dpmne import autoencoder, evaluation, optim, parallel, trainer
+from dpmne import autoencoder, evaluation, optim, parallel, proximity, trainer
 from dpmne.evaluation import EvalProtocol, classify_f1, pdr_sweep
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.parallel import map_views, one_blas_thread, worker_count
@@ -33,11 +33,12 @@ class TestShippedDefaults:
         protocol = EvalProtocol()
         assert protocol.train_fraction == 0.5
         assert protocol.repeats == 10
-        assert protocol.l2 == 1.0
 
 
-# each of these settings comes from Hyperparams, EvalProtocol or the one caller
-REQUIRED = [(evaluation.fit_logistic_regression, "l2"),
+# each of these settings comes from Hyperparams, EvalProtocol, the state or the one caller
+REQUIRED = [(proximity.build_stack, "config"),
+            (proximity.proximity_adjacency, "normalize"),
+            (autoencoder.encode, "mask"),
             (autoencoder.train_view_autoencoder, "steps"),
             (optim.armijo_minimize, "start"),
             (autoencoder.init_autoencoder, "hidden_dims"),
@@ -55,10 +56,11 @@ def test_a_setting_held_elsewhere_has_no_default_of_its_own(function, name):
     assert parameter.default is inspect.Parameter.empty
 
 
-def test_classifier_stopping_rule_is_fixed():
+def test_classifier_ridge_and_stopping_rule_are_fixed():
     parameters = inspect.signature(evaluation.fit_logistic_regression).parameters
-    assert not {"gtol", "max_steps"} & set(parameters)
-    assert (evaluation._LOGREG_GTOL, evaluation._LOGREG_MAX_STEPS) == (1e-6, 500)
+    assert not {"l2", "gtol", "max_steps"} & set(parameters)
+    assert (evaluation._LOGREG_L2, evaluation._LOGREG_GTOL,
+            evaluation._LOGREG_MAX_STEPS) == (1.0, 1e-6, 500)
 
 
 def small_network():

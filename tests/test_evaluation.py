@@ -205,7 +205,7 @@ class TestClassify:
             while np.unique(labels[perm[:n_train]]).size != 2:
                 perm = srng.permutation(n)
             tr, te = perm[:n_train], perm[n_train:]
-            W = fit_logistic_regression(embeddings[tr], labels[tr], 2, 1.0)
+            W = fit_logistic_regression(embeddings[tr], labels[tr], 2)
             micro_values.append(
                 micro_macro_f1(labels[te], predict_logistic(W, embeddings[te]), 2)[0])
         mean = sum(micro_values) / len(micro_values)
@@ -229,7 +229,7 @@ class TestClassify:
         X = np.vstack([rng.standard_normal((30, 2)) + (4, 0),
                        rng.standard_normal((30, 2)) - (4, 0)])
         y = np.array([0] * 30 + [1] * 30)
-        W = fit_logistic_regression(X, y, 2, 1.0)
+        W = fit_logistic_regression(X, y, 2)
         assert np.mean(predict_logistic(W, X) == y) == 1.0
 
     def test_reaches_at_most_the_loss_of_gradient_descent(self):
@@ -245,7 +245,7 @@ class TestClassify:
             y[:classes] = np.arange(classes)
             centers = rng.uniform(0, 3) * rng.standard_normal((classes, f))
             X = rng.standard_normal((m, f)) + centers[y]
-            W = fit_logistic_regression(X, y, classes, 1.0)
+            W = fit_logistic_regression(X, y, classes)
             W_ref = armijo_logreg_oracle(X, y, classes, max_steps=budget)
             assert W.shape == (f + 1, classes)
             ref_loss = row_major_logreg_loss(W_ref, X, y)
@@ -264,7 +264,7 @@ class TestClassify:
         rng = np.random.default_rng(0)
         y = rng.integers(0, 10, 750)
         X = rng.standard_normal((750, 32)) + 0.7 * rng.standard_normal((10, 32))[y]
-        W = fit_logistic_regression(X, y, 10, 1.0)
+        W = fit_logistic_regression(X, y, 10)
         assert np.max(np.abs(row_major_logreg_grad(W, X, y))) <= 1e-6
         W_ref = armijo_logreg_oracle(X, y, 10)
         assert np.max(np.abs(row_major_logreg_grad(W_ref, X, y))) > 1e-6
@@ -520,6 +520,21 @@ class TestPdrSweep:
             pdr_sweep(net, ratios, protocol=EvalProtocol(repeats=1), hyper=quick_hyper())
         assert trainings == []
 
+    @pytest.mark.parametrize("ratios,methods,message", [
+        ([], ("dpmne",), "ratios must hold at least one ratio, got []"),
+        ([0.0], (), "methods must hold at least one method, got ()"),
+        ([], (), "ratios must hold at least one ratio, got []")],
+        ids=["no-ratio", "no-method", "neither"])
+    def test_empty_sweep_rejected_before_any_training(self, ratios, methods, message,
+                                                      monkeypatch):
+        # an empty sweep would report nothing and pass, as an empty grid would
+        net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
+        trainings = []
+        monkeypatch.setattr(evaluation, "train", lambda *args: trainings.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pdr_sweep(net, ratios, methods, EvalProtocol(repeats=1), quick_hyper())
+        assert trainings == []
+
 
 class TestCrossValidate:
     def test_single_grid_point_is_returned_unchanged(self):
@@ -584,9 +599,13 @@ class TestProtocolValidation:
             EvalProtocol(repeats=0)
 
     @pytest.mark.parametrize("name,value", [
-        ("l2", -1.0), ("l2", math.nan), ("l2", math.inf), ("seed", -1), ("seed", 1.5),
-        ("seed", None), ("train_fraction", "0.5"), ("repeats", 2.5), ("repeats", True),
-        ("l2", None)])
+        ("seed", -1), ("seed", 1.5), ("seed", None), ("train_fraction", "0.5"),
+        ("train_fraction", math.nan), ("repeats", 2.5), ("repeats", True)])
     def test_out_of_range_setting_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             EvalProtocol(**{name: value})
+
+    def test_the_classifier_ridge_is_not_a_protocol_setting(self):
+        # the ridge weight is the constant _LOGREG_L2, one spelling for one choice
+        with pytest.raises(TypeError, match="l2"):
+            EvalProtocol(l2=1.0)

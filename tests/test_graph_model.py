@@ -116,9 +116,15 @@ class TestApplyPdr:
 
     def test_half_ratio_masks_exactly_five_of_ten(self):
         net = synth_generate(SynthConfig(n=10, communities=2, t=2, seed=2))
-        out = apply_pdr(net, [0.5, 0.0], seed=3)
-        assert int(np.count_nonzero(~out.views[0].mask)) == 5
-        assert out.views[1].mask.all()
+        out = apply_pdr(net, 0.5, seed=3)
+        assert [int(np.count_nonzero(~view.mask)) for view in out.views] == [5, 5]
+
+    @pytest.mark.parametrize("ratio", [[0.5, 0.0], (0.3, 0.3), np.array([0.2, 0.2])])
+    def test_per_view_ratios_are_refused(self, ratio):
+        # one ratio for every view is the only spelling
+        net = synth_generate(SynthConfig(n=10, communities=2, t=2, seed=2))
+        with pytest.raises(ValueError, match="^ratio must be a number in \\[0, 1\\), got "):
+            apply_pdr(net, ratio, seed=3)
 
     def test_recounted_pdr_matches_request(self):
         n = 123

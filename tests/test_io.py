@@ -164,6 +164,21 @@ class TestNetworkRoundTrip:
         with pytest.raises(ManifestError, match="unsupported format"):
             load_network(manifest)
 
+    @pytest.mark.parametrize("line", ["view.1.mask=view0.mask.txt", "n=12", " t = 2"])
+    def test_key_given_twice_names_both_lines(self, tmp_path, line):
+        # the later line would otherwise win without a word
+        manifest = save_network(small_net(), tmp_path)
+        with open(manifest, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        key = line.split("=")[0].strip()
+        first = next(i for i, text in enumerate(lines, start=1) if text.startswith(key + "="))
+        with pytest.raises(ManifestError, match=rf"^{re.escape(manifest)}:{len(lines) + 1}: "
+                                                rf"key '{re.escape(key)}' already given at "
+                                                rf"line {first}$"):
+            load_network(manifest)
+
 
 def pinned_network():
     """Three nodes: float extremes and a triangle in view 0 (node 2 masked), no edges in view 1."""
@@ -318,6 +333,15 @@ class TestCheckpoint:
         for field in dataclasses.fields(EmbeddingState):
             assert same_value(getattr(state, field.name), getattr(back, field.name)), field.name
 
+    def test_path_without_the_npz_suffix_is_written_as_given(self, tmp_path):
+        state = train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(2,), seed=8))
+        path = str(tmp_path / "ckpt")
+        checkpoint(state, path)
+        assert os.listdir(tmp_path) == ["ckpt"]
+        back = restore(path)
+        for field in dataclasses.fields(EmbeddingState):
+            assert same_value(getattr(state, field.name), getattr(back, field.name)), field.name
+
     def test_training_resumes_deterministically_from_restore(self, tmp_path):
         net = small_net(6)
         hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=(4,), seed=6)
@@ -451,15 +475,14 @@ class TestCheckpoint:
         assert resumed.objective_trace == uninterrupted.objective_trace
         assert np.array_equal(resumed.Y, uninterrupted.Y)
 
-    def test_default_proximity_given_as_none_survives_a_checkpoint(self, tmp_path):
+    def test_stored_null_proximity_restores_as_the_default(self, tmp_path):
         net = small_net(11)
-        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(2,), proximity=None)
-        assert hyper.proximity == ProximityConfig()
+        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(2,))
         state = train(net, hyper)
         path = tmp_path / "ckpt.npz"
         checkpoint(state, path)
         assert restore(path).hyper == hyper
-        # earlier releases stored the None itself
+        # earlier releases stored Hyperparams(proximity=None) as a null
         rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
             {**json.loads(meta["hyper"]), "proximity": None})})
         back = restore(path)

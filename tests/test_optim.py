@@ -20,8 +20,7 @@ import pytest
 from scipy.special import expit
 
 from dpmne import optim
-from dpmne.autoencoder import (flatten, init_autoencoder, unflatten, view_loss,
-                               view_loss_and_grads)
+from dpmne.autoencoder import flatten, init_autoencoder, unflatten, view_loss_and_grads
 from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS, armijo_minimize
 
 from conftest import point_pass
@@ -83,7 +82,7 @@ def autoencoder(seed, rows=12, features=5):
         return params.replace_arrays(unflatten(x, templates))
 
     def fun(x):
-        return view_loss(unpack(x), X, mask, Y, B, alpha=0.5, lam=0.01)
+        return view_loss_and_grads(unpack(x), X, mask, Y, B, alpha=0.5, lam=0.01)[0]
 
     def grad(x):
         return flatten(view_loss_and_grads(unpack(x), X, mask, Y, B, alpha=0.5, lam=0.01)[1])

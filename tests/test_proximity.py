@@ -224,7 +224,7 @@ class TestMatrixFreeLaplacian:
         assert rel_err(stack.laplacian.toarray(), oracle.laplacian.toarray()) <= 1e-12
 
     def test_operand_of_wrong_length_rejected(self, tiny_network):
-        laplacian = build_stack(tiny_network).laplacian
+        laplacian = build_stack(tiny_network, ProximityConfig()).laplacian
         for bad in (np.ones(6), np.ones((4, 2)), np.ones((3, 2, 2))):
             with pytest.raises(ValueError):
                 laplacian @ bad

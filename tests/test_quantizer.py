@@ -135,17 +135,15 @@ class TestItq:
         with pytest.raises(ValueError, match="^iterations must be an integer >= 1"):
             itq(np.eye(3), iterations=iterations)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
-            itq(np.eye(3), seed=seed)
+    def test_the_start_is_given_only_as_a_rotation(self):
+        # a seed would be a second spelling of the start that initial_rotation gives
+        with pytest.raises(TypeError, match="seed"):
+            itq(np.eye(3), seed=5)
 
-    def test_seeded_random_rotation_start_is_deterministic(self):
-        Y = np.random.default_rng(13).standard_normal((10, 3))
-        a = itq(Y, iterations=20, seed=5)
-        b = itq(Y, iterations=20, seed=5)
-        assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.rotation, b.rotation)
+    @pytest.mark.parametrize("rotation", [np.eye(2), 2.0 * np.eye(3), np.ones((3, 3))])
+    def test_start_that_is_not_a_d_by_d_rotation_rejected(self, rotation):
+        with pytest.raises(ValueError, match="^initial_rotation must be a d x d orthogonal"):
+            itq(np.eye(3), initial_rotation=rotation)
 
     def test_rank_deficient_embedding_is_handled(self):
         Y = np.zeros((6, 3))

@@ -646,7 +646,7 @@ class TestHyperparams:
         {"dim": "x"}, {"output_activation": "swish"}, {"dim": 2.5}, {"max_iters": 1.5},
         {"hidden_dims": (2.5,)}, {"hidden_dims": ("a",)}, {"dim": True}, {"alpha": False},
         {"seed": None}, {"hidden_dims": 5}, {"hidden_dims": "ab"},
-        {"proximity": {"order": 2}}])
+        {"proximity": {"order": 2}}, {"proximity": None}])
     def test_out_of_range_values_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             Hyperparams(**bad)
