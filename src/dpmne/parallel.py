@@ -1,10 +1,12 @@
-"""Thread policy: per-view worker threads, each running single-threaded BLAS.
+"""Thread policy: one worker thread per view, each running single-threaded BLAS.
 
-Training's parallelism is the per-view thread pool of ``map_views``, capped
-by the DPMNE_THREADS variable. Its products are small, so BLAS threads on top
-of the view threads oversubscribe the CPUs and change how sums are split;
-``one_blas_thread`` holds the bundled OpenBLAS libraries at one thread while
-training runs.
+Training's parallelism is the per-view thread pool of ``map_views``: one
+worker per view, capped by the DPMNE_THREADS variable. The trainer sends a
+view's work there only when its forward pass is large enough to pay for a
+thread (``trainer._VIEW_THREAD_MIN_MACS``) and runs smaller views inline.
+The products are small, so BLAS threads on top of the view threads
+oversubscribe the CPUs and change how sums are split; ``one_blas_thread``
+holds the bundled OpenBLAS libraries at one thread while training runs.
 """
 
 import contextlib
@@ -30,7 +32,11 @@ _blas_saved = []        # thread counts to restore when the last caller leaves
 
 
 def worker_count(num_tasks):
-    """Workers to use for ``num_tasks`` independent jobs (0, blank or unset = auto)."""
+    """Workers for ``num_tasks`` independent jobs: one per job, capped by DPMNE_THREADS.
+
+    DPMNE_THREADS at 0, blank or unset sets no cap, so each job gets its own
+    worker even when there are more jobs than CPUs; 1 runs them inline.
+    """
     raw = os.environ.get("DPMNE_THREADS", "").strip() or "0"
     try:
         requested = int(raw)
@@ -38,16 +44,14 @@ def worker_count(num_tasks):
         raise ValueError(f"DPMNE_THREADS must be an integer, got {raw!r}")
     if requested < 0:
         raise ValueError(f"DPMNE_THREADS must be >= 0, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, num_tasks))
+    return max(1, min(requested or num_tasks, num_tasks))
 
 
 def map_views(fn, items):
     """Order-preserving map over independent per-view jobs."""
     items = list(items)
     workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
+    if workers == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

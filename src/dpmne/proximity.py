@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph_model import _check_setting
-from .parallel import map_views
+from .parallel import map_views  # noqa: F401  unused here; bench/tracing.py patches it
 
 
 def default_weights(order):
@@ -113,7 +113,7 @@ class ProximityLaplacian:
 
 def build_stack(network, config):
     """The summed proximity's degree vector and its matrix-free Laplacian under ``config``."""
-    adjacencies = map_views(lambda view: proximity_adjacency(view.adjacency, config.normalize),
-                            network.views)
+    adjacencies = [proximity_adjacency(view.adjacency, config.normalize)
+                   for view in network.views]
     laplacian = ProximityLaplacian(adjacencies, default_weights(config.order))
     return ProximityStack(laplacian.degree, laplacian)

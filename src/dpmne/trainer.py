@@ -26,6 +26,11 @@ refuses, naming the view, anything but a pass of the state's autoencoder.
 The blocks read their settings from ``state.hyper``, and early stopping
 reads the objective trace, so a state is exactly what ``io.checkpoint``
 writes; a resume recomputes the passes and is exact.
+
+``update_H`` and ``forward_passes`` run the views in the caller's thread
+unless the largest view's forward pass reaches ``_VIEW_THREAD_MIN_MACS``
+multiply-adds; then each view gets a thread of ``map_views``. A view's
+operations and their BLAS thread are the same either way, so the bytes are.
 """
 
 import time
@@ -278,6 +283,29 @@ def update_B(state, passes):
     return replace(state, B=new_B)
 
 
+# Multiply-adds per forward pass of the largest view below which the views run
+# inline: their numpy calls are so short that passing the GIL between view threads
+# costs what a second CPU gives. On two CPUs, view threads tied with inline runs at
+# 2.0M and beat them from 2.4M on (README, "Threads").
+_VIEW_THREAD_MIN_MACS = 2_400_000
+
+
+def _per_view(fn, state):
+    """``fn(s)`` for each view s of the state, in order: inline, or on the view threads.
+
+    A view's forward pass costs its present rows times its autoencoder's
+    weight entries multiply-adds; when the largest view's reaches
+    ``_VIEW_THREAD_MIN_MACS``, the views go through ``map_views``, looked
+    up in this module at each call.
+    """
+    views = range(len(state.masks))
+    macs = max(int(np.count_nonzero(m)) * sum(W.size for W in params.weights)
+               for params, m in zip(state.autoencoders, state.masks))
+    if macs < _VIEW_THREAD_MIN_MACS:
+        return [fn(s) for s in views]
+    return map_views(fn, views)
+
+
 def _take(items, i):
     """``items[i]``, leaving None in its place so that the list no longer holds it."""
     item, items[i] = items[i], None
@@ -303,7 +331,7 @@ def update_H(state, passes):
         return ae.train_view_autoencoder(_take(passes, s), target, hyper.alpha, hyper.lam,
                                          hyper.h_steps)
 
-    trained = map_views(train_one, range(len(passes)))
+    trained = _per_view(train_one, state)
     return replace(state, autoencoders=[vpass.params for vpass in trained]), trained
 
 
@@ -342,8 +370,11 @@ def forward_passes(state, network):
     The one place a training reads the features: these rows are the only
     copy of them it takes, and every later pass reads them.
     """
-    return [ae._view_forward(params, ae._present_rows(view.features, m))
-            for params, view, m in zip(state.autoencoders, network.views, state.masks)]
+    def forward(s):
+        rows = ae._present_rows(network.views[s].features, state.masks[s])
+        return ae._view_forward(state.autoencoders[s], rows)
+
+    return _per_view(forward, state)
 
 
 def _init_state(network, hyper):

@@ -4,8 +4,20 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpmne import optim
+from dpmne import optim, trainer
 from dpmne.graph_model import MultiplexNetwork, ViewData, validate
+
+
+def pytest_addoption(parser):
+    parser.addoption("--view-threads", action="store_true",
+                     help="send every view's work to the view threads, however small the view")
+
+
+@pytest.fixture(autouse=True)
+def view_threads(request, monkeypatch):
+    """With ``--view-threads``, a view's size never keeps it off the view threads."""
+    if request.config.getoption("--view-threads"):
+        monkeypatch.setattr(trainer, "_VIEW_THREAD_MIN_MACS", 0)
 
 
 def point_pass(fun, grad):

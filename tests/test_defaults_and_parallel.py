@@ -74,10 +74,11 @@ SMALL_HYPER = Hyperparams(dim=4, max_iters=3, hidden_dims=(5,), seed=21,
 
 class TestThreadCap:
     def test_zero_or_unset_means_auto(self, monkeypatch):
+        # one worker per task, more than this machine's CPUs if need be
         monkeypatch.delenv("DPMNE_THREADS", raising=False)
-        assert 1 <= worker_count(4) <= 4
+        assert worker_count(4) == 4
         monkeypatch.setenv("DPMNE_THREADS", "0")
-        assert 1 <= worker_count(4) <= 4
+        assert worker_count(4) == 4
 
     def test_blank_means_auto(self, monkeypatch):
         monkeypatch.delenv("DPMNE_THREADS", raising=False)
@@ -122,9 +123,59 @@ class TestThreadCap:
         monkeypatch.setenv("DPMNE_THREADS", "1")
         serial = train(net, SMALL_HYPER)
         monkeypatch.setenv("DPMNE_THREADS", "3")
+        monkeypatch.setattr(trainer, "_VIEW_THREAD_MIN_MACS", 0)
         threaded = train(net, SMALL_HYPER)
         assert np.array_equal(serial.Y, threaded.Y)
         assert serial.objective_trace == threaded.objective_trace
+
+
+def largest_view_macs(network, hidden):
+    """Multiply-adds of the largest view's forward pass: present rows x weight entries."""
+    def entries(dim):
+        widths = [dim, *hidden]
+        return 2 * sum(a * b for a, b in zip(widths, widths[1:]))  # the decoder mirrors it
+    return max(int(view.mask.sum()) * entries(view.dim) for view in network.views)
+
+
+class TestViewSchedule:
+    def test_views_below_the_threshold_run_inline(self, monkeypatch):
+        net = small_network()
+        monkeypatch.delenv("DPMNE_THREADS", raising=False)
+        monkeypatch.setattr(trainer, "_VIEW_THREAD_MIN_MACS",
+                            largest_view_macs(net, SMALL_HYPER.hidden_dims) + 1)
+
+        def refused(fn, items):
+            raise AssertionError("views below the threshold went to map_views")
+
+        monkeypatch.setattr(trainer, "map_views", refused)
+        state = train(net, SMALL_HYPER)
+        assert len(state.objective_trace) == SMALL_HYPER.max_iters + 1
+
+    def test_views_at_the_threshold_get_one_worker_each(self, monkeypatch):
+        net = small_network()
+        monkeypatch.delenv("DPMNE_THREADS", raising=False)
+        monkeypatch.setattr(trainer, "_VIEW_THREAD_MIN_MACS",
+                            largest_view_macs(net, SMALL_HYPER.hidden_dims))
+        calls = []
+
+        def recorded(fn, items):
+            items = list(items)
+            calls.append((len(items), worker_count(len(items))))
+            return map_views(fn, items)
+
+        monkeypatch.setattr(trainer, "map_views", recorded)
+        train(net, SMALL_HYPER)
+        # forward_passes once at the start, then update_H once per iteration
+        assert calls == [(net.t, net.t)] * (1 + SMALL_HYPER.max_iters)
+
+    def test_build_stack_prepares_the_views_inline(self, monkeypatch):
+        def refused(fn, items):
+            raise AssertionError("build_stack went to map_views")
+
+        monkeypatch.setattr(proximity, "map_views", refused)
+        monkeypatch.setattr(parallel, "map_views", refused)
+        stack = build_stack(small_network(), ProximityConfig(order=2))
+        assert stack.degree.shape == (30,)
 
 
 def blas_counts(controls):

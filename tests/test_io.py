@@ -333,6 +333,20 @@ class TestCheckpoint:
         for field in dataclasses.fields(EmbeddingState):
             assert same_value(getattr(state, field.name), getattr(back, field.name)), field.name
 
+    def test_same_seed_checkpoints_differ_only_in_the_iteration_times(self, tmp_path):
+        net = small_net(9)
+        hyper = Hyperparams(dim=3, max_iters=3, hidden_dims=(5, 2), seed=9,
+                            proximity=ProximityConfig(order=2))
+        for name in "ab":
+            checkpoint(train(net, hyper), tmp_path / f"{name}.npz")
+        with np.load(tmp_path / "a.npz") as a, np.load(tmp_path / "b.npz") as b:
+            assert a.files == b.files
+            for key in a.files:
+                if key != "iter_seconds":  # wall-clock times, never the same twice
+                    assert (a[key].dtype, a[key].shape, a[key].tobytes()) == \
+                        (b[key].dtype, b[key].shape, b[key].tobytes()), key
+            assert a["iter_seconds"].shape == b["iter_seconds"].shape == (3,)
+
     def test_path_without_the_npz_suffix_is_written_as_given(self, tmp_path):
         state = train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(2,), seed=8))
         path = str(tmp_path / "ckpt")

@@ -767,10 +767,17 @@ class TestTrain:
         assert baseline.objective_trace == poisoned.objective_trace
 
 
+def use_view_threads(monkeypatch, threads):
+    """``DPMNE_THREADS`` at ``threads``; above 1, the views take their threads at any size."""
+    monkeypatch.setenv("DPMNE_THREADS", threads)
+    if int(threads) > 1:
+        monkeypatch.setattr(trainer, "_VIEW_THREAD_MIN_MACS", 0)
+
+
 class TestForwardPasses:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_one_pass_per_view_at_the_start_then_one_per_trial(self, threads, monkeypatch):
-        monkeypatch.setenv("DPMNE_THREADS", threads)
+        use_view_threads(monkeypatch, threads)
         network, hyper, _, _, _ = small_setup(26)
         hyper = replace(hyper, max_iters=2, stop_patience=10)
         calls = []
@@ -827,7 +834,7 @@ class TestForwardPasses:
     def test_no_earlier_pass_of_a_view_is_alive_when_its_forward_pass_runs(self, threads,
                                                                           monkeypatch):
         # the carried pass is handed over to the search, which drops it after its gradient
-        monkeypatch.setenv("DPMNE_THREADS", threads)
+        use_view_threads(monkeypatch, threads)
         network, hyper, _, _, _ = small_setup(27)
         alive, seen = {}, []  # passes alive per rows array; (rows, alive) per forward pass
         lock = threading.Lock()
