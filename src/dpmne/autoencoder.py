@@ -5,6 +5,16 @@ Missing nodes never enter the computation: their representation rows are
 forced to zero and their (zero-stored) feature rows are excluded from every
 loss term. Training adds a regression pull toward the shared embedding's
 per-view subspace, so the deep representations stay consistent across views.
+
+A pass runs in the precision of the rows it is handed. Training and
+``encode`` take the present rows as float32 (``_present_rows``), so their
+layer products, activations, codes and backpropagated errors are float32,
+while the parameters stay float64 (mixed precision, Micikevicius et al.,
+"Mixed Precision Training", ICLR 2018). Every loss, the reconstruction
+error and the flattened gradient are float64: the squared errors are summed
+in float64 and the ridge term is added to the float32 layer gradient in
+float64. ``view_loss_and_grads`` takes the rows as float64 and is the
+float64 reference.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +46,7 @@ _ACT = {
     "identity": (lambda z: z, lambda a: np.ones_like(a)),
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
     "sigmoid": (expit, lambda a: a * (1.0 - a)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(a.dtype)),
 }
 
 
@@ -109,47 +119,54 @@ def _layer_activation(params, k):
 
 
 def _forward(params, X, layers):
-    """Outputs of the ``layers`` (a range of layer indices) applied in turn, input first."""
+    """Outputs of the ``layers`` (a range of layer indices) applied in turn, input first.
+
+    They are in the dtype of ``X``: each layer's parameters are cast to it.
+    """
     outputs = [X]
     for k in layers:
         act = _layer_activation(params, k)[0]
-        outputs.append(act(outputs[-1] @ params.weights[k] + params.biases[k]))
+        W, b = (a.astype(X.dtype, copy=False) for a in (params.weights[k], params.biases[k]))
+        outputs.append(act(outputs[-1] @ W + b))
     return outputs
 
 
 def encode(params, X, mask):
-    """Deep representation of X; rows where ``mask`` is False come out as zero."""
-    X = np.asarray(X, dtype=np.float64)
+    """Deep representation of X, in float32 as training computes it; masked rows are zero."""
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"features have shape {X.shape}, expected (*, {params.input_dim})")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (X.shape[0],):
         raise ValueError(f"mask length {mask.shape} does not match {X.shape[0]} rows")
-    H = np.zeros((X.shape[0], params.code_dim))
+    H = np.zeros((X.shape[0], params.code_dim), dtype=np.float32)
     if mask.any():
-        H[mask] = _forward(params, X[mask], range(len(params.weights) // 2))[-1]
+        H[mask] = _forward(params, _present_rows(X, mask), range(len(params.weights) // 2))[-1]
     return H
 
 
 def decode(params, H):
-    """Reconstruct features from deep representations (no masking here)."""
-    H = np.asarray(H, dtype=np.float64)
+    """Reconstruct features from deep representations (no masking here).
+
+    Float32 representations, such as ``encode`` gives, are decoded in float32
+    and any others in float64.
+    """
+    H = np.asarray(H)
+    H = H if H.dtype == np.float32 else H.astype(np.float64)
     if H.ndim != 2 or H.shape[1] != params.code_dim:
         raise ValueError(f"representations have shape {H.shape}, expected (*, {params.code_dim})")
     return _forward(params, H, range(len(params.weights) // 2, len(params.weights)))[-1]
 
 
 def _present_rows(X, mask):
-    """The feature rows of the present nodes, as a float64 copy."""
-    return np.asarray(X, dtype=np.float64)[np.asarray(mask, dtype=bool)]
+    """The feature rows of the present nodes, as a float32 copy: the rows training reads."""
+    return np.asarray(X)[np.asarray(mask, dtype=bool)].astype(np.float32)
 
 
 def _view_target(mask, Y, B, alpha):
     """The subspace target rows (Y B) of the present nodes; None when ``alpha`` is 0."""
     if alpha == 0.0:
         return None
-    if Y is None or B is None:
-        raise ValueError("alpha != 0 requires the embedding Y and basis B")
     return (Y @ B)[np.asarray(mask, dtype=bool)]
 
 
@@ -158,9 +175,10 @@ class ViewPass:
     """One forward pass of a view's autoencoder over the present feature rows.
 
     ``outputs`` holds every layer's output, the rows themselves first and
-    the code at index K = ``len(params.weights) // 2``; ``recon`` is the
-    squared reconstruction error summed over the rows. Neither depends on
-    Y or B, so one pass prices its point for any target.
+    the code at index K = ``len(params.weights) // 2``, all in the rows'
+    dtype; ``recon`` is the squared reconstruction error summed over the
+    rows in float64. Neither depends on Y or B, so one pass prices its
+    point for any target.
     """
     params: AutoencoderParams
     outputs: list
@@ -176,9 +194,10 @@ class ViewPass:
 
 
 def _view_forward(params, rows):
-    """The forward pass of ``params`` over the present feature ``rows``."""
+    """The forward pass of ``params`` over the present feature ``rows``, in their precision."""
     outputs = _forward(params, rows, range(len(params.weights)))
-    return ViewPass(params, outputs, float(np.sum((outputs[0] - outputs[-1]) ** 2)))
+    diff = np.subtract(outputs[0], outputs[-1], dtype=np.float64)
+    return ViewPass(params, outputs, float(np.sum(diff ** 2)))
 
 
 def _view_loss(vpass, target, alpha, lam):
@@ -191,32 +210,41 @@ def _view_loss(vpass, target, alpha, lam):
 
 
 def _view_backward(vpass, target, alpha, lam):
-    """Gradients of ``_view_loss`` at a pass, in ``all_arrays`` order."""
+    """Gradients of ``_view_loss`` at a pass, in ``all_arrays`` order.
+
+    The errors propagate in the pass's dtype; the weight gradients come back
+    in float64, with the ridge term added in float64.
+    """
     weights, outputs = vpass.params.weights, vpass.outputs
     code = len(weights) // 2
     grad_w, grad_b = [None] * len(weights), [None] * len(weights)
     d_out = 2.0 * (outputs[-1] - outputs[0])
     for k in range(len(weights) - 1, -1, -1):
         if k == code - 1 and target is not None:
-            d_out = d_out + 2.0 * alpha * (outputs[code] - target)
+            d_out = d_out + (2.0 * alpha * (outputs[code] - target)).astype(d_out.dtype,
+                                                                           copy=False)
         dZ = d_out * _layer_activation(vpass.params, k)[1](outputs[k + 1])
         grad_w[k] = outputs[k].T @ dZ + 2.0 * lam * weights[k]
         grad_b[k] = dZ.sum(axis=0)
         if k:  # no gradient is needed with respect to the input features
-            d_out = dZ @ weights[k].T
+            d_out = dZ @ weights[k].T.astype(dZ.dtype, copy=False)
     return grad_w + grad_b
 
 
-def view_loss_and_grads(params, X, mask, Y=None, B=None, alpha=0.0, lam=0.0):
-    """Loss and exact gradients of the per-view training objective.
+def view_loss_and_grads(params, X, mask, Y, B, alpha, lam):
+    """Loss and exact gradients of the per-view training objective, in float64.
 
     The objective is the masked reconstruction error, plus ``alpha`` times
     the squared distance between the deep representation and the embedding
     subspace Y B on present rows, plus ``lam`` times the squared norm of
-    all weight matrices. Gradients come back in ``all_arrays`` order.
+    all weight matrices. Y and B are not read when ``alpha`` is 0.
+    Gradients come back in ``all_arrays`` order. The present rows are taken
+    as float64, so this is the float64 reference for training's float32
+    passes and for finite differences.
     """
+    mask = np.asarray(mask, dtype=bool)
     target = _view_target(mask, Y, B, alpha)
-    vpass = _view_forward(params, _present_rows(X, mask))
+    vpass = _view_forward(params, np.asarray(X, dtype=np.float64)[mask])
     return _view_loss(vpass, target, alpha, lam), _view_backward(vpass, target, alpha, lam)
 
 
@@ -234,15 +262,19 @@ def train_view_autoencoder(start, target, alpha, lam, steps):
     two), and its gradient only the backward pass. The returned pass is the
     search's, that of the trained parameters ``vpass.params``: its code and
     reconstruction error are the view's representations and its share of
-    the objective.
+    the objective. Every pass runs in the precision of ``start``'s rows. A
+    trial whose pass overflows is priced inf or nan, with no warning, and
+    the search shortens its step; the backward pass keeps the caller's
+    floating-point error handling, under which ``update_H`` raises.
     """
     params, rows = start.params, start.rows
     templates = params.all_arrays()
     start = [(_view_loss(start, target, alpha, lam), start)]  # the search alone keeps it
 
     def forward(vec):
-        vpass = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
-        return _view_loss(vpass, target, alpha, lam), vpass
+        with np.errstate(over="ignore", invalid="ignore"):
+            vpass = _view_forward(params.replace_arrays(unflatten(vec, templates)), rows)
+            return _view_loss(vpass, target, alpha, lam), vpass
 
     def backward(vpass):
         return flatten(_view_backward(vpass, target, alpha, lam))

@@ -16,7 +16,7 @@ import numpy as np
 from .graph_model import _check_ratio, _check_setting, apply_pdr
 from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import one_blas_thread
-from .trainer import Hyperparams, train
+from .trainer import train
 
 _SPLIT_TRIES = 100  # random splits drawn before giving up on one that holds every class
 _LOGREG_L2 = 1.0  # ridge weight of the classifier's feature weights
@@ -155,13 +155,12 @@ def _check_lengths(embeddings, labels):
 
 
 @one_blas_thread()
-def classify_f1(embeddings, labels, protocol=None):
+def classify_f1(embeddings, labels, protocol):
     """Mean and std of micro/macro F1 over repeated random splits.
 
     BLAS runs at one thread meanwhile (as in ``train``), so the scores do
     not depend on the thread setting.
     """
-    protocol = protocol or EvalProtocol()
     embeddings = np.asarray(embeddings, dtype=np.float64)
     _check_lengths(embeddings, labels)
     classes, y = np.unique(np.asarray(labels), return_inverse=True)
@@ -320,7 +319,7 @@ def _check_sweep(ratios, methods):
     return ratios
 
 
-def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None):
+def pdr_sweep(network, ratios, methods, protocol, hyper):
     """Classification metrics per (missing ratio, method) pair.
 
     Each ratio gets one masked copy of the network, shared by all methods:
@@ -328,8 +327,6 @@ def pdr_sweep(network, ratios, methods=SWEEP_METHODS, protocol=None, hyper=None)
     erase the masks after zero or neighbor fill. Deterministic in the
     protocol seed.
     """
-    protocol = protocol or EvalProtocol()
-    hyper = hyper if hyper is not None else Hyperparams()
     ratios = _check_sweep(ratios, methods)
     if network.labels is None:
         raise ValueError("pdr_sweep needs node labels")
@@ -374,7 +371,7 @@ def kfold_indices(n, folds, rng):
 
 
 @one_blas_thread()
-def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
+def cross_validate(network, grid, folds=5, *, protocol, base_hyper):
     """Pick the (alpha, beta, lam) grid point with the best mean fold micro-F1.
 
     The embedding is learned once per grid point (training never sees
@@ -382,8 +379,6 @@ def cross_validate(network, grid, folds=5, protocol=None, base_hyper=None):
     the earliest grid point. BLAS runs at one thread, as in ``classify_f1``,
     so the fold scores do not depend on its thread setting.
     """
-    protocol = protocol or EvalProtocol()
-    base_hyper = base_hyper if base_hyper is not None else Hyperparams()
     if network.labels is None:
         raise ValueError("cross_validate needs node labels")
     hypers = _grid_hypers(grid, base_hyper, protocol.seed)

@@ -4,6 +4,11 @@ Each trial point runs one forward pass, and each gradient reads the accepted
 trial's pass. The caller hands in the pass of the starting point and gets
 back the pass of the point returned, so that a point is evaluated once even
 across calls (the end point of a stationary search twice).
+
+The point, the gradient, the L-BFGS pairs and the directions are float64,
+and every value is compared as a float64 number, whatever precision the
+caller's passes run in: the autoencoders' passes run in float32 and hand
+back float64 losses and gradients.
 """
 
 import numpy as np

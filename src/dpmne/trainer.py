@@ -27,6 +27,13 @@ The blocks read their settings from ``state.hyper``, and early stopping
 reads the objective trace, so a state is exactly what ``io.checkpoint``
 writes; a resume recomputes the passes and is exact.
 
+The passes run in float32 (``forward_passes`` takes the rows as float32),
+and everything else stays float64: Y, B, the autoencoders' parameters, the
+Y and B blocks' arithmetic and every objective value. The objective reads
+the passes' float64 reconstruction errors, the very numbers the H block's
+line search compares, so the trace stays non-increasing. An overflow in a
+pass or a gradient raises one FloatingPointError naming the H block.
+
 ``update_H`` and ``forward_passes`` run the views in the caller's thread
 unless the largest view's forward pass reaches ``_VIEW_THREAD_MIN_MACS``
 multiply-adds; then each view gets a thread of ``map_views``. A view's
@@ -116,10 +123,11 @@ def _orth_penalty(Y):
 
 @one_blas_thread()
 def representations(state, network):
-    """Per-view (n, code_dim) representations H of the state: zero on masked rows.
+    """Per-view (n, code_dim) float32 representations H of the state: zero on masked rows.
 
-    BLAS runs at one thread, as in ``train``, so these are the bytes that
-    training computed.
+    They come from float32 rows and BLAS runs at one thread, as in
+    ``train``, so on the present rows these are the bytes of the codes
+    that training computed.
     """
     return [ae.encode(params, view.features, m)
             for params, view, m in zip(state.autoencoders, network.views, state.masks)]
@@ -285,9 +293,9 @@ def update_B(state, passes):
 
 # Multiply-adds per forward pass of the largest view below which the views run
 # inline: their numpy calls are so short that passing the GIL between view threads
-# costs what a second CPU gives. On two CPUs, view threads tied with inline runs at
-# 2.0M and beat them from 2.4M on (README, "Threads").
-_VIEW_THREAD_MIN_MACS = 2_400_000
+# costs what a second CPU gives. On two CPUs, with float32 passes, view threads tied
+# with inline trainings at 3.4M and beat them from 4.3M on (README, "Threads").
+_VIEW_THREAD_MIN_MACS = 3_400_000
 
 
 def _per_view(fn, state):
@@ -328,8 +336,9 @@ def update_H(state, passes):
 
     def train_one(s):
         target = ae._view_target(state.masks[s], state.Y, state.B[s], hyper.alpha)
-        return ae.train_view_autoencoder(_take(passes, s), target, hyper.alpha, hyper.lam,
-                                         hyper.h_steps)
+        with _overflow_names("H block"):  # trials price an overflow; gradients raise on one
+            return ae.train_view_autoencoder(_take(passes, s), target, hyper.alpha, hyper.lam,
+                                             hyper.h_steps)
 
     trained = _per_view(train_one, state)
     return replace(state, autoencoders=[vpass.params for vpass in trained]), trained
@@ -365,14 +374,17 @@ def _leading_left_singular_vectors(X, k):
 
 
 def forward_passes(state, network):
-    """Per view, the forward pass of the state's autoencoder over its present rows.
+    """Per view, the float32 forward pass of the state's autoencoder over its present rows.
 
-    The one place a training reads the features: these rows are the only
-    copy of them it takes, and every later pass reads them.
+    The one place a training reads the features: these float32 rows are the
+    only copy of them it takes, and every later pass reads them. Features
+    beyond float32's range, or a pass that overflows, raise one
+    FloatingPointError naming the H block.
     """
     def forward(s):
-        rows = ae._present_rows(network.views[s].features, state.masks[s])
-        return ae._view_forward(state.autoencoders[s], rows)
+        with _overflow_names("H block"):
+            rows = ae._present_rows(network.views[s].features, state.masks[s])
+            return ae._view_forward(state.autoencoders[s], rows)
 
     return _per_view(forward, state)
 

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from dpmne.optim import ARMIJO_C, CURVATURE_TOL, MAX_TRIALS
 from dpmne.proximity import (ProximityConfig, ProximityStack, default_weights,
                              proximity_adjacency)
-from dpmne.trainer import EmbeddingState, forward_passes, objective
+from dpmne import autoencoder as ae
+from dpmne.trainer import EmbeddingState, objective
 
 
 def high_order_proximity(adjacency, config=None):
@@ -51,10 +52,16 @@ def aggregate_and_laplacian(per_view):
 
 
 def objective_from_params(network, prox, Y, B, autoencoders, hyper):
-    """Objective with the forward passes recomputed from the autoencoders."""
+    """Objective with the forward passes recomputed from the autoencoders over float64 rows.
+
+    Float64 passes make it smooth enough for finite differences, which the
+    float32 passes of training are not.
+    """
     masks = [view.mask for view in network.views]
     state = EmbeddingState(Y, list(B), masks, list(autoencoders), hyper)
-    return objective(state, forward_passes(state, network), prox)
+    passes = [ae._view_forward(params, view.features[view.mask])
+              for params, view in zip(autoencoders, network.views)]
+    return objective(state, passes, prox)
 
 
 def svd_warm_start(X, k):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from dpmne import autoencoder as ae
+from dpmne import optim
 from dpmne.autoencoder import (AutoencoderParams, decode, encode, flatten, init_autoencoder,
                                train_view_autoencoder, unflatten, view_loss_and_grads)
+from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.optim import armijo_minimize
 
 from conftest import point_pass, recording_armijo
@@ -66,10 +70,14 @@ class TestEncode:
         rng = np.random.default_rng(seed)
         params = init_autoencoder(5, (7, 3), "tanh", "sigmoid", rng)
         X = rng.random((8, 5))
-        H = encode(params, X, np.ones(8, dtype=bool))
         H_oracle, X_oracle = straight_line_forward(params, X)
-        assert np.max(np.abs(H - H_oracle)) < 1e-12
-        assert np.max(np.abs(decode(params, H) - X_oracle)) < 1e-12
+        reference = ae._view_forward(params, X)  # float64 rows: the float64 path
+        assert np.max(np.abs(reference.code - H_oracle)) < 1e-12
+        assert np.max(np.abs(decode(params, reference.code) - X_oracle)) < 1e-12
+        H = encode(params, X, np.ones(8, dtype=bool))  # float32, as training runs
+        assert H.dtype == np.float32 and decode(params, H).dtype == np.float32
+        assert rel_error(H, H_oracle) < 1e-5
+        assert rel_error(decode(params, H), X_oracle) < 1e-5
 
     def test_masked_row_storage_never_changes_output(self):
         rng = np.random.default_rng(9)
@@ -94,7 +102,8 @@ class TestDecode:
     def test_round_trip_through_identity_network(self):
         params = identity_params(2)
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
-        np.testing.assert_array_equal(decode(params, encode(params, X, np.ones(2, dtype=bool))), X)
+        np.testing.assert_array_equal(decode(params, encode(params, X, np.ones(2, dtype=bool))),
+                                      X.astype(np.float32))  # encode runs in float32
 
     def test_zero_hidden_row_decodes_to_bias_response(self):
         rng = np.random.default_rng(1)
@@ -147,14 +156,14 @@ class TestTrainViewAutoencoder:
     @pytest.mark.parametrize("seed", range(3))
     def test_plain_gradient_matches_finite_differences(self, seed):
         # alpha = 0 reduces to an ordinary autoencoder
-        params, X, mask, _, _ = small_problem(seed)
+        params, X, mask, Y, B = small_problem(seed)
         templates = params.all_arrays()
         vec = flatten(templates)
-        grads = view_loss_and_grads(params, X, mask, alpha=0.0, lam=0.01)[1]
+        grads = view_loss_and_grads(params, X, mask, Y, B, alpha=0.0, lam=0.01)[1]
 
         def fun(v):
             return view_loss_and_grads(params.replace_arrays(unflatten(v, templates)),
-                                       X, mask, alpha=0.0, lam=0.01)[0]
+                                       X, mask, Y, B, alpha=0.0, lam=0.01)[0]
 
         assert rel_error(flatten(grads), central_difference(fun, vec)) < 1e-5
 
@@ -221,8 +230,9 @@ class TestTrainViewAutoencoder:
     @pytest.mark.parametrize("steps", [0, 1, 6])
     def test_returns_the_pass_of_the_trained_parameters(self, steps):
         params, X, mask, Y, B = small_problem(32)
-        vpass = train_from_params(params, X, mask, Y, B, 1.0, steps=steps)
-        fresh = ae._view_forward(vpass.params, X[mask])
+        start = ae._view_forward(params, ae._present_rows(X, mask))  # float32, as in training
+        vpass = train_view_autoencoder(start, ae._view_target(mask, Y, B, 1.0), 1.0, 0.01, steps)
+        fresh = ae._view_forward(vpass.params, ae._present_rows(X, mask))
         assert vpass.recon == fresh.recon
         assert all(a.tobytes() == b.tobytes() for a, b in zip(vpass.outputs, fresh.outputs))
         assert vpass.code.tobytes() == encode(vpass.params, X, mask)[mask].tobytes()
@@ -267,3 +277,96 @@ class TestTrainViewAutoencoder:
         b = view_loss_and_grads(params, X[perm], mask[perm], Y[perm], B, alpha=0.9,
                                 lam=0.02)[0]
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def wide_problem():
+    """A view of the ``ae-wide`` bench shape: 420 present rows, 300 features, (256, 64) layers."""
+    net = synth_generate(SynthConfig(n=600, communities=8, t=3, feature_dim=300, pdr=0.3, seed=5))
+    view, rng = net.views[0], np.random.default_rng(5)
+    params = init_autoencoder(300, (256, 64), "tanh", "sigmoid", rng)
+    Y = rng.standard_normal((600, 64)) / 8.0
+    B = rng.standard_normal((64, 64)) / 8.0
+    return params, view.features, view.mask, Y, B
+
+
+SHAPES = {"ae-wide": wide_problem,
+          "small": lambda: small_problem(40),
+          "small-deep": lambda: small_problem(41, n=30, d_in=12, hidden=(9, 7, 3), missing=7)}
+
+
+class TestFloat32Passes:
+    """Training's float32 passes against the float64 reference at the same point.
+
+    The bounds were fixed before the first run: loss and reconstruction error
+    within 1e-6 relative, the flat gradient within 1e-5 relative in norm and
+    the codes within 1e-5 relative.
+    """
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_loss_gradient_and_codes_match_the_float64_reference(self, shape, alpha):
+        params, X, mask, Y, B = SHAPES[shape]()
+        lam = 0.01
+        target = ae._view_target(mask, Y, B, alpha)
+        fast = ae._view_forward(params, ae._present_rows(X, mask))
+        reference = ae._view_forward(params, X[mask])
+        loss, grads = view_loss_and_grads(params, X, mask, Y, B, alpha, lam)
+        assert ae._view_loss(fast, target, alpha, lam) == pytest.approx(loss, rel=1e-6)
+        assert fast.recon == pytest.approx(reference.recon, rel=1e-6)
+        assert rel_error(flatten(ae._view_backward(fast, target, alpha, lam)),
+                         flatten(grads)) < 1e-5
+        assert rel_error(fast.code, reference.code) < 1e-5
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_pass_is_float32_and_everything_else_float64(self, shape, monkeypatch):
+        params, X, mask, Y, B = SHAPES[shape]()
+        start = ae._view_forward(params, ae._present_rows(X, mask))
+        assert all(out.dtype == np.float32 for out in start.outputs)
+        assert encode(params, X, mask)[mask].tobytes() == start.code.tobytes()
+        target = ae._view_target(mask, Y, B, 1.0)
+        grads = ae._view_backward(start, target, 1.0, 0.01)
+        assert all(g.dtype == np.float64 for g in grads[:len(params.weights)])  # ridge in float64
+        assert flatten(grads).dtype == np.float64
+        pairs = []
+        direction = optim._lbfgs_direction
+
+        def recorded(g, kept):
+            pairs.extend(kept)
+            return direction(g, kept)
+
+        monkeypatch.setattr(optim, "_lbfgs_direction", recorded)
+        trained = train_view_autoencoder(start, target, 1.0, 0.01, steps=4)
+        assert pairs and all(s.dtype == y.dtype == np.float64 for s, y, _ in pairs)
+        assert all(a.dtype == np.float64 for a in trained.params.all_arrays())
+        assert all(out.dtype == np.float32 for out in trained.outputs)
+        assert type(trained.recon) is float
+
+    def test_the_reconstruction_error_is_summed_in_float64(self):
+        # squares of 1e20 overflow float32; the error of zero weights is the rows' squared sum
+        params = identity_params(2)
+        params = params.replace_arrays([np.zeros_like(a) for a in params.all_arrays()])
+        rows = np.array([[1e20, -3e19], [2.5e20, 7.0]], dtype=np.float32)
+        with np.errstate(over="raise"):
+            vpass = ae._view_forward(params, rows)
+        assert np.isfinite(vpass.recon)
+        assert vpass.recon == float(np.sum(rows.astype(np.float64) ** 2))
+
+    def test_an_overflowing_trial_is_priced_not_raised(self, monkeypatch):
+        # inside update_H overflows raise; a trial that overflows must still cost inf or nan
+        params, X, mask, Y, B = small_problem(42)
+        start = ae._view_forward(params, ae._present_rows(X, mask))
+        target = ae._view_target(mask, Y, B, 1.0)
+        expected = train_view_autoencoder(start, target, 1.0, 0.01, steps=3)
+        far = []
+
+        def probing(forward, backward, x0, steps, start):
+            far.append(forward(x0 * 1e39)[0])  # its float32 cast overflows
+            return armijo_minimize(forward, backward, x0, steps, start)
+
+        monkeypatch.setattr(ae, "armijo_minimize", probing)
+        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trained = train_view_autoencoder(start, target, 1.0, 0.01, steps=3)
+        assert len(far) == 1 and not np.isfinite(far[0])
+        assert flatten(trained.params.all_arrays()).tobytes() == flatten(
+            expected.params.all_arrays()).tobytes()

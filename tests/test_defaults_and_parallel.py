@@ -46,7 +46,12 @@ REQUIRED = [(proximity.build_stack, "config"),
             (autoencoder.init_autoencoder, "output_activation"),
             (autoencoder.init_autoencoder, "rng"),
             (autoencoder.AutoencoderParams, "activation"),
-            (autoencoder.AutoencoderParams, "output_activation")]
+            (autoencoder.AutoencoderParams, "output_activation"),
+            (autoencoder.view_loss_and_grads, "Y"), (autoencoder.view_loss_and_grads, "B"),
+            (autoencoder.view_loss_and_grads, "alpha"), (autoencoder.view_loss_and_grads, "lam"),
+            (evaluation.classify_f1, "protocol"), (evaluation.pdr_sweep, "methods"),
+            (evaluation.pdr_sweep, "protocol"), (evaluation.pdr_sweep, "hyper"),
+            (evaluation.cross_validate, "protocol"), (evaluation.cross_validate, "base_hyper")]
 
 
 @pytest.mark.parametrize("function,name", REQUIRED,
@@ -375,7 +380,8 @@ def recorded(*args, **kwargs):
 evaluation.fit_logistic_regression = recorded
 net = synth_generate(SynthConfig(n=2500, communities=10, t=2, feature_dim=150, seed=3))
 hyper = Hyperparams(dim=128, hidden_dims=(8,), max_iters=0)
-evaluation.cross_validate(net, [(1.0, 0.1, 0.01)], folds=5, base_hyper=hyper)
+evaluation.cross_validate(net, [(1.0, 0.1, 0.01)], folds=5, protocol=evaluation.EvalProtocol(),
+                          base_hyper=hyper)
 """
 
 

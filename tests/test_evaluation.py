@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmne import evaluation
-from dpmne.evaluation import (EvalProtocol, classify_f1, cluster_accuracy,
+from dpmne.evaluation import (SWEEP_METHODS, EvalProtocol, classify_f1, cluster_accuracy,
                               cross_validate, fit_logistic_regression, kfold_indices,
                               kmeans, knn_impute, matched_accuracy, micro_macro_f1,
                               pdr_sweep, predict_logistic)
@@ -222,7 +222,7 @@ class TestClassify:
     def test_more_labels_than_embedding_rows_rejected(self):
         X = np.random.default_rng(3).standard_normal((30, 4))
         with pytest.raises(ValueError, match="30 embedding rows but 40 labels"):
-            classify_f1(X, np.arange(40) % 3)
+            classify_f1(X, np.arange(40) % 3, EvalProtocol())
 
     def test_logistic_regression_fits_separable_data(self):
         rng = np.random.default_rng(4)
@@ -517,7 +517,7 @@ class TestPdrSweep:
         trainings = []
         monkeypatch.setattr(evaluation, "train", lambda *args: trainings.append(args))
         with pytest.raises(ValueError, match="^ratio must be a number in \\[0, 1\\), got"):
-            pdr_sweep(net, ratios, protocol=EvalProtocol(repeats=1), hyper=quick_hyper())
+            pdr_sweep(net, ratios, SWEEP_METHODS, EvalProtocol(repeats=1), quick_hyper())
         assert trainings == []
 
     @pytest.mark.parametrize("ratios,methods,message", [
@@ -567,7 +567,8 @@ class TestCrossValidate:
     def test_grid_point_without_three_values_rejected(self, point):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
         with pytest.raises(ValueError, match="alpha, beta, lam"):
-            cross_validate(net, [(1.0, 0.1, 0.01), point], folds=2)
+            cross_validate(net, [(1.0, 0.1, 0.01), point], folds=2, protocol=EvalProtocol(),
+                           base_hyper=Hyperparams())
 
     @pytest.mark.parametrize("folds", [1, 11, 2.5, True])
     def test_bad_fold_count_rejected(self, folds):
@@ -577,7 +578,7 @@ class TestCrossValidate:
     def test_empty_grid_rejected(self):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
         with pytest.raises(ValueError):
-            cross_validate(net, [], folds=2)
+            cross_validate(net, [], folds=2, protocol=EvalProtocol(), base_hyper=Hyperparams())
 
     def test_every_grid_point_is_checked_before_any_training(self, monkeypatch):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
@@ -585,7 +586,7 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluation, "train", lambda *args: trainings.append(args))
         grid = [(1, 0.1, 0.01), (1, 0.1, 0.01), (-1, 0.1, 0.01)]
         with pytest.raises(ValueError, match="^alpha must be a finite number >= 0, got -1"):
-            cross_validate(net, grid, folds=2, base_hyper=quick_hyper())
+            cross_validate(net, grid, folds=2, protocol=EvalProtocol(), base_hyper=quick_hyper())
         assert trainings == []
 
 

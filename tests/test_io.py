@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from dpmne import autoencoder as ae
 from dpmne.graph_model import MultiplexNetwork, SynthConfig, ViewData, synth_generate
 from dpmne.io import (ManifestError, _read_edges, checkpoint, load_network, restore,
                       save_embeddings, save_network)
@@ -488,6 +489,36 @@ class TestCheckpoint:
         resumed = train(net, replace(hyper, max_iters=2), init_state=restore(path))
         assert resumed.objective_trace == uninterrupted.objective_trace
         assert np.array_equal(resumed.Y, uninterrupted.Y)
+
+    def test_a_checkpoint_of_float64_passes_resumes_on_float32_passes(self, tmp_path,
+                                                                      monkeypatch):
+        # the format is unchanged, as the parameters are float64 on either path; a checkpoint
+        # written while the passes ran in float64 resumes with its next iterations in float32
+        net = small_net(11)
+        hyper = Hyperparams(dim=3, max_iters=3, hidden_dims=(5, 2), seed=11)
+        with monkeypatch.context() as patch:
+            patch.setattr(ae, "_present_rows",
+                          lambda X, mask: np.asarray(X, dtype=np.float64)[mask])
+            before = train(net, hyper)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(before, path)
+        with np.load(path) as archive:
+            assert json.loads(str(archive["meta"]))["format"] == 2
+            assert {archive[k].dtype for k in archive.files if k.startswith("ae")} == {
+                np.dtype(np.float64)}
+        row_dtypes = []
+        forward = ae._view_forward
+
+        def recorded(params, rows):
+            row_dtypes.append(rows.dtype)
+            return forward(params, rows)
+
+        monkeypatch.setattr(ae, "_view_forward", recorded)
+        resumed = train(net, replace(hyper, max_iters=5), init_state=restore(path))
+        assert set(row_dtypes) == {np.dtype(np.float32)}
+        trace = resumed.objective_trace
+        assert trace[:4] == before.objective_trace and len(trace) == 9
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_stored_null_proximity_restores_as_the_default(self, tmp_path):
         net = small_net(11)

@@ -15,7 +15,8 @@ from conftest import networks
 
 # Features stay within +-1e9. The autoencoders' line search starts at the unit-length step
 # 1/||g||, so the steps it tries scale with the features; a search from a fixed first step
-# ran out of halvings from about 2e8. Features near 1e154 overflow the warm start's Gram.
+# ran out of halvings from about 2e8. From about 1e19 the float32 passes' gradients
+# overflow, and features near 1e154 overflow the warm start's Gram.
 FEATURE_MAX = 1e9
 
 SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,

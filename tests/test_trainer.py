@@ -91,6 +91,27 @@ def codes(passes):
     return [vpass.code for vpass in passes]
 
 
+def float64_passes(state, network):
+    """Per view, the pass of the state's autoencoder over float64 rows: the float64 path."""
+    return [ae._view_forward(params, view.features[m])
+            for params, view, m in zip(state.autoencoders, network.views, state.masks)]
+
+
+def zero_padded(passes, masks):
+    """Each pass's code on all rows, zero on the masked ones, as ``representations`` gives."""
+    H = [np.zeros((m.size, vpass.code.shape[1]), dtype=vpass.code.dtype)
+         for vpass, m in zip(passes, masks)]
+    for h, vpass, m in zip(H, passes, masks):
+        h[m] = vpass.code
+    return H
+
+
+def decoded_error(rows, params, code):
+    """The squared reconstruction error of ``rows`` from ``code``, summed in float64."""
+    diff = rows.astype(np.float64) - ae.decode(params, code).astype(np.float64)
+    return float(np.sum(diff ** 2))
+
+
 class CountingLaplacian:
     """Wraps a Laplacian and appends "L" to ``calls`` per product."""
     def __init__(self, laplacian, calls):
@@ -103,7 +124,8 @@ class CountingLaplacian:
 
 class TestObjective:
     def test_each_term_vanishes_in_its_zero_case(self):
-        network, hyper, prox, state, passes = small_setup(0)
+        network, hyper, prox, state, _ = small_setup(0)
+        passes = float64_passes(state, network)
 
         def value(st, passes, settings):
             return objective(replace(st, hyper=settings), passes, prox)
@@ -111,7 +133,7 @@ class TestObjective:
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim,
                            hidden_dims=hyper.hidden_dims)
         recon_only = value(state, passes, bare)
-        H = representations(state, network)
+        H = zero_padded(passes, state.masks)
         recon_direct = sum(
             float(np.sum((v.features[v.mask]
                           - ae.decode(state.autoencoders[s], H[s][v.mask])) ** 2))
@@ -140,7 +162,7 @@ class TestObjective:
                    for p in state.autoencoders]
         zero_state = EmbeddingState(q, [np.zeros_like(b) for b in state.B],
                                     state.masks, zero_ae, hyper)
-        zero_passes = forward_passes(zero_state, network)
+        zero_passes = float64_passes(zero_state, network)
         assert all(not np.any(vpass.code) for vpass in zero_passes)
         lam_only = Hyperparams(alpha=0.0, beta=0.0, lam=3.0, dim=hyper.dim)
         assert value(zero_state, zero_passes, lam_only) == pytest.approx(
@@ -148,16 +170,18 @@ class TestObjective:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_term_by_term_oracle(self, seed):
-        network, hyper, prox, state, passes = small_setup(seed)
+        network, hyper, prox, state, _ = small_setup(seed)
+        passes = float64_passes(state, network)
         value = objective(state, passes, prox)
-        oracle = objective_oracle(state, representations(state, network), network, prox, hyper)
+        oracle = objective_oracle(state, zero_padded(passes, state.masks), network, prox, hyper)
         assert abs(value - oracle) / abs(oracle) < 1e-10
 
     def test_zero_tradeoffs_leave_reconstruction_only(self):
-        network, hyper, prox, state, passes = small_setup(1)
+        network, hyper, prox, state, _ = small_setup(1)
+        passes = float64_passes(state, network)
         bare = Hyperparams(alpha=0.0, beta=0.0, lam=0.0, dim=hyper.dim)
         value = objective(replace(state, hyper=bare), passes, prox)
-        H = representations(state, network)
+        H = zero_padded(passes, state.masks)
         recon = 0.0
         for s, v in enumerate(network.views):
             diff = (v.features - ae.decode(state.autoencoders[s], H[s]))[v.mask]
@@ -462,7 +486,7 @@ class TestUpdateB:
         out = update_B(state, passes)
         m = state.masks[0]
         Yp, Hp = state.Y[m], passes[0].code
-        assert np.array_equal(passes[0].rows, network.views[0].features[m])
+        assert np.array_equal(passes[0].rows, network.views[0].features[m].astype(np.float32))
         ridge = np.linalg.solve(hyper.alpha * Yp.T @ Yp + hyper.lam * np.eye(hyper.dim),
                                 hyper.alpha * Yp.T @ Hp)
         np.testing.assert_allclose(out.B[0], ridge, rtol=1e-10, atol=1e-12)
@@ -479,8 +503,8 @@ class TestUpdateH:
         for s, view in enumerate(network.views):
             assert trained[s].params is out.autoencoders[s]
             assert np.array_equal(trained[s].code, H[s][view.mask])
-            recon = view.features[view.mask] - ae.decode(out.autoencoders[s], trained[s].code)
-            assert trained[s].recon == float(np.sum(recon ** 2))
+            assert trained[s].recon == decoded_error(trained[s].rows, out.autoencoders[s],
+                                                     trained[s].code)
 
     def test_never_increases_the_objective(self):
         network, hyper, prox, state, passes = small_setup(11)
@@ -495,7 +519,8 @@ class TestUpdateH:
         hidden = np.flatnonzero(state.masks[1])[0]
         state.masks[1][hidden] = False
         out, trained = update_H(state, forward_passes(state, network))
-        assert np.array_equal(trained[1].rows, network.views[1].features[state.masks[1]])
+        assert np.array_equal(trained[1].rows,
+                              network.views[1].features[state.masks[1]].astype(np.float32))
         assert np.all(representations(out, network)[1][hidden] == 0.0)
 
     @pytest.mark.parametrize("h_steps", [0, 1, 4])
@@ -825,10 +850,10 @@ class TestForwardPasses:
         H = representations(state, network)
         for s, (vpass, view) in enumerate(zip(passes, network.views)):
             assert vpass.params is state.autoencoders[s]
-            assert np.array_equal(vpass.rows, view.features[view.mask])
+            assert np.array_equal(vpass.rows, view.features[view.mask].astype(np.float32))
             assert vpass.code.tobytes() == H[s][view.mask].tobytes()
-            decoded = ae.decode(state.autoencoders[s], H[s][view.mask])
-            assert vpass.recon == float(np.sum((view.features[view.mask] - decoded) ** 2))
+            assert vpass.recon == decoded_error(vpass.rows, state.autoencoders[s],
+                                                H[s][view.mask])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_no_earlier_pass_of_a_view_is_alive_when_its_forward_pass_runs(self, threads,
@@ -862,14 +887,18 @@ class TestForwardPasses:
 
 
 class TestLargeFeatures:
-    @pytest.mark.parametrize("activation, value, block", [
-        ("identity", 1e100, "Y block"), ("relu", 1e100, "Y block"), ("tanh", 1e160, "warm start")])
+    @pytest.mark.parametrize("activation, output_activation, value, block", [
+        ("identity", "sigmoid", 1e100, "H block"),  # beyond float32: the rows' cast overflows
+        ("relu", "sigmoid", 1e100, "H block"),
+        ("identity", "identity", 1e20, "H block"),  # float32 rows whose gradient overflows
+        ("tanh", "sigmoid", 1e160, "warm start")])
     @pytest.mark.parametrize("runtime_warnings", ["error", "ignore"])
-    def test_an_overflow_raises_one_error_naming_the_block(self, activation, value, block,
-                                                           runtime_warnings):
+    def test_an_overflow_raises_one_error_naming_the_block(self, activation, output_activation,
+                                                           value, block, runtime_warnings):
         # finite features whose products overflow: no LAPACK or scipy input error escapes
         view = ViewData(np.array([[value], [1.0]]), np.ones(2, dtype=bool), sp.csr_matrix((2, 2)))
-        hyper = Hyperparams(dim=1, hidden_dims=(1,), activation=activation, max_iters=3)
+        hyper = Hyperparams(dim=1, hidden_dims=(1,), activation=activation,
+                            output_activation=output_activation, max_iters=3)
         with warnings.catch_warnings():
             warnings.simplefilter(runtime_warnings, RuntimeWarning)
             with pytest.raises(FloatingPointError, match=f"^{block}: overflow encountered"):
