@@ -5,6 +5,8 @@ Missing nodes never enter the computation: their representation rows are
 forced to zero and their (zero-stored) feature rows are excluded from every
 loss term. Training adds a regression pull toward the shared embedding's
 per-view subspace, so the deep representations stay consistent across views.
+The layers are fixed: tanh on every hidden layer and sigmoid on the output
+layer, which matches 0/1-valued features.
 
 A pass runs in the precision of the rows it is handed. Training and
 ``encode`` take the present rows as float32 (``_present_rows``), so their
@@ -42,19 +44,9 @@ def unflatten(vec, templates):
         raise ValueError(f"flat vector has {vec.size} entries, templates need {offset}")
     return out
 
-_ACT = {
-    "identity": (lambda z: z, lambda a: np.ones_like(a)),
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "sigmoid": (expit, lambda a: a * (1.0 - a)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(a.dtype)),
-}
-
-
-def _activation(name, setting="activation"):
-    try:
-        return _ACT[name]
-    except KeyError:
-        raise ValueError(f"unknown {setting} {name!r}; choose from {sorted(_ACT)}")
+# (activation, derivative from the output): tanh on the hidden layers, sigmoid on the output
+_HIDDEN = (np.tanh, lambda a: 1.0 - a * a)
+_OUTPUT = (expit, lambda a: a * (1.0 - a))
 
 
 @dataclass
@@ -63,13 +55,11 @@ class AutoencoderParams:
 
     ``weights[k]`` (fan-in x fan-out) and ``biases[k]`` belong to layer k of
     2K: layers 0..K-1 encode and layers K..2K-1 decode, so the widths read
-    input, hidden..., code, hidden reversed..., input. ``activation`` is
-    applied on every layer except the last, which uses ``output_activation``.
+    input, hidden..., code, hidden reversed..., input. Every layer but the
+    last is tanh, and the last is sigmoid.
     """
     weights: list
     biases: list
-    activation: str
-    output_activation: str
 
     @property
     def input_dim(self):
@@ -96,9 +86,8 @@ def _layer_widths(input_dim, hidden_dims):
     return widths + widths[-2::-1]
 
 
-def init_autoencoder(input_dim, hidden_dims, activation, output_activation, rng):
+def init_autoencoder(input_dim, hidden_dims, rng):
     """Glorot-uniform weights from ``rng``, zero biases; decoder mirrors the encoder widths."""
-    _activation(activation), _activation(output_activation, "output_activation")
     widths = _layer_widths(input_dim, hidden_dims)
     if any(w < 1 for w in widths):
         raise ValueError(f"layer widths must be positive, got {widths}")
@@ -108,14 +97,12 @@ def init_autoencoder(input_dim, hidden_dims, activation, output_activation, rng)
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
     return AutoencoderParams([glorot(a, b) for a, b in zip(widths, widths[1:])],
-                             [np.zeros(b) for b in widths[1:]], activation, output_activation)
+                             [np.zeros(b) for b in widths[1:]])
 
 
 def _layer_activation(params, k):
     """(activation, derivative from the output) of layer ``k``."""
-    if k == len(params.weights) - 1:
-        return _activation(params.output_activation, "output_activation")
-    return _activation(params.activation)
+    return _OUTPUT if k == len(params.weights) - 1 else _HIDDEN
 
 
 def _forward(params, X, layers):

@@ -232,7 +232,7 @@ def _cmd_tune(args):
     points = [_floats(chunk) for chunk in args.grid.split(";") if chunk.strip()]
     base = _hyper_from_args(args)
     protocol = EvalProtocol(seed=args.seed)
-    _grid_hypers(points, base, protocol.seed)
+    _grid_hypers(points, base)
     _check_folds(args.folds)  # the upper bound, the node count, waits for the manifest
     network = io.load_network(args.manifest)
     best = cross_validate(network, points, folds=args.folds, protocol=protocol,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_model import _check_ratio, _check_setting, apply_pdr
+from .graph_model import _check_ratio, _check_setting, _finite_embedding, apply_pdr
 from .optim import armijo_minimize  # noqa: F401  unused here; bench/tracing.py patches it
 from .parallel import one_blas_thread
 from .trainer import train
@@ -159,9 +159,10 @@ def classify_f1(embeddings, labels, protocol):
     """Mean and std of micro/macro F1 over repeated random splits.
 
     BLAS runs at one thread meanwhile (as in ``train``), so the scores do
-    not depend on the thread setting.
+    not depend on the thread setting. A NaN or infinite entry raises one
+    ValueError before any fit.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = _finite_embedding(embeddings)
     _check_lengths(embeddings, labels)
     classes, y = np.unique(np.asarray(labels), return_inverse=True)
     scores = []
@@ -239,7 +240,11 @@ def matched_accuracy(cluster_ids, labels):
 
 
 def cluster_accuracy(embeddings, labels, num_clusters, seed=0):
-    """k-means the embeddings and score against labels with optimal matching."""
+    """k-means the embeddings and score against labels with optimal matching.
+
+    A NaN or infinite entry raises one ValueError before any clustering.
+    """
+    embeddings = _finite_embedding(embeddings)
     _check_lengths(embeddings, labels)
     return matched_accuracy(kmeans(embeddings, num_clusters, seed=seed), labels)
 
@@ -324,8 +329,9 @@ def pdr_sweep(network, ratios, methods, protocol, hyper):
 
     Each ratio gets one masked copy of the network, shared by all methods:
     the mask-aware model trains on it directly, while the fill variants
-    erase the masks after zero or neighbor fill. Deterministic in the
-    protocol seed.
+    erase the masks after zero or neighbor fill. The masks and the scores
+    follow the protocol seed, and every training runs with ``hyper`` as given,
+    its seed included.
     """
     ratios = _check_sweep(ratios, methods)
     if network.labels is None:
@@ -342,13 +348,12 @@ def pdr_sweep(network, ratios, methods, protocol, hyper):
                                                 for v in masked.views])
             else:
                 source = knn_impute(masked)
-            run_hyper = replace(hyper, seed=protocol.seed)
-            state = train(source, run_hyper)
+            state = train(source, hyper)
             rows.append(SweepRow(ratio, method, classify_f1(state.Y, network.labels, protocol)))
     return rows
 
 
-def _grid_hypers(grid, base_hyper, seed):
+def _grid_hypers(grid, base_hyper):
     """``base_hyper`` at each (alpha, beta, lam) point of ``grid``, every point checked."""
     points = [tuple(p) for p in grid]
     if not points:
@@ -356,7 +361,7 @@ def _grid_hypers(grid, base_hyper, seed):
     for p in points:
         if len(p) != 3:
             raise ValueError(f"grid point {p} must be (alpha, beta, lam)")
-    return [replace(base_hyper, seed=seed, alpha=alpha, beta=beta, lam=lam)
+    return [replace(base_hyper, alpha=alpha, beta=beta, lam=lam)
             for alpha, beta, lam in points]
 
 
@@ -375,13 +380,14 @@ def cross_validate(network, grid, folds=5, *, protocol, base_hyper):
     """Pick the (alpha, beta, lam) grid point with the best mean fold micro-F1.
 
     The embedding is learned once per grid point (training never sees
-    labels); only the downstream classifier is cross-validated. Ties keep
+    labels), with ``base_hyper``'s seed; only the downstream classifier is
+    cross-validated, on folds drawn from the protocol seed. Ties keep
     the earliest grid point. BLAS runs at one thread, as in ``classify_f1``,
     so the fold scores do not depend on its thread setting.
     """
     if network.labels is None:
         raise ValueError("cross_validate needs node labels")
-    hypers = _grid_hypers(grid, base_hyper, protocol.seed)
+    hypers = _grid_hypers(grid, base_hyper)
     classes, y = np.unique(network.labels, return_inverse=True)
     rng = np.random.default_rng(protocol.seed)
     fold_sets = kfold_indices(network.n, folds, rng)

@@ -47,6 +47,14 @@ def _check_settings(name, values, low, **rule):
     return tuple(_check_setting(name, v, low, **rule) for v in values)
 
 
+def _finite_embedding(embeddings):
+    """``embeddings`` as a float64 array; one ValueError if any entry is NaN or infinite."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("embedding has non-finite entries")
+    return embeddings
+
+
 def _per_view(value, t, name):
     """Broadcast a scalar or a length-t sequence into a list of t values."""
     if np.isscalar(value) or not np.iterable(value):

@@ -219,8 +219,14 @@ def save_embeddings(matrix, path, fmt="tsv"):
 
 def _hyper_from_json(blob):
     data = json.loads(blob)
-    for retired in ("y_lr", "h_lr"):  # older checkpoints store the retired Armijo start steps
+    # older checkpoints store the retired Armijo start steps and the now fixed stopping patience
+    for retired in ("y_lr", "h_lr", "stop_patience"):
         data.pop(retired, None)
+    # and the names of the layers, which are now fixed: other layers are another model
+    for name, fixed in (("activation", "tanh"), ("output_activation", "sigmoid")):
+        stored = data.pop(name, fixed)
+        if stored != fixed:
+            raise ValueError(f"{name} must be {fixed!r}, got {stored!r}")
     # a null proximity, stored by older releases for Hyperparams(proximity=None), is the default
     proximity = dict(data.pop("proximity") or {})
     weights = proximity.pop("weights", None)  # older releases store the walk weights too
@@ -241,7 +247,7 @@ def checkpoint(state, path):
     """Persist a training state to one .npz archive at exactly ``path``.
 
     The metadata holds the format, the view count and the hyperparameters,
-    which give each autoencoder's depth, hidden widths and activations. The
+    which give each autoencoder's depth and hidden widths. The
     representations H are not stored: a resume recomputes them from the
     autoencoders.
     """
@@ -273,12 +279,12 @@ def restore(path):
     """Rebuild the training state saved by ``checkpoint``.
 
     Each autoencoder's widths are the rows of ``ae{s}_enc_w0``, then
-    ``hyper.hidden_dims``, then their mirror back to the input, and its
-    activations are ``hyper``'s. Every array must be present and agree in
-    shape with them and with the other arrays: Y is (n, dim), each B_s
-    (dim, code) and mask_s (n,), the trace 1-D, finite and non-increasing,
-    and the iteration times one entry shorter (none for an empty trace).
-    Otherwise one ValueError names the array, or the metadata key at fault.
+    ``hyper.hidden_dims``, then their mirror back to the input. Every array
+    must be present and agree in shape with them and with the other arrays:
+    Y is (n, dim), each B_s (dim, code) and mask_s (n,), the trace 1-D and
+    non-increasing, and the iteration times one entry shorter (none for an
+    empty trace). Every real array must be finite. Otherwise one ValueError
+    names the array, or the metadata key at fault.
     Formats 1 and 2 load; the H_s arrays of format 1 are not read, since the
     representations follow from the autoencoders. Metadata keys other than
     format, t and hyper are ignored.
@@ -293,6 +299,8 @@ def restore(path):
                     w is not None and w != got for w, got in zip(shape, value.shape)):
                 raise ValueError(f"{path}: checkpoint array {name!r} has shape "
                                  f"{_shape_text(value.shape)}, expected {_shape_text(shape)}")
+            if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+                raise ValueError(f"{path}: checkpoint array {name!r} has non-finite entries")
             return value
 
         meta = json.loads(str(array("meta")))
@@ -320,10 +328,9 @@ def restore(path):
                       for k, fan_out in enumerate(widths[1:])]
             B.append(array(f"B_{s}", hyper.dim, code))
             masks.append(array(f"mask_{s}", n).astype(bool))
-            autoencoders.append(AutoencoderParams(weights, biases, hyper.activation,
-                                                  hyper.output_activation))
+            autoencoders.append(AutoencoderParams(weights, biases))
         trace = array("trace", None)
-        if not (np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0.0)):
-            raise ValueError(f"{path}: checkpoint array 'trace' increases or is not finite")
+        if not np.all(np.diff(trace) <= 0.0):
+            raise ValueError(f"{path}: checkpoint array 'trace' increases")
         return EmbeddingState(Y, B, masks, autoencoders, hyper, trace.tolist(),
                               array("iter_seconds", max(trace.size - 1, 0)).tolist())

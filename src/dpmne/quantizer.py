@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import _check_setting
+from .graph_model import _check_setting, _finite_embedding
 
 
 @dataclass
@@ -42,9 +42,7 @@ def procrustes_rotation(Y, C):
 
 def binarize_sign(Y):
     """Entrywise sign codes with the identity rotation."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("embedding has non-finite entries")
+    Y = _finite_embedding(Y)
     C = _sign_pm1(Y)
     loss = _quant_loss(C, Y, np.eye(Y.shape[1]))
     return BinaryCodes(C, np.eye(Y.shape[1]), loss, [loss])
@@ -67,9 +65,7 @@ def itq(Y, iterations=50, initial_rotation=None):
     non-increasing; a round that fails to improve due to rounding noise is
     discarded. The returned codes are the exact signs of the rotated embedding.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("embedding has non-finite entries")
+    Y = _finite_embedding(Y)
     iterations = _check_iterations(iterations)
     d = Y.shape[1]
     Q = np.eye(d) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)

@@ -24,8 +24,9 @@ the view's search from it and returns the pass of the trained parameters.
 calls it once, so each accepted point costs one forward pass. Each block
 refuses, naming the view, anything but a pass of the state's autoencoder.
 The blocks read their settings from ``state.hyper``, and early stopping
-reads the objective trace, so a state is exactly what ``io.checkpoint``
-writes; a resume recomputes the passes and is exact.
+reads the objective trace (three stalled iterations in a row end a run),
+so a state is exactly what ``io.checkpoint`` writes; a resume recomputes
+the passes and is exact.
 
 The passes run in float32 (``forward_passes`` takes the rows as float32),
 and everything else stays float64: Y, B, the autoencoders' parameters, the
@@ -65,11 +66,8 @@ class Hyperparams:
     y_steps: int = 5          # gradient steps on Y per outer iteration
     h_steps: int = 5          # L-BFGS steps per autoencoder per outer iteration
     hidden_dims: tuple = (200,)
-    activation: str = "tanh"
-    output_activation: str = "sigmoid"  # matches 0/1-valued input features
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
     stop_tol: float = 1e-6    # relative decrease below this counts as stalled
-    stop_patience: int = 3    # stalled iterations before stopping early
     seed: int = 0
 
     def __post_init__(self):
@@ -77,15 +75,13 @@ class Hyperparams:
         for name, low, integer in (("alpha", 0, False), ("beta", 0, False), ("lam", 0, False),
                                    ("stop_tol", 0, False), ("max_iters", 0, True),
                                    ("y_steps", 0, True), ("h_steps", 0, True), ("seed", 0, True),
-                                   ("dim", 1, True), ("stop_patience", 1, True)):
+                                   ("dim", 1, True)):
             setattr(self, name, _check_setting(name, getattr(self, name), low, integer=integer))
         self.hidden_dims = _check_settings("hidden_dims", self.hidden_dims, 1, integer=True)
         if not self.hidden_dims:
             raise ValueError("hidden_dims must hold at least one width, got ()")
         if not isinstance(self.proximity, ProximityConfig):
             raise ValueError(f"proximity must be a ProximityConfig, got {self.proximity!r}")
-        ae._activation(self.activation)
-        ae._activation(self.output_activation, "output_activation")
 
 
 @dataclass
@@ -398,8 +394,8 @@ def _init_state(network, hyper):
                          for view in network.views])
     U = _leading_left_singular_vectors(stacked, d) if np.any(stacked) else np.zeros((n, 0))
     Y = np.hstack([U, rng.standard_normal((n, d - U.shape[1])) / np.sqrt(d)])
-    autoencoders = [ae.init_autoencoder(view.dim, hyper.hidden_dims, hyper.activation,
-                                        hyper.output_activation, rng) for view in network.views]
+    autoencoders = [ae.init_autoencoder(view.dim, hyper.hidden_dims, rng)
+                    for view in network.views]
     masks = [view.mask.copy() for view in network.views]
     B = [np.zeros((d, params.code_dim)) for params in autoencoders]
     state = EmbeddingState(Y, B, masks, autoencoders, hyper)
@@ -420,26 +416,29 @@ def _check_resume(state, network, hyper):
                              f"network has {view.features.shape[1]}")
         if not np.array_equal(state.masks[s], view.mask):
             raise ValueError(f"view {s}: resume state masks differ from the network's")
-    for name in ("alpha", "beta", "lam", "proximity", "dim", "hidden_dims", "activation",
-                 "output_activation"):
+    for name in ("alpha", "beta", "lam", "proximity", "dim", "hidden_dims"):
         if getattr(state.hyper, name) != getattr(hyper, name):
             raise ValueError(f"resume with {name}={getattr(hyper, name)!r} continues a trace "
                              f"made with {name}={getattr(state.hyper, name)!r}")
 
 
-def train(network, hyper=None, init_state=None):
+# stalled iterations in a row after which training stops early
+_STOP_PATIENCE = 3
+
+
+def train(network, hyper, init_state=None):
     """Alternate the Y, B and autoencoder updates until stalled or exhausted.
 
     Expects a validated network; masked feature rows are never read. Returns
     the final state, which carries this run's ``hyper`` (also on a resume),
     with one objective value recorded per completed outer iteration (plus
     the starting value). Before each iteration the run stops if each of the
-    trace's last ``stop_patience`` relative drops, those of a resumed trace
-    included, is below ``stop_tol``. Fixing the seed fixes the output: BLAS runs
-    on one thread meanwhile, so its thread setting does not split sums
-    differently, and the caller's setting is restored on return.
+    trace's last ``_STOP_PATIENCE`` relative drops, those of a resumed trace
+    included, is below ``hyper.stop_tol``; at ``stop_tol=0.0`` it runs all
+    ``max_iters``. Fixing the seed fixes the output: BLAS runs on one thread
+    meanwhile, so its thread setting does not split sums differently, and
+    the caller's setting is restored on return.
     """
-    hyper = hyper if hyper is not None else Hyperparams()
     worker_count(network.t)  # a bad DPMNE_THREADS fails here, before any work
     with one_blas_thread():
         if init_state is None:
@@ -454,9 +453,9 @@ def train(network, hyper=None, init_state=None):
         trace = list(state.objective_trace) or [objective(state, passes, prox, LY)]
         iter_seconds = list(state.iter_seconds)
         for _ in range(hyper.max_iters):
-            tail = trace[-hyper.stop_patience - 1:]
+            tail = trace[-_STOP_PATIENCE - 1:]
             drops = [(a - b) / max(abs(a), 1e-300) for a, b in zip(tail, tail[1:])]
-            if len(drops) == hyper.stop_patience and all(d < hyper.stop_tol for d in drops):
+            if len(drops) == _STOP_PATIENCE and all(d < hyper.stop_tol for d in drops):
                 break
             tic = time.perf_counter()
             state = update_Y(state, passes, prox, LY)

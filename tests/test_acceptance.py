@@ -8,6 +8,7 @@ models and take several minutes.
 import itertools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,9 +50,7 @@ def random_instance(seed):
                         seed=seed)
     from dpmne.proximity import build_stack
     prox = build_stack(network, hyper.proximity)
-    autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, hyper.activation,
-                                        hyper.output_activation, rng)
-                    for v in network.views]
+    autoencoders = [ae.init_autoencoder(v.dim, hyper.hidden_dims, rng) for v in network.views]
     Y = rng.standard_normal((n, d))
     B = [rng.standard_normal((d, autoencoders[s].code_dim)) for s in range(2)]
     masks = [v.mask.copy() for v in network.views]
@@ -259,7 +258,8 @@ def test_criterion_07_partial_data_trend():
                                          inter=0.005, noise=0.3, feature_dim=16,
                                          seed=seed))
         protocol = EvalProtocol(repeats=3, seed=seed)
-        rows = pdr_sweep(net, ratios, ("dpmne", "zero-fill"), protocol, hyper)
+        rows = pdr_sweep(net, ratios, ("dpmne", "zero-fill"), protocol,
+                         replace(hyper, seed=seed))
         assert len(rows) == len(ratios) * 2
         table = {(r.ratio, r.method): r.report.micro_f1 for r in rows}
         margins.append(table[(0.4, "dpmne")] - table[(0.4, "zero-fill")])

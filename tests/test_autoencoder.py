@@ -15,24 +15,22 @@ from conftest import point_pass, recording_armijo
 
 
 def straight_line_forward(params, X):
-    """Independent re-implementation of the whole layer recurrence."""
-    fns = {"identity": lambda z: z, "tanh": np.tanh, "sigmoid": expit}
+    """Independent re-implementation of the whole layer recurrence: tanh, then a sigmoid output."""
     depth = len(params.weights) // 2
     h = np.asarray(X, dtype=np.float64)
     for W, b in zip(params.weights[:depth], params.biases[:depth]):
-        h = fns[params.activation](h @ W + b)
+        h = np.tanh(h @ W + b)
     x = h
     for k, (W, b) in enumerate(zip(params.weights[depth:], params.biases[depth:])):
-        act = params.output_activation if k == depth - 1 else params.activation
-        x = fns[act](x @ W + b)
+        x = (expit if k == depth - 1 else np.tanh)(x @ W + b)
     return h, x
 
 
-def identity_params(dim):
+def eye_params(dim):
+    """One encoder and one decoder layer with identity weights and zero biases."""
     eye = np.eye(dim)
     zero = np.zeros(dim)
-    return AutoencoderParams([eye.copy(), eye.copy()], [zero.copy(), zero.copy()],
-                             activation="identity", output_activation="identity")
+    return AutoencoderParams([eye.copy(), eye.copy()], [zero.copy(), zero.copy()])
 
 
 def central_difference(fun, vec, eps=1e-6):
@@ -52,23 +50,23 @@ def rel_error(a, b):
 
 class TestEncode:
     def test_all_masked_input_encodes_to_zero(self):
-        params = init_autoencoder(4, (3,), "tanh", "sigmoid", np.random.default_rng(0))
+        params = init_autoencoder(4, (3,), np.random.default_rng(0))
         H = encode(params, np.zeros((5, 4)), np.zeros(5, dtype=bool))
         assert np.array_equal(H, np.zeros((5, 3)))
 
-    def test_identity_network_reproduces_present_rows(self):
-        params = identity_params(3)
-        X = np.arange(12.0).reshape(4, 3)
+    def test_eye_network_encodes_present_rows_to_their_tanh(self):
+        params = eye_params(3)
+        X = np.arange(12.0).reshape(4, 3) / 4.0
         mask = np.array([True, False, True, True])
         X = X * mask[:, None]
         H = encode(params, X, mask)
-        np.testing.assert_array_equal(H[mask], X[mask])
+        assert H[mask].tobytes() == np.tanh(X[mask].astype(np.float32)).tobytes()
         assert np.all(H[~mask] == 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_forward_matches_straight_line_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_autoencoder(5, (7, 3), "tanh", "sigmoid", rng)
+        params = init_autoencoder(5, (7, 3), rng)
         X = rng.random((8, 5))
         H_oracle, X_oracle = straight_line_forward(params, X)
         reference = ae._view_forward(params, X)  # float64 rows: the float64 path
@@ -81,7 +79,7 @@ class TestEncode:
 
     def test_masked_row_storage_never_changes_output(self):
         rng = np.random.default_rng(9)
-        params = init_autoencoder(4, (3,), "tanh", "sigmoid", rng)
+        params = init_autoencoder(4, (3,), rng)
         X = rng.random((6, 4))
         mask = np.array([True, True, False, True, False, True])
         X[~mask] = 0.0
@@ -91,7 +89,7 @@ class TestEncode:
         assert np.array_equal(encode(params, X_poisoned, mask), base)
 
     def test_shape_mismatch_rejected(self):
-        params = init_autoencoder(4, (3,), "tanh", "sigmoid", np.random.default_rng(0))
+        params = init_autoencoder(4, (3,), np.random.default_rng(0))
         with pytest.raises(ValueError):
             encode(params, np.zeros((5, 3)), np.ones(5, dtype=bool))
         with pytest.raises(ValueError):
@@ -99,15 +97,16 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_round_trip_through_identity_network(self):
-        params = identity_params(2)
+    def test_round_trip_through_eye_network_is_sigmoid_of_tanh(self):
+        params = eye_params(2)
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
-        np.testing.assert_array_equal(decode(params, encode(params, X, np.ones(2, dtype=bool))),
-                                      X.astype(np.float32))  # encode runs in float32
+        out = decode(params, encode(params, X, np.ones(2, dtype=bool)))
+        # encode runs in float32, and decode keeps its float32 codes in float32
+        assert out.tobytes() == expit(np.tanh(X.astype(np.float32))).tobytes()
 
     def test_zero_hidden_row_decodes_to_bias_response(self):
         rng = np.random.default_rng(1)
-        params = init_autoencoder(4, (3,), "tanh", "sigmoid", rng)
+        params = init_autoencoder(4, (3,), rng)
         params.biases[1][:] = rng.random(4)  # the decoder's only layer
         out = decode(params, np.zeros((1, 3)))
         np.testing.assert_allclose(out[0], expit(params.biases[1]), atol=1e-15)
@@ -115,7 +114,7 @@ class TestDecode:
 
 def small_problem(seed, n=10, d_in=5, hidden=(6, 4), d=3, missing=2):
     rng = np.random.default_rng(seed)
-    params = init_autoencoder(d_in, hidden, "tanh", "sigmoid", rng)
+    params = init_autoencoder(d_in, hidden, rng)
     mask = np.ones(n, dtype=bool)
     mask[rng.choice(n, size=missing, replace=False)] = False
     X = rng.random((n, d_in))
@@ -283,7 +282,7 @@ def wide_problem():
     """A view of the ``ae-wide`` bench shape: 420 present rows, 300 features, (256, 64) layers."""
     net = synth_generate(SynthConfig(n=600, communities=8, t=3, feature_dim=300, pdr=0.3, seed=5))
     view, rng = net.views[0], np.random.default_rng(5)
-    params = init_autoencoder(300, (256, 64), "tanh", "sigmoid", rng)
+    params = init_autoencoder(300, (256, 64), rng)
     Y = rng.standard_normal((600, 64)) / 8.0
     B = rng.standard_normal((64, 64)) / 8.0
     return params, view.features, view.mask, Y, B
@@ -342,14 +341,15 @@ class TestFloat32Passes:
         assert type(trained.recon) is float
 
     def test_the_reconstruction_error_is_summed_in_float64(self):
-        # squares of 1e20 overflow float32; the error of zero weights is the rows' squared sum
-        params = identity_params(2)
+        # squares of 1e20 overflow float32; zero weights reconstruct every entry as
+        # sigmoid(0) = 0.5, so the error is the rows' squared distance to 0.5
+        params = eye_params(2)
         params = params.replace_arrays([np.zeros_like(a) for a in params.all_arrays()])
         rows = np.array([[1e20, -3e19], [2.5e20, 7.0]], dtype=np.float32)
         with np.errstate(over="raise"):
             vpass = ae._view_forward(params, rows)
         assert np.isfinite(vpass.recon)
-        assert vpass.recon == float(np.sum(rows.astype(np.float64) ** 2))
+        assert vpass.recon == float(np.sum((rows.astype(np.float64) - 0.5) ** 2))
 
     def test_an_overflowing_trial_is_priced_not_raised(self, monkeypatch):
         # inside update_H overflows raise; a trial that overflows must still cost inf or nan

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -42,11 +43,8 @@ REQUIRED = [(proximity.build_stack, "config"),
             (autoencoder.train_view_autoencoder, "steps"),
             (optim.armijo_minimize, "start"),
             (autoencoder.init_autoencoder, "hidden_dims"),
-            (autoencoder.init_autoencoder, "activation"),
-            (autoencoder.init_autoencoder, "output_activation"),
             (autoencoder.init_autoencoder, "rng"),
-            (autoencoder.AutoencoderParams, "activation"),
-            (autoencoder.AutoencoderParams, "output_activation"),
+            (trainer.train, "hyper"),
             (autoencoder.view_loss_and_grads, "Y"), (autoencoder.view_loss_and_grads, "B"),
             (autoencoder.view_loss_and_grads, "alpha"), (autoencoder.view_loss_and_grads, "lam"),
             (evaluation.classify_f1, "protocol"), (evaluation.pdr_sweep, "methods"),
@@ -59,6 +57,17 @@ REQUIRED = [(proximity.build_stack, "config"),
 def test_a_setting_held_elsewhere_has_no_default_of_its_own(function, name):
     parameter = inspect.signature(function).parameters[name]
     assert parameter.default is inspect.Parameter.empty
+
+
+def test_layers_and_stopping_patience_are_fixed():
+    # tanh hidden layers, a sigmoid output layer and a patience of 3 stalled iterations
+    assert [f.name for f in fields(Hyperparams)] == [
+        "alpha", "beta", "lam", "dim", "max_iters", "y_steps", "h_steps", "hidden_dims",
+        "proximity", "stop_tol", "seed"]
+    assert [f.name for f in fields(autoencoder.AutoencoderParams)] == ["weights", "biases"]
+    assert list(inspect.signature(autoencoder.init_autoencoder).parameters) == [
+        "input_dim", "hidden_dims", "rng"]
+    assert trainer._STOP_PATIENCE == 3
 
 
 def test_classifier_ridge_and_stopping_rule_are_fixed():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from dpmne.evaluation import (SWEEP_METHODS, EvalProtocol, classify_f1, cluster_
                               pdr_sweep, predict_logistic)
 from dpmne.graph_model import SynthConfig, synth_generate
 from dpmne.proximity import ProximityConfig
+from dpmne.quantizer import binarize_sign, itq
 from dpmne.trainer import Hyperparams, train
 
 from conftest import make_view, random_network
@@ -491,10 +491,24 @@ class TestPdrSweep:
     def test_zero_ratio_row_equals_a_plain_evaluation(self):
         net = synth_generate(SynthConfig(n=30, communities=2, t=2, feature_dim=6, seed=4))
         protocol = EvalProtocol(repeats=2, seed=2)
-        rows = pdr_sweep(net, [0.0], ("dpmne",), protocol, quick_hyper())
-        state = train(net, replace(quick_hyper(), seed=2))
+        rows = pdr_sweep(net, [0.0], ("dpmne",), protocol, quick_hyper(seed=5))
+        state = train(net, quick_hyper(seed=5))
         direct = classify_f1(state.Y, net.labels, protocol)
         assert rows[0].report.micro_f1 == pytest.approx(direct.micro_f1, abs=1e-12)
+
+    def test_every_training_runs_with_the_hyperparameters_given(self, monkeypatch):
+        # the protocol seed draws the masks and the splits; the training seed is the hyper's
+        net = synth_generate(SynthConfig(n=30, communities=2, t=2, feature_dim=6, seed=4))
+        hyper = quick_hyper(seed=5)
+        seen = []
+
+        def recording(network, run_hyper, init_state=None):
+            seen.append(run_hyper)
+            return train(network, run_hyper, init_state)
+
+        monkeypatch.setattr(evaluation, "train", recording)
+        pdr_sweep(net, [0.0, 0.2], SWEEP_METHODS, EvalProtocol(repeats=1, seed=2), hyper)
+        assert len(seen) == 6 and all(h == hyper for h in seen)
 
     def test_unsorted_ratios_rejected(self):
         net = synth_generate(SynthConfig(n=20, communities=2, seed=0))
@@ -543,6 +557,21 @@ class TestCrossValidate:
                               protocol=EvalProtocol(seed=1), base_hyper=quick_hyper())
         assert (best.alpha, best.beta, best.lam) == (0.7, 0.2, 0.05)
 
+    def test_every_training_runs_with_the_base_seed(self, monkeypatch):
+        net = synth_generate(SynthConfig(n=30, communities=2, t=2, feature_dim=6, seed=5))
+        seen = []
+
+        def recording(network, hyper, init_state=None):
+            seen.append(hyper)
+            return train(network, hyper, init_state)
+
+        monkeypatch.setattr(evaluation, "train", recording)
+        grid = [(0.7, 0.2, 0.05), (1.0, 0.1, 0.01)]
+        cross_validate(net, grid, folds=3, protocol=EvalProtocol(seed=1),
+                       base_hyper=quick_hyper(seed=5))
+        assert [(h.alpha, h.beta, h.lam, h.seed) for h in seen] == [
+            (0.7, 0.2, 0.05, 5), (1.0, 0.1, 0.01, 5)]
+
     def test_fold_partition_covers_every_node_exactly_once(self):
         rng = np.random.default_rng(0)
         folds = kfold_indices(23, 5, rng)
@@ -588,6 +617,22 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="^alpha must be a finite number >= 0, got -1"):
             cross_validate(net, grid, folds=2, protocol=EvalProtocol(), base_hyper=quick_hyper())
         assert trainings == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("score", [
+    lambda Y, labels: classify_f1(Y, labels, EvalProtocol(repeats=2)),
+    lambda Y, labels: cluster_accuracy(Y, labels, 4),
+    lambda Y, labels: binarize_sign(Y),
+    lambda Y, labels: itq(Y)], ids=["classify_f1", "cluster_accuracy", "binarize_sign", "itq"])
+def test_a_non_finite_embedding_is_refused_before_any_scoring(score, value):
+    # one NaN among 160 entries would otherwise reach the fit and give a score, or numpy's error
+    rng = np.random.default_rng(0)
+    Y = rng.standard_normal((40, 4))
+    Y[7, 2] = value
+    labels = np.arange(40) % 4
+    with pytest.raises(ValueError, match="^embedding has non-finite entries$"):
+        score(Y, labels)
 
 
 class TestProtocolValidation:

@@ -413,6 +413,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"'{name}'"):
             restore(path)
 
+    @pytest.mark.parametrize("name,value", [("Y", np.nan), ("B_1", np.inf),
+                                            ("ae0_enc_w0", np.nan), ("ae1_dec_b1", -np.inf)])
+    def test_non_finite_array_is_refused_naming_it(self, tmp_path, name, value):
+        # training never writes one, and eval would score it without complaint
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(7), Hyperparams(dim=3, max_iters=1, hidden_dims=(5, 2))),
+                   path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[name].flat[-1] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint array "
+                                             f"'{name}' has non-finite entries$"):
+            restore(path)
+
     @pytest.mark.parametrize("key,value", [("t", None), ("hyper", None), ("t", 0), ("t", "2")])
     def test_inconsistent_checkpoint_metadata_rejected(self, tmp_path, key, value):
         path = tmp_path / "ckpt.npz"
@@ -449,13 +464,16 @@ class TestCheckpoint:
             restore(path)
 
     def test_checkpoint_with_layer_metadata_restores_unchanged(self, tmp_path):
-        # earlier checkpoints also list each view's encoder depth and activation names
-        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(5, 2), activation="relu")
+        # earlier checkpoints also list each view's encoder depth and activation names, and
+        # their hyperparameters name the layers and store the stopping patience
+        hyper = Hyperparams(dim=3, max_iters=1, hidden_dims=(5, 2))
         state = train(small_net(8), hyper)
         path = tmp_path / "ckpt.npz"
         checkpoint(state, path)
-        rewrite_meta(path, lambda meta: {**meta, "enc_layers": [2, 2],
-                                         "activations": [["relu", "sigmoid"]] * 2})
+        rewrite_meta(path, lambda meta: {
+            **meta, "enc_layers": [2, 2], "activations": [["tanh", "sigmoid"]] * 2,
+            "hyper": json.dumps({**json.loads(meta["hyper"]), "activation": "tanh",
+                                 "output_activation": "sigmoid", "stop_patience": 5})})
         back = restore(path)
 
         def arrays(st):
@@ -466,8 +484,41 @@ class TestCheckpoint:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert back.hyper == hyper
         assert back.objective_trace == state.objective_trace
-        assert [(p.activation, p.output_activation) for p in back.autoencoders] == [
-            ("relu", "sigmoid")] * 2
+
+    @pytest.mark.parametrize("key,value", [("activation", "relu"), ("activation", "sigmoid"),
+                                           ("output_activation", "identity")])
+    def test_stored_layers_other_than_tanh_and_sigmoid_rejected(self, tmp_path, key, value):
+        # the layers are fixed, so a checkpoint of other layers holds another model
+        path = tmp_path / "ckpt.npz"
+        checkpoint(train(small_net(8), Hyperparams(dim=3, max_iters=1, hidden_dims=(4,))), path)
+        rewrite_meta(path, lambda meta: {**meta, "hyper": json.dumps(
+            {**json.loads(meta["hyper"]), key: value})})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint metadata "
+                                             f"'hyper' is invalid: {key} must be") as info:
+            restore(path)
+        assert type(info.value) is ValueError
+
+    def test_a_checkpoint_of_the_previous_release_restores_and_resumes(self):
+        # written before the layers and the stopping patience were fixed, with its two
+        # trainings: the hyperparameters name the layers and store the patience
+        path = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format2.npz")
+        with np.load(path) as archive:
+            meta = json.loads(str(archive["meta"]))
+        stored = json.loads(meta["hyper"])
+        assert meta["format"] == 2
+        assert [stored[k] for k in ("activation", "output_activation", "stop_patience")] == [
+            "tanh", "sigmoid", 3]
+        net = synth_generate(SynthConfig(n=30, communities=3, t=2, pdr=0.2, feature_dim=6,
+                                         seed=31))
+        hyper = Hyperparams(dim=3, max_iters=2, hidden_dims=(5, 2), seed=31, stop_tol=0.0)
+        back = restore(path)
+        assert back.hyper == hyper and len(back.objective_trace) == 3
+        prox = build_stack(net, hyper.proximity)
+        assert objective(back, forward_passes(back, net), prox) == pytest.approx(
+            back.objective_trace[-1], rel=1e-6)
+        trace = train(net, hyper, init_state=back).objective_trace
+        assert trace[:3] == back.objective_trace and len(trace) == 5
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize("fmt", [1, 2])
     def test_resume_from_either_format_continues_the_uninterrupted_trace(self, tmp_path, fmt):

@@ -72,7 +72,7 @@ def double_well(seed, dim=6):
 def autoencoder(seed, rows=12, features=5):
     """The per-view autoencoder loss over its flat parameters, some rows masked."""
     rng = np.random.default_rng(seed)
-    params = init_autoencoder(features, (4, 3), "tanh", "sigmoid", rng)
+    params = init_autoencoder(features, (4, 3), rng)
     templates = params.all_arrays()
     X = rng.uniform(0.0, 1.0, (rows, features))
     mask = rng.uniform(size=rows) < 0.8
@@ -179,6 +179,21 @@ class TestSearch:
                     np.testing.assert_allclose(x - trials[1], best * d, rtol=1e-10)
                     landed += 1
         assert landed > 0
+
+    @pytest.mark.parametrize("target", [6.9e8, 1.9e8])
+    def test_a_step_far_above_the_unit_length_is_taken_within_two_steps(self, target):
+        # the minimizer lies about 1e8 unit steps away: the unit-length first step gives a
+        # pair whose secant is exact for this quadratic, and the second step lands on it
+        def fun(x):
+            return float((x[0] - target) ** 2)
+
+        def grad(x):
+            return 2.0 * (x - target)
+
+        f, g = point_pass(fun, grad)
+        x0 = np.zeros(1)
+        x, value, _ = armijo_minimize(f, g, x0, steps=2, start=f(x0))
+        assert fun(x0) == target ** 2 and value < 1e-12 * fun(x0)
 
     @each_problem
     def test_each_gradient_reads_the_pass_of_the_accepted_trial(self, problem):
